@@ -17,6 +17,9 @@ def rat_str(x: Rat) -> str:
 
 
 def parse_rat(s: Union[str, int]) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise TypeError("coordinate must be an integer or a string, got %r"
+                        % (s,))
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(s.strip())

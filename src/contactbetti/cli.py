@@ -231,7 +231,10 @@ def _window_arg(s: str) -> Tuple[Fraction, Fraction]:
     lo, sep, hi = s.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError("window must be given as lo:hi")
-    return Fraction(lo), Fraction(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError("window lo must not exceed hi")
+    return lo, hi
 
 
 def _positive_int_arg(s: str) -> int:

@@ -4,8 +4,10 @@ A toric diagram is a full-dimensional rational simplicial polytope D in
 R^n whose facet vertex systems are unimodular after lifting each vertex
 v to the integer normal (m*v, m), m the order of D.  A choice of
 interior point and perturbation direction determines a Reeb vector whose
-closed orbits come in one family per facet; their Conley-Zehnder indices
-are computed exactly with first-order jets.
+closed orbits come in one family per facet.  Each family is solved once
+with first-order jets; the Conley-Zehnder index of every iterate is then
+an exact integer computation (one ``divmod``-style floor per coefficient,
+the jet slope deciding exact ties).
 
 Two independent pipelines produce the graded dimension table cb:
 ``contact_betti_direct`` enumerates orbit degrees facet by facet, and
@@ -22,10 +24,8 @@ from typing import Optional, Sequence, Tuple
 
 from .ehrhart import DeltaVector, delta_vector
 from .exactlat import (
-    DegenerateJet,
     Jet,
     basis_completion,
-    jet_floor,
     mat_inverse,
     smith_invariants,
     vec_mat,
@@ -221,28 +221,59 @@ def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
     return OrbitFamily(facet_id, m, eta, k, b_coeffs, b)
 
 
-def cz_index(family: OrbitFamily, N: int) -> Fraction:
-    """Conley-Zehnder index of the N-th iterate, an exact rational."""
+def _floor_terms(family: OrbitFamily) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Integer data for the floors of N * b_j / b, one entry per nonzero b_j.
+
+    Entry (j, p, q, s): b_j.value / b.value = p/q in lowest terms (q > 0)
+    and s is the sign of the eps-slope of b_j / b, which has the sign of
+    b_j.slope * b.value - b_j.value * b.slope.  Needs b.value > 0, i.e. a
+    family that does not diverge.
+    """
+    b = family.b
+    terms = []
+    for j, bj in enumerate(family.b_coeffs):
+        if bj.is_zero():
+            continue  # structural zero: no floor contribution
+        ratio = bj.value / b.value
+        slope = bj.slope * b.value - bj.value * b.slope
+        terms.append((j, ratio.numerator, ratio.denominator,
+                      (slope > 0) - (slope < 0)))
+    return tuple(terms)
+
+
+def _scaled_degree(family: OrbitFamily, terms, N: int) -> int:
+    """m * deg(gamma^N) = 2 (m * sum_j floor(N b_j / b) + N k) + m (2n - 2).
+
+    Floors are taken in the limit eps -> 0+.  On an integer N*p/q a
+    negative slope floors to N*p/q - 1 = (N*p - 1) // q, and off the
+    integers (N*p - 1) // q = (N*p) // q, so a negative slope always
+    floors N*p - 1.  A zero slope on an integer is a genericity failure.
+    """
+    floors = 0
+    for j, p, q, sign in terms:
+        Np = N * p
+        if sign < 0:
+            Np -= 1
+        elif sign == 0 and Np % q == 0:
+            raise GenericityFailure(N, j)
+        floors += Np // q
+    m, n = family.order, len(family.b_coeffs)
+    return 2 * (m * floors + N * family.k) + m * (2 * n - 2)
+
+
+def orbit_degree(family: OrbitFamily, N: int) -> Fraction:
+    """Degree CZ(gamma^N) + n - 2 of the N-th iterate, an exact rational."""
     if N < 1:
         raise ValueError("iterate N must be >= 1")
     if family.diverges:
         raise ValueError("index diverges: base point lies on this facet")
-    n = len(family.b_coeffs)
-    total = Fraction(0)
-    for j, bj in enumerate(family.b_coeffs):
-        if bj.is_zero():
-            continue  # structural zero: no floor contribution
-        try:
-            total += jet_floor(N * bj / family.b)
-        except DegenerateJet:
-            raise GenericityFailure(N, j) from None
-    total += Fraction(N * family.k, family.order)
-    return 2 * total + n
+    return Fraction(_scaled_degree(family, _floor_terms(family), N),
+                    family.order)
 
 
-def orbit_degree(family: OrbitFamily, N: int) -> Fraction:
-    n = len(family.b_coeffs)
-    return cz_index(family, N) + n - 2
+def cz_index(family: OrbitFamily, N: int) -> Fraction:
+    """Conley-Zehnder index of the N-th iterate, an exact rational."""
+    return orbit_degree(family, N) - len(family.b_coeffs) + 2
 
 
 def _iterate_bound(family: OrbitFamily, d_max: Fraction) -> int:
@@ -258,7 +289,8 @@ def contact_betti_direct(D: ToricDiagram, reeb: Optional[ReebVector] = None,
 
     Facets containing the base point itself are skipped: their families'
     degrees exceed any finite window.  The per-facet iterate bound makes
-    the returned window complete.
+    the returned window complete.  Degrees are counted by the integer
+    m * degree and become rationals only once per distinct degree.
     """
     if reeb is None:
         reeb = ReebVector.default_for(D)
@@ -267,17 +299,20 @@ def contact_betti_direct(D: ToricDiagram, reeb: Optional[ReebVector] = None,
     d_min, d_max = Fraction(window[0]), Fraction(window[1])
     if d_min <= -2:
         raise ValueError("window must start above degree -2")
-    items = []
+    m = D.order
+    lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
+    counts: dict = {}
     for fid in range(len(D.facet_vertex_ids)):
         family = orbit_data(D, fid, reeb)
         if family.diverges:
             continue
+        terms = _floor_terms(family)
         for N in range(1, _iterate_bound(family, d_max) + 1):
-            deg = orbit_degree(family, N)
-            assert deg * D.order % 2 == 0, "degree outside (2/m)Z"
-            if d_min <= deg <= d_max:
-                items.append((deg, 1))
-    return GradedDimensions.from_items(items, (d_min, d_max))
+            md = _scaled_degree(family, terms, N)
+            if lo <= md <= hi:
+                counts[md] = counts.get(md, 0) + 1
+    return GradedDimensions.from_items(
+        [(Fraction(md, m), c) for md, c in counts.items()], (d_min, d_max))
 
 
 def contact_betti_from_delta(D: ToricDiagram,

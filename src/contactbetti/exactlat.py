@@ -3,7 +3,7 @@
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
 anywhere.  First-order jets (value + slope*eps for an infinitesimal eps > 0)
-carry symbolic perturbations through floor computations.
+carry symbolic perturbations through linear solves.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class NotUnimodularSystem(ValueError):
 
 class LinearlyDependent(ValueError):
     """Vectors required to be linearly independent are not."""
-
-
-class DegenerateJet(ArithmeticError):
-    """Floor of a jet that sits exactly on an integer with zero slope."""
 
 
 def intmat(rows) -> Mat:
@@ -527,15 +523,3 @@ class Jet:
 
     def is_zero(self) -> bool:
         return self.value == 0 and self.slope == 0
-
-
-def jet_floor(x: Jet) -> int:
-    """Floor of a jet, resolving integer values by the sign of the slope."""
-    v = x.value
-    if v.denominator != 1:
-        return math.floor(v)
-    if x.slope > 0:
-        return int(v)
-    if x.slope < 0:
-        return int(v) - 1
-    raise DegenerateJet("floor of exact integer %s with zero slope" % v)

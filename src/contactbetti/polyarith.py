@@ -39,10 +39,3 @@ def poly_eval(p, x):
     for a in reversed(list(p)):
         acc = acc * x + a
     return acc
-
-
-def poly_pow(p, k: int):
-    out = (1,)
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +64,7 @@ class RationalPolytope:
         self.vertices = vertices
         self.facets = facets
         self._lattice: dict[int, tuple[Face, ...]] | None = None
+        self._counts: dict[tuple[int, bool], int] = {}
 
     def __repr__(self):
         return "RationalPolytope(dim=%d, vertices=%s)" % (
@@ -241,36 +243,43 @@ def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     """Number of points of (1/t)Z^n in P, equivalently Z^n points of t*P.
 
     Row scan: the first n-1 coordinates run over the integer bounding box,
-    the last coordinate range is solved from the facet inequalities.
+    the last coordinate range is solved from the facet inequalities.  Each
+    facet <a, x> + t*c >= 0 is cleared to the integer inequality
+    A.x + C >= 0 (A = d*a, C = d*t*c, d the denominator of c); between
+    integers, the strict form A.x + C > 0 is A.x + C - 1 >= 0.  Counts are
+    memoized on P by (t, interior).
     """
     assert t >= 1 and t == int(t)
-    n = P.dimension
-    scaled = [(f.normal, t * f.offset) for f in P.facets]
+    key = (t, interior)
+    if key in P._counts:
+        return P._counts[key]
+    lower, upper, flat = [], [], []
+    for f in P.facets:
+        d = f.offset.denominator
+        head = tuple(d * a for a in f.normal[:-1])
+        an = d * f.normal[-1]
+        c = t * f.offset.numerator - int(interior)
+        if an > 0:    # x_n >= ceil(-(head.x + c) / an)
+            lower.append((head, c, an))
+        elif an < 0:  # x_n <= floor((head.x + c) / -an)
+            upper.append((head, c, -an))
+        else:
+            flat.append((head, c))
+    assert lower and upper, "bounded polytope needs facets on both sides"
     lo, hi = _coordinate_box(P, t)
-
-    def last_coord_count(prefix):
-        lo_b, hi_b = None, None
-        for normal, offset in scaled:
-            partial = sum(a * x for a, x in zip(normal, prefix)) + offset
-            an = normal[-1]
-            if an == 0:
-                if partial < 0 or (interior and partial == 0):
-                    return 0
-                continue
-            bound = Fraction(-partial, an)
-            if an > 0:
-                b = math.floor(bound) + 1 if interior else math.ceil(bound)
-                lo_b = b if lo_b is None else max(lo_b, b)
-            else:
-                b = math.ceil(bound) - 1 if interior else math.floor(bound)
-                hi_b = b if hi_b is None else min(hi_b, b)
-        assert lo_b is not None and hi_b is not None
-        return max(0, hi_b - lo_b + 1)
 
     total = 0
     for prefix in itertools.product(*[range(lo[i], hi[i] + 1)
-                                      for i in range(n - 1)]):
-        total += last_coord_count(prefix)
+                                      for i in range(P.dimension - 1)]):
+        if any(sum(map(operator.mul, h, prefix)) + c < 0 for h, c in flat):
+            continue
+        first = max(-((sum(map(operator.mul, h, prefix)) + c) // an)
+                    for h, c, an in lower)
+        last = min((sum(map(operator.mul, h, prefix)) + c) // an
+                   for h, c, an in upper)
+        if last >= first:
+            total += last - first + 1
+    P._counts[key] = total
     return total
 
 

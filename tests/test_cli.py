@@ -214,6 +214,31 @@ def test_structural_document_errors_exit_64(capsys, tmp_path):
     assert run(capsys, ["validate", mixed])[0] == 64
 
 
+def test_reversed_window_exits_64(capsys):
+    for cmd in ("hc", "cb", "quotient", "crosscheck"):
+        code, out, err = run(capsys, [cmd, "corpus:unit-simplex",
+                                      "--window", "5:1"])
+        assert code == 64 and out == ""
+        assert "lo must not exceed hi" in err
+    # a one-degree window is still accepted
+    assert run(capsys, ["hc", "corpus:unit-simplex", "--window", "4:4"])[0] == 0
+
+
+def test_non_rational_vertex_coordinates_exit_64(capsys, tmp_path):
+    for i, bad in enumerate((True, False, 1.5, None, [1])):
+        path = write_doc(tmp_path, {"kind": "diagram",
+                                    "vertices": [[bad, 0], [0, 1], [-1, -1]]},
+                         "v%d.json" % i)
+        code, out, err = run(capsys, ["validate", path])
+        assert code == 64 and out == ""
+        assert "bad vertex coordinate" in err
+    # booleans are rejected in triangulation points too
+    cells = write_doc(tmp_path, {"points": [[True, 0]], "cells": [[0, 1, 2]]},
+                      "t.json")
+    assert run(capsys, ["resolve", "corpus:lens-triangle",
+                        "--triangulation", cells])[0] == 64
+
+
 def test_bad_thread_environment_exits_64(capsys, monkeypatch):
     monkeypatch.setenv("CONTACTBETTI_THREADS", "zero")
     assert run(capsys, ["validate", "corpus:lens-triangle"])[0] == 64

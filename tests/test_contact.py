@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactbetti.contact import (
     FacetNotUnimodular,
@@ -159,6 +162,116 @@ def test_cz_index_structural_zero_coefficients():
         assert cz_index(fam, N) == 2 * N + 2
 
 
+def floor_of(bj, b=Jet(1), N=1):
+    """Floor of N * bj / b as computed by the package: a one-coefficient
+    family with k = 0 and order 1 has CZ(gamma^N) = 2 floor + 1."""
+    fam = OrbitFamily(0, 1, (0, 1), 0, (bj,), b)
+    return (cz_index(fam, N) - 1) / 2
+
+
+def test_integer_floor_cases():
+    # off the integers the slope never matters
+    assert floor_of(Jet(F(7, 3), 99)) == 2
+    assert floor_of(Jet(F(7, 3), -99)) == 2
+    # on an integer the slope decides, for either sign of the value
+    assert floor_of(Jet(2, 1)) == 2
+    assert floor_of(Jet(2, -1)) == 1
+    assert floor_of(Jet(-2, 1)) == -2
+    assert floor_of(Jet(-2, -1)) == -3
+    # value -1/3 with positive slope: one-sided value just above -1/3
+    assert floor_of(Jet(F(-1, 3), 1)) == -1
+    # zero value with a slope is not a structural zero
+    assert floor_of(Jet(0, 1)) == 0
+    assert floor_of(Jet(0, -1)) == -1
+    # the slope of the quotient also involves the slope of b: for
+    # (4 + 3e)/(2 + e) it is 3*2 - 4*1 > 0, for (4 + 2e)/(2 + e) it is 0
+    assert floor_of(Jet(4, 3), Jet(2, 1)) == 2
+    assert floor_of(Jet(4, 1), Jet(2, 1)) == 1
+    assert floor_of(Jet(F(1, 3), -1), Jet(2, 1), N=6) == 0
+    with pytest.raises(GenericityFailure) as exc:
+        floor_of(Jet(4, 2), Jet(2, 1))
+    assert (exc.value.N, exc.value.j) == (1, 0)
+    with pytest.raises(GenericityFailure) as exc:
+        floor_of(Jet(5, 0))
+    assert (exc.value.N, exc.value.j) == (1, 0)
+
+
+def test_integer_floor_genericity_failure_site():
+    # coefficient 1 is an integer with zero slope exactly at N = 3, 6, ...
+    fam = OrbitFamily(0, 1, (0, 0, 1), 1,
+                      (Jet(F(1, 2), 1), Jet(F(1, 3), 0)), Jet(1))
+    assert [orbit_degree(fam, N) for N in (1, 2)] == [4, 8]
+    with pytest.raises(GenericityFailure) as exc:
+        orbit_degree(fam, 3)
+    assert (exc.value.N, exc.value.j) == (3, 1)
+
+
+def oracle_floor(x, N, j):
+    """Floor of a jet by jet arithmetic, independent of the package."""
+    if x.value.denominator != 1:
+        return math.floor(x.value)
+    if x.slope > 0:
+        return x.value.numerator
+    if x.slope < 0:
+        return x.value.numerator - 1
+    raise GenericityFailure(N, j)
+
+
+def oracle_degree(fam, N):
+    n = len(fam.b_coeffs)
+    total = F(N * fam.k, fam.order)
+    for j, bj in enumerate(fam.b_coeffs):
+        if not bj.is_zero():
+            total += oracle_floor(N * bj / fam.b, N, j)
+    return 2 * total + 2 * n - 2
+
+
+def outcome(degree, fam, N):
+    try:
+        return degree(fam, N)
+    except GenericityFailure as exc:
+        return ("GenericityFailure", exc.N, exc.j)
+
+
+small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coefficient = st.one_of(
+    st.just(Jet(0, 0)),                                    # structural zero
+    st.builds(Jet, small_rat, st.sampled_from([0, 0, 1, -1, F(1, 2)])),
+    st.builds(Jet, small_rat, small_rat))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 5), k=st.integers(-4, 4),
+       coeffs=st.lists(coefficient, min_size=3, max_size=3),
+       b_value=st.fractions(min_value=F(1, 4), max_value=3,
+                            max_denominator=4),
+       b_slope=small_rat)
+def test_orbit_degree_matches_jet_oracle(n, m, k, coeffs, b_value, b_slope):
+    fam = OrbitFamily(0, m, (0,) * n + (k,), k, tuple(coeffs[:n]),
+                      Jet(b_value, b_slope))
+    for N in range(1, 13):
+        want = outcome(oracle_degree, fam, N)
+        assert outcome(orbit_degree, fam, N) == want
+        if isinstance(want, tuple):
+            break
+
+
+def test_orbit_degree_matches_jet_oracle_on_diagrams():
+    for D in (L53, SIMPLEX2, ORDER3):
+        for reeb in (ReebVector.default_for(D), worked_reeb(),
+                     ReebVector((F(1, 2), F(1, 2)), (F(1), F(1)))):
+            for fid in range(len(D.facet_vertex_ids)):
+                try:
+                    fam = orbit_data(D, fid, reeb)
+                except (NotInterior, GenericityFailure):
+                    continue
+                if fam.diverges:
+                    continue
+                for N in range(1, 25):
+                    assert (outcome(orbit_degree, fam, N)
+                            == outcome(oracle_degree, fam, N))
+
+
 def test_genericity_failure():
     # direction parallel to the diagonal makes b_1/b identically 1 on
     # the facet at the far corner
@@ -196,6 +309,17 @@ def test_cb_order3():
 def test_cb_pipelines_agree_worked_reeb():
     got = contact_betti_direct(ORDER3, worked_reeb())
     assert got == contact_betti_from_delta(ORDER3)
+
+
+def test_cb_pipelines_agree_on_ladder_n3m3():
+    # the pinned n = 3, m = 3 ladder diagram of the benchmark
+    D = validate_diagram(convex_hull(
+        [(1, -1, F(-1, 3)), (F(1, 3), F(2, 3), 0),
+         (F(2, 3), F(2, 3), F(1, 3)), (1, F(2, 3), F(1, 3))]))
+    assert (D.order, D.dimension) == (3, 3)
+    direct = contact_betti_direct(D)
+    assert direct == contact_betti_from_delta(D)
+    assert sum(direct.entries.values()) > 0
 
 
 def test_cb_unit_simplex():

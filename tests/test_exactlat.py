@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactbetti.exactlat import (
-    DegenerateJet,
     Jet,
     LinearlyDependent,
     NotUnimodularSystem,
@@ -16,7 +15,6 @@ from contactbetti.exactlat import (
     hermite_normal_form,
     identity,
     intmat,
-    jet_floor,
     lattice_index,
     mat_inverse,
     mat_mul,
@@ -322,26 +320,7 @@ def test_jet_division_by_zero_value():
         Jet(1) / Jet(0, 5)
 
 
-def test_jet_floor_cases():
-    assert jet_floor(Jet(Fraction(7, 3), 99)) == 2
-    assert jet_floor(Jet(Fraction(7, 3), -99)) == 2
-    assert jet_floor(Jet(2, 1)) == 2
-    assert jet_floor(Jet(2, -1)) == 1
-    # value -1/3 with positive slope: one-sided value just above -1/3
-    assert jet_floor(Jet(Fraction(-1, 3), 1)) == -1
-    with pytest.raises(DegenerateJet):
-        jet_floor(Jet(5, 0))
-
-
 fraction_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-
-
-@settings(max_examples=200)
-@given(fraction_st, fraction_st)
-def test_jet_floor_agrees_off_integers(value, slope):
-    if value.denominator == 1:
-        return
-    assert jet_floor(Jet(value, slope)) == math.floor(value)
 
 
 @settings(max_examples=200)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,31 @@ def test_row_scan_matches_naive():
             assert count_points(P, t) == count_points_naive(P, t)
             assert (count_points(P, t, interior=True)
                     == count_points_naive(P, t, interior=True))
+
+
+def random_simplex(rng, n, m):
+    """A full-dimensional simplex of order exactly m in [-1, 1]^n."""
+    while True:
+        pts = [tuple(Fraction(rng.randint(-m, m), m) for _ in range(n))
+               for _ in range(n + 1)]
+        try:
+            P = convex_hull(pts)
+        except DegenerateInput:
+            continue
+        if order(P) == m:
+            return P
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_row_scan_matches_naive_in_higher_dimensions(n):
+    rng = random.Random(20 + n)
+    for m in range(1, 6):
+        for _ in range(2):
+            P = random_simplex(rng, n, m)
+            for t in (1, 2, 3):
+                for interior in (False, True):
+                    assert (count_points(P, t, interior)
+                            == count_points_naive(P, t, interior)), (P, t)
 
 
 # ---------------------------------------------------------------- volume
