@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -199,6 +198,9 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise DocumentError("bad triangulation file: %s" % exc) from None
         points = list(D.polytope.vertices) + extra
+        if any(not 0 <= i < len(points) for c in cells for i in c):
+            raise DocumentError("triangulation cell index out of range "
+                                "0..%d" % (len(points) - 1))
         return triangulation_from_cells(D, points, cells)
     if getattr(args, "star", None) is not None:
         return star_triangulation(D, args.star)
@@ -657,19 +659,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _thread_env_error() -> Optional[str]:
-    raw = os.environ.get("CONTACTBETTI_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        return "CONTACTBETTI_THREADS must be a positive integer, got %r" % raw
-    return None
-
-
 def _fail(code: int, message: str) -> int:
     sys.stderr.write("contactbetti: %s\n" % message)
     return code
@@ -680,9 +669,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else PARSE_ERROR
-    env_error = _thread_env_error()
-    if env_error is not None:
-        return _fail(PARSE_ERROR, env_error)
     try:
         report, code = _HANDLERS[args.command](args)
     except DocumentError as exc:

@@ -302,80 +302,62 @@ def solve_left(A, b):
 # rational (Fraction) helpers
 
 
-def rat_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries."""
+def rat_echelon(rows):
+    """Reduced row echelon form over Fractions, with its pivot columns.
+
+    Returns (R, pivots): R keeps the nonzero rows only, row i has a 1 in
+    column pivots[i] and every other row a 0 there.  The form is unique,
+    so everything read off it is independent of the input row order.
+    """
     A = [[Fraction(x) for x in row] for row in rows]
-    if not A:
-        return 0
-    nr, nc = len(A), len(A[0])
-    rank = 0
+    nr, nc = len(A), len(A[0]) if A else 0
+    pivots = []
     for c in range(nc):
-        piv = next((i for i in range(rank, nr) if A[i][c]), None)
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if A[i][c]), None)
         if piv is None:
             continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][c]
-        A[rank] = [v * inv for v in A[rank]]
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [v * inv for v in A[r]]
         for i in range(nr):
-            if i != rank and A[i][c]:
+            if i != r and A[i][c]:
                 f = A[i][c]
-                A[i] = [v - f * w for v, w in zip(A[i], A[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+                A[i] = [v - f * w for v, w in zip(A[i], A[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in A[:len(pivots)]), tuple(pivots)
+
+
+def rat_rank(rows) -> int:
+    """Rank of a matrix with Fraction/int entries."""
+    return len(rat_echelon(rows)[1])
 
 
 def rat_solve(A, b):
     """Solve the square system A*x = b over Fractions; raises if singular."""
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(bv)]
-         for row, bv in zip(A, b)]
+    M = [list(row) + [bv] for row, bv in zip(A, b)]
     assert all(len(row) == n + 1 for row in M)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            raise LinearlyDependent("singular system")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [v * inv for v in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[c])]
-    return tuple(M[i][n] for i in range(n))
+    R, pivots = rat_echelon(M)
+    if pivots != tuple(range(n)):
+        raise LinearlyDependent("singular system")
+    return tuple(row[n] for row in R)
 
 
 def rat_kernel(A):
     """Basis of the right kernel {x : A*x = 0} over Fractions."""
-    rows = [[Fraction(x) for x in row] for row in A]
-    nc = len(rows[0]) if rows else 0
-    reduced = []
-    pivots = []
-    for row in rows:
-        r = row[:]
-        for prow, pc in zip(reduced, pivots):
-            if r[pc]:
-                f = r[pc]
-                r = [v - f * w for v, w in zip(r, prow)]
-        pc = next((c for c in range(nc) if r[c]), None)
-        if pc is None:
-            continue
-        inv = 1 / r[pc]
-        r = [v * inv for v in r]
-        for i, prow in enumerate(reduced):
-            if prow[pc]:
-                f = prow[pc]
-                reduced[i] = [v - f * w for v, w in zip(prow, r)]
-        reduced.append(r)
-        pivots.append(pc)
-    free = [c for c in range(nc) if c not in pivots]
+    R, pivots = rat_echelon(A)
+    nc = len(A[0]) if A else 0
     basis = []
-    for fc in free:
+    for fc in range(nc):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * nc
         vec[fc] = Fraction(1)
-        for prow, pc in zip(reduced, pivots):
-            vec[pc] = -prow[fc]
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
 
@@ -383,27 +365,14 @@ def rat_kernel(A):
 def mat_inverse(M) -> Mat:
     """Inverse of a unimodular integer matrix (integral again)."""
     n = len(M)
-    A = [[Fraction(x) for x in row] +
-         [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     assert all(len(row) == 2 * n for row in A)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c]), None)
-        if piv is None:
-            raise LinearlyDependent("matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        for i in range(n):
-            if i != c and A[i][c]:
-                f = A[i][c]
-                A[i] = [v - f * w for v, w in zip(A[i], A[c])]
-    out = []
-    for i in range(n):
-        row = A[i][n:]
-        if any(v.denominator != 1 for v in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
+    R, pivots = rat_echelon(A)
+    if pivots != tuple(range(n)):
+        raise LinearlyDependent("matrix is singular")
+    if any(v.denominator != 1 for row in R for v in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(v) for v in row[n:]) for row in R)
 
 
 def primitive_vector(v) -> Vec:

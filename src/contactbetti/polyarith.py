@@ -6,18 +6,15 @@ ints or Fractions; operations never leave exact arithmetic.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 
 def poly_trim(p):
     p = list(p)
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
 
 
 def poly_mul(p, q):
@@ -39,3 +36,18 @@ def poly_eval(p, x):
     for a in reversed(list(p)):
         acc = acc * x + a
     return acc
+
+
+def f_to_h(top, dims):
+    """h(q) = sum of q^(top - k) (1 - q)^k over the face dimensions k listed.
+
+    One term per face, so ``dims`` carries the f-vector of a face poset
+    whose faces all have dimension at most ``top``.
+    """
+    h = [0] * (top + 1)
+    for k, f in Counter(dims).items():
+        for i in range(k + 1):
+            h[top - k + i] += f * (-1) ** i * math.comb(k, i)
+    h = poly_trim(h)
+    assert all(c >= 0 for c in h), "h-polynomial must be non-negative"
+    return h

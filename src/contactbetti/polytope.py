@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .exactlat import (
     LinearlyDependent,
+    det_int,
     primitive_vector,
     rat_kernel,
     rat_rank,
@@ -117,12 +118,7 @@ def _hyperplane(points):
     """
     base = points[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    n = len(base)
-    if diffs and rat_rank(diffs) != n - 1:
-        return None
-    if not diffs and n != 1:
-        return None
-    kern = rat_kernel(diffs) if diffs else [(Fraction(1),)]
+    kern = rat_kernel(diffs or [[0] * len(base)])
     if len(kern) != 1:
         return None
     normal = primitive_vector(kern[0])
@@ -323,31 +319,13 @@ def enumerate_lattice_points(P: RationalPolytope, t: int,
     return sorted(found)
 
 
-def _frac_det(rows) -> Fraction:
-    A = [[Fraction(x) for x in row] for row in rows]
-    n = len(A)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] * inv
-                A[i] = [v - f * w for v, w in zip(A[i], A[c])]
-    return det
-
-
 def simplex_normalized_volume(points) -> Fraction:
     """n! times the volume of the simplex on n+1 affinely independent points."""
     base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return abs(_frac_det(rows))
+    rows = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
+    scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
+    det = det_int([[int(x * d) for x in row] for row, d in zip(rows, scales)])
+    return abs(Fraction(det, math.prod(scales)))
 
 
 def triangulate_ids(P: RationalPolytope, pull_last: bool = False):
@@ -410,10 +388,9 @@ def enumerate_halfspace_vertices(normals, offsets):
         raise UnboundedInput("normals do not span, polyhedron has a line")
     # a nonzero recession direction must be tight on n-1 independent normals
     for subset in itertools.combinations(range(len(rows)), n - 1):
-        sub = [rows[i] for i in subset]
-        if sub and rat_rank(sub) != n - 1:
+        kern = rat_kernel([rows[i] for i in subset] or [[0] * n])
+        if len(kern) != 1:
             continue
-        kern = rat_kernel(sub) if sub else rat_kernel([[Fraction(0)] * n])
         for k in kern:
             for cand in (k, tuple(-x for x in k)):
                 if any(cand) and all(

@@ -17,11 +17,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
-from .exactlat import (basis_completion, det_int, mat_inverse, primitive_vector,
-                       rat_kernel, rat_rank, rat_solve, smith_invariants,
-                       transpose, vec_mat)
+from .exactlat import (LinearlyDependent, basis_completion, det_int,
+                       mat_inverse, primitive_vector, rat_kernel, rat_rank,
+                       rat_solve, smith_invariants, transpose, vec_mat)
 from .grading import GradedDimensions, default_window
-from .polyarith import poly_add, poly_mul, poly_trim
+from .polyarith import f_to_h
 from .polytope import LabelledPolytope, convex_hull, labelled_polytope
 from .resolution import NotStrictlyConvex
 
@@ -94,14 +94,13 @@ def _cone_skeleton(normals):
         raise NotStrictlyConvex("normals do not span, the cone has a line")
     rays = set()
     for subset in itertools.combinations(range(d), n1 - 1):
-        sub = [nu[i] for i in subset]
-        if rat_rank(sub) != n1 - 1:
+        kern = rat_kernel([nu[i] for i in subset])
+        if len(kern) != 1:
             continue
-        for kern in rat_kernel(sub):
-            cand = primitive_vector(kern)
-            for ray in (cand, tuple(-x for x in cand)):
-                if all(_dot(row, ray) >= 0 for row in nu):
-                    rays.add(ray)
+        cand = primitive_vector(kern[0])
+        for ray in (cand, tuple(-x for x in cand)):
+            if all(_dot(row, ray) >= 0 for row in nu):
+                rays.add(ray)
     rays = tuple(sorted(rays))
     if rat_rank(rays) < n1:
         raise NotStrictlyConvex("cone is not full-dimensional")
@@ -163,10 +162,11 @@ def gorenstein_r(delta: LabelledPolytope):
     n1 = delta.dimension + 1
     ones = [1] * n1
     for subset in itertools.combinations(range(len(rows)), n1):
-        sub = [rows[i] for i in subset]
-        if rat_rank(sub) == n1:
-            sol = rat_solve(sub, ones)
-            break
+        try:
+            sol = rat_solve([rows[i] for i in subset], ones)
+        except LinearlyDependent:
+            continue
+        break
     else:
         return None
     if any(_dot(row, sol) != 1 for row in rows):
@@ -243,20 +243,11 @@ def _face_h(C: GoodCone, J: Sequence[int]) -> Tuple[int, ...]:
     """h-vector of the base face cut out by the facets in J (J may be
     empty for the whole base); computed inside the cone's face lattice."""
     target = set(J)
-    n = C.dimension - 1
-    fdim = n - len(J)
-    total: Tuple[int, ...] = (0,)
-    for cf in C.faces:
-        if not target <= set(cf.tight):
-            continue
-        gdim = cf.dim - 1
-        term = [0] * (fdim - gdim) + [1]
-        for _ in range(gdim):
-            term = list(poly_mul(term, (1, -1)))
-        total = poly_add(total, term)
-    total = poly_trim(total)
-    assert len(total) == fdim + 1 and all(c >= 0 for c in total)
-    return tuple(total)
+    fdim = C.dimension - 1 - len(J)
+    total = f_to_h(fdim, [cf.dim - 1 for cf in C.faces
+                          if target <= set(cf.tight)])
+    assert len(total) == fdim + 1
+    return total
 
 
 def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:

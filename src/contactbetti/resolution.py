@@ -19,14 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import delta_vector
 from .exactlat import (
+    det_int,
     lattice_index,
     primitive_vector,
-    rat_rank,
     rat_solve,
     smith_normal_form,
 )
 from .grading import GradedDimensions, default_window
-from .polyarith import poly_add, poly_mul, poly_trim
+from .polyarith import f_to_h, poly_mul
 from .polytope import (
     Face,
     RationalPolytope,
@@ -115,97 +115,16 @@ class TriangulationReport:
     cell_volumes: Tuple[Fraction, ...]
 
 
-def _simplex_halfspaces(points):
-    """Inequalities of a full-dimensional simplex, one per opposite vertex."""
-    n = len(points) - 1
-    out = []
-    for i in range(n + 1):
-        rest = [points[j] for j in range(n + 1) if j != i]
-        base = rest[0]
-        rows = [[p[k] - base[k] for k in range(n)] for p in rest[1:]]
-        # normal orthogonal to the facet, oriented towards points[i]
-        normal = _kernel_vector(rows, n)
-        offset = -sum(a * b for a, b in zip(normal, base))
-        if sum(a * b for a, b in zip(normal, points[i])) + offset < 0:
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        out.append((normal, offset))
-    return out
-
-
-def _kernel_vector(rows, n):
-    from .exactlat import rat_kernel
-    ker = rat_kernel([list(r) for r in rows] if rows else [[0] * n])
-    assert len(ker) >= 1
-    return tuple(ker[0])
-
-
-def _intersection_vertices(half_a, half_b, n):
-    halves = list(half_a) + list(half_b)
-    found = set()
-    for subset in itertools.combinations(range(len(halves)), n):
-        rows = [list(halves[i][0]) for i in subset]
-        rhs = [-halves[i][1] for i in subset]
-        try:
-            x = rat_solve(rows, rhs)
-        except Exception:
-            continue
-        if all(sum(a * b for a, b in zip(nrm, x)) + off >= 0
-               for nrm, off in halves):
-            found.add(tuple(x))
-    return sorted(found)
-
-
-def _in_hull_of(point, generators):
-    """Barycentric membership of ``point`` in the simplex on ``generators``."""
-    k = len(generators)
-    n = len(point)
-    rows = [[g[i] for g in generators] for i in range(n)] + [[1] * k]
-    rhs = list(point) + [1]
-    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
-    if rat_rank(aug) != rat_rank(rows):
-        return False  # not even in the affine hull
-    # solve a square subsystem on independent rows
-    lam = _solve_rectangular(rows, rhs)
-    if lam is None:
-        return False
-    return all(v >= 0 for v in lam)
-
-
-def _solve_rectangular(rows, rhs):
-    """Exact least-structure solve of an overdetermined consistent system."""
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(rows)]
-    nr, nc = len(A), len(A[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        A[r] = [x / A[r][c] for x in A[r]]
-        for i in range(nr):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    sol = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        sol[c] = A[i][nc]
-    for i in range(r, nr):
-        if A[i][nc] != 0:
-            return None
-    return sol
-
-
 def validate_triangulation(D: ToricDiagram,
                            T: Triangulation) -> TriangulationReport:
     """Covering, proper-intersection, and rationality checks; classifies
-    whether every cell is unimodular (lifted generators a lattice basis)."""
+    whether every cell is unimodular (lifted generators a lattice basis).
+
+    Cells inside D whose volumes add up to D's volume form a triangulation
+    exactly when they are glued facet to facet: every cell facet has at
+    most one cell on each side, and one on both sides unless it lies on
+    the boundary of D (De Loera, Rambau, Santos, Triangulations, 2010).
+    """
     n = D.dimension
     m = D.order
     for p in T.points:
@@ -221,19 +140,34 @@ def validate_triangulation(D: ToricDiagram,
         vols.append(vol)
     if sum(vols) != normalized_volume(D.polytope):
         raise NotCovering("cell volumes do not add up to the diagram volume")
+    for p in T.points:
+        if not D.polytope.contains(p):
+            raise NotCovering("point (%s) lies outside the diagram"
+                              % ", ".join(map(str, p)))
 
-    halfspaces = [_simplex_halfspaces([T.points[i] for i in cell])
-                  for cell in T.cells]
-    for a, b in itertools.combinations(range(len(T.cells)), 2):
-        shared = sorted(set(T.cells[a]) & set(T.cells[b]))
-        inter = _intersection_vertices(halfspaces[a], halfspaces[b], n)
-        if not shared:
-            if inter:
-                raise ImproperIntersection((a, b))
-            continue
-        gen = [T.points[i] for i in shared]
-        if not all(_in_hull_of(v, gen) for v in inter):
-            raise ImproperIntersection((a, b))
+    # integer coordinates m*p, and the facets of D each point lies on
+    scaled = [[int(m * c) for c in p] for p in T.points]
+    tight = [frozenset(i for i, f in enumerate(D.polytope.facets)
+                       if sum(a * x for a, x in zip(f.normal, p)) + f.offset
+                       == 0)
+             for p in T.points]
+    # facet (sorted point ids) -> {side of its hyperplane: cell on that side}
+    sides: Dict[Tuple[int, ...], Dict[bool, int]] = {}
+    for c, cell in enumerate(T.cells):
+        for apex in cell:
+            key = tuple(sorted(i for i in cell if i != apex))
+            base = scaled[key[0]]
+            rows = [[x - b for x, b in zip(scaled[i], base)]
+                    for i in key[1:] + (apex,)]
+            side = det_int(rows) > 0
+            cells = sides.setdefault(key, {})
+            if side in cells:
+                raise ImproperIntersection((cells[side], c))
+            cells[side] = c
+    for key, cells in sides.items():
+        if len(cells) == 1 and not frozenset.intersection(
+                *[tight[i] for i in key]):
+            raise NotCovering(f"interior facet {key} bounds only one cell")
 
     unimod = all(
         lattice_index([_lift(T.points[i], m) for i in cell]) == 1
@@ -475,34 +409,17 @@ def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
     q^(dim sigma - dim tau) (1-q)^(n+1-dim sigma)."""
     tau = frozenset(cone)
     n1 = F.dimension + 1
-    total: Tuple[int, ...] = (0,)
-    for sigma in F.cones():
-        if not tau <= frozenset(sigma):
-            continue
-        term = [0] * (len(sigma) - len(tau)) + [1]  # q^(dim diff)
-        for _ in range(n1 - len(sigma)):
-            term = list(poly_mul(term, (1, -1)))
-        total = poly_add(total, term)
-    total = poly_trim(total)
-    assert all(c >= 0 for c in total), "h-polynomial must be non-negative"
-    return tuple(total)
+    return f_to_h(n1 - len(tau), [n1 - len(sigma) for sigma in F.cones()
+                                  if tau <= frozenset(sigma)])
 
 
 def face_h_polynomial(P: RationalPolytope, face: Face) -> Tuple[int, ...]:
     """h_F(q) over the nonempty faces G of F:
     sum q^(dim F - dim G) (1-q)^(dim G)."""
-    total: Tuple[int, ...] = (0,)
-    for d in range(face.dim + 1):
-        for g in faces(P, d):
-            if not set(g.vertex_ids) <= set(face.vertex_ids):
-                continue
-            term = [0] * (face.dim - d) + [1]
-            for _ in range(d):
-                term = list(poly_mul(term, (1, -1)))
-            total = poly_add(total, term)
-    total = poly_trim(total)
-    assert all(c >= 0 for c in total)
-    return tuple(total)
+    inside = set(face.vertex_ids)
+    return f_to_h(face.dim, [d for d in range(face.dim + 1)
+                             for g in faces(P, d)
+                             if set(g.vertex_ids) <= inside])
 
 
 def orbifold_poincare(F: Fan) -> GradedDimensions:

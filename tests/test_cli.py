@@ -239,11 +239,29 @@ def test_non_rational_vertex_coordinates_exit_64(capsys, tmp_path):
                         "--triangulation", cells])[0] == 64
 
 
-def test_bad_thread_environment_exits_64(capsys, monkeypatch):
-    monkeypatch.setenv("CONTACTBETTI_THREADS", "zero")
-    assert run(capsys, ["validate", "corpus:lens-triangle"])[0] == 64
-    monkeypatch.setenv("CONTACTBETTI_THREADS", "0")
-    assert run(capsys, ["validate", "corpus:lens-triangle"])[0] == 64
+SQUARE_DOC = {"kind": "diagram",
+              "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
+
+
+def test_triangulation_cell_index_out_of_range_exits_64(capsys, tmp_path):
+    square = write_doc(tmp_path, SQUARE_DOC, "square.json")
+    for i, cells in enumerate(([[0, 1, 9]], [[0, 1, -1]])):
+        tri = write_doc(tmp_path, {"points": [], "cells": cells},
+                        "t%d.json" % i)
+        code, out, err = run(capsys, ["resolve", square,
+                                      "--triangulation", tri])
+        assert code == 64 and out == ""
+        assert "cell index out of range" in err
+
+
+def test_triangulation_outside_the_diagram_exits_65(capsys, tmp_path):
+    square = write_doc(tmp_path, SQUARE_DOC, "square.json")
+    tri = write_doc(tmp_path, {"points": [["2", "0"]], "cells": [[0, 1, 4]]},
+                    "t.json")
+    for argv in (["resolve"], ["hc", "--pipeline", "resolution"]):
+        code, out, err = run(capsys, argv + [square, "--triangulation", tri])
+        assert code == 65 and out == ""
+        assert "NotCovering" in err and "outside the diagram" in err
 
 
 def test_validation_errors_exit_65(capsys, tmp_path):

@@ -19,6 +19,7 @@ from contactbetti.exactlat import (
     mat_inverse,
     mat_mul,
     primitive_vector,
+    rat_echelon,
     rat_kernel,
     rat_rank,
     rat_solve,
@@ -288,6 +289,76 @@ def test_rational_helpers():
     assert sum(k) == 0
     assert primitive_vector((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
     assert primitive_vector((-2, -4)) == (-1, -2)
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def frac_matrices(max_dim=4):
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda nr: st.integers(min_value=1, max_value=max_dim).flatmap(
+            lambda nc: st.lists(
+                st.lists(small_fracs | st.just(Fraction(0)),
+                         min_size=nc, max_size=nc),
+                min_size=nr, max_size=nr)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frac_matrices(), st.lists(small_fracs, min_size=4, max_size=4))
+def test_rat_echelon_properties(A, rhs):
+    nr, nc = len(A), len(A[0])
+    R, pivots = rat_echelon(A)
+    rank = len(pivots)
+    # reduced echelon shape: increasing pivots, each a 1 alone in its column
+    assert len(R) == rank == rat_rank(A) <= min(nr, nc)
+    assert list(pivots) == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(R, pivots)):
+        assert not any(row[:pc]) and row[pc] == 1
+        assert all(R[k][pc] == 0 for k in range(rank) if k != i)
+    # the form is unique, hence independent of the row order
+    assert rat_echelon(A[::-1]) == (R, pivots)
+    # right kernel: annihilated by A, independent, of size nc - rank
+    kernel = rat_kernel(A)
+    assert len(kernel) == nc - rank
+    assert all(sum(a * x for a, x in zip(row, k)) == 0
+               for row in A for k in kernel)
+    assert not kernel or rat_rank(kernel) == len(kernel)
+    # square systems: solve round trip, or a singular system is refused
+    n = min(nr, nc)
+    S, b = [row[:n] for row in A[:n]], rhs[:n]
+    if rat_rank(S) == n:
+        x = rat_solve(S, b)
+        assert [sum(a * v for a, v in zip(row, x)) for row in S] == b
+    else:
+        with pytest.raises(LinearlyDependent):
+            rat_solve(S, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                       min_size=2 * n, max_size=2 * n)))
+def test_mat_inverse_round_trip(rows):
+    # L*U with L unit lower and U unit upper triangular is unimodular
+    n = len(rows) // 2
+    L = tuple(tuple(rows[i][j] if j < i else int(i == j) for j in range(n))
+              for i in range(n))
+    U = tuple(tuple(rows[n + i][j] if j > i else int(i == j)
+                    for j in range(n)) for i in range(n))
+    M = mat_mul(L, U)
+    inv = mat_inverse(M)
+    assert mat_mul(M, inv) == identity(n) == mat_mul(inv, M)
+    # any other integer matrix is refused: singular, or not unimodular
+    B = tuple(tuple(r) for r in rows[:n])
+    d = det_int(B)
+    if d == 0:
+        with pytest.raises(LinearlyDependent):
+            mat_inverse(B)
+    elif abs(d) != 1:
+        with pytest.raises(ValueError, match="not unimodular"):
+            mat_inverse(B)
+    else:
+        assert mat_mul(B, mat_inverse(B)) == identity(n)
 
 
 # ---------------------------------------------------------------- jets

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,10 @@ from hypothesis import strategies as st
 
 from contactbetti.contact import contact_betti_from_delta, validate_diagram
 from contactbetti.polyarith import poly_eval
-from contactbetti.polytope import convex_hull, faces
+from contactbetti.corpus import corpus
+from contactbetti.polytope import (convex_hull, faces, labelled_polytope,
+                                   triangulate_ids)
+from contactbetti.prequant import diagram_from_labelled
 from contactbetti.resolution import (
     ImproperIntersection,
     NotCovering,
@@ -42,6 +47,8 @@ ORDER3 = validate_diagram(convex_hull(
      (F(2, 3), F(2, 3)), (F(2, 3), F(1, 3))]))
 SQUARE = validate_diagram(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
 QUAD = validate_diagram(convex_hull([(0, 0), (1, 0), (0, 1), (2, 2)]))
+OCTAHEDRON = validate_diagram(convex_hull(
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
 # order 2, interior lattice point (0,0) lifts to the imprimitive (0,0,2)
 HALF53 = validate_diagram(convex_hull(
     [(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))]))
@@ -144,6 +151,70 @@ def test_covering_violations_rejected():
                                     [(0, 1), (0, 2, 3)])
     with pytest.raises(NotCovering):
         validate_triangulation(SQUARE, edge)
+
+
+def test_point_outside_diagram_rejected():
+    # one cell of the right volume that sticks out of the square
+    pts = list(SQUARE.polytope.vertices) + [(2, 0)]
+    tri = triangulation_from_cells(SQUARE, pts, [(0, 1, 4)])
+    with pytest.raises(NotCovering, match="outside the diagram"):
+        validate_triangulation(SQUARE, tri)
+    # an unused point outside the diagram is rejected as well
+    stray = triangulation_from_cells(SQUARE, pts, [(0, 1, 3), (0, 2, 3)])
+    with pytest.raises(NotCovering):
+        validate_triangulation(SQUARE, stray)
+
+
+def test_overlap_in_three_dimensions_rejected():
+    # octahedron, points 0, e1, -e1, e2, -e2, e3, -e3: six cells of the star
+    # at the origin plus the cell (e1, -e1, e2, e3) of volume 2, which lies
+    # on the same side of the boundary facet (-e1, e2, e3) as star cell 3
+    pts = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+           (0, 0, 1), (0, 0, -1)]
+    cells = [(0, 1, 3, 6), (0, 1, 4, 5), (0, 1, 4, 6), (0, 2, 3, 5),
+             (0, 2, 3, 6), (0, 2, 4, 5), (1, 2, 3, 5)]
+    tri = triangulation_from_cells(OCTAHEDRON, pts, cells)
+    with pytest.raises(ImproperIntersection) as exc:
+        validate_triangulation(OCTAHEDRON, tri)
+    assert exc.value.pair == (3, 6)
+
+
+def test_equal_volume_overlap_without_shared_facet_rejected():
+    # QUAD vertices sort to v0=(0,0) v1=(0,1) v2=(1,0) v3=(2,2); the cells
+    # (v0, v1, (1,1)) and (v1, v2, v3) overlap, their volumes 1 + 3 fill
+    # QUAD's 4, and they share no facet, so some interior facet is bare
+    pts = list(QUAD.polytope.vertices) + [(1, 1)]
+    tri = triangulation_from_cells(QUAD, pts, [(0, 1, 4), (1, 2, 3)])
+    with pytest.raises(NotCovering, match="bounds only one cell"):
+        validate_triangulation(QUAD, tri)
+
+
+def _corpus_diagram(doc):
+    if doc["kind"] == "diagram":
+        return validate_diagram(convex_hull(
+            [tuple(F(c) for c in v) for v in doc["vertices"]]))
+    return diagram_from_labelled(
+        labelled_polytope(doc["normals"], doc["offsets"]))
+
+
+LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
+                     / "ladder.json").read_text())
+PULLING_CASES = (
+    [_corpus_diagram(doc) for doc in corpus().values()]
+    + [validate_diagram(convex_hull([tuple(F(c) for c in v) for v in verts]))
+       for name, verts in sorted(LADDER.items()) if name.startswith("n3")]
+    # a 3-D diagram with two different pulling triangulations
+    + [OCTAHEDRON])
+
+
+@pytest.mark.parametrize("pull_last", [False, True])
+def test_pulling_triangulations_validate(pull_last):
+    for D in PULLING_CASES:
+        P = D.polytope
+        cells = triangulate_ids(P, pull_last=pull_last)
+        rep = validate_triangulation(
+            D, triangulation_from_cells(D, P.vertices, cells))
+        assert len(rep.cell_volumes) == len(cells)
 
 
 def test_irrational_point_rejected():
