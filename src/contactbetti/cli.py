@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,8 +34,9 @@ from .prequant import (diagram_from_labelled, fundamental_group_order,
                        quotient_polytope)
 from .resolution import (Triangulation, fan_over, hc_from_resolution,
                          hc_sector_rows, orbifold_poincare, stapledon_check,
-                         star_triangulation, triangulation_from_cells,
-                         trivial_triangulation, validate_triangulation)
+                         star_triangulation, sum_sector_rows,
+                         triangulation_from_cells, trivial_triangulation,
+                         validate_triangulation)
 
 OK = 0
 MISMATCH = 2
@@ -459,8 +461,9 @@ def _cmd_hc(args):
     else:
         T = _triangulation_for(D, args)
         validate_triangulation(D, T)
-        table = hc_from_resolution(D, T, window)
-        rows = _keyed_rows(hc_sector_rows(D, T, window))
+        sector_rows = hc_sector_rows(D, T, window)
+        table = sum_sector_rows(D, sector_rows)
+        rows = _keyed_rows(sector_rows)
     report = {
         "m": D.order,
         "pipeline": pipeline,
@@ -560,6 +563,12 @@ def render_table(report: dict) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with "-<digit>", so such arguments are values:
+        # negative rationals and windows such as -2/3 and -1:4
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
 

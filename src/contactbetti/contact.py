@@ -30,7 +30,7 @@ from .exactlat import (
     smith_invariants,
     vec_mat,
 )
-from .grading import GradedDimensions, default_window
+from .grading import GradedDimensions, checked_window
 from .polytope import RationalPolytope, count_points, normalized_volume, order
 
 
@@ -294,11 +294,7 @@ def contact_betti_direct(D: ToricDiagram, reeb: Optional[ReebVector] = None,
     """
     if reeb is None:
         reeb = ReebVector.default_for(D)
-    if window is None:
-        window = default_window(D.order, D.dimension)
-    d_min, d_max = Fraction(window[0]), Fraction(window[1])
-    if d_min <= -2:
-        raise ValueError("window must start above degree -2")
+    d_min, d_max = checked_window(window, D.order, D.dimension)
     m = D.order
     lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
     counts: dict = {}
@@ -322,11 +318,7 @@ def contact_betti_from_delta(D: ToricDiagram,
 
         cb_{2j} = sum_{i >= 0} delta_{m(n-j) + m i}.
     """
-    if window is None:
-        window = default_window(D.order, D.dimension)
-    d_min, d_max = Fraction(window[0]), Fraction(window[1])
-    if d_min <= -2:
-        raise ValueError("window must start above degree -2")
+    d_min, d_max = checked_window(window, D.order, D.dimension)
     dv = delta_vector(D.polytope)
     m, n = D.order, D.dimension
     items = []

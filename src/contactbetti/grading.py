@@ -28,6 +28,21 @@ def default_window(order: int, n: int) -> Tuple[Fraction, Fraction]:
     return (Fraction(-2) + Fraction(2, order), Fraction(2 * n + 6))
 
 
+def checked_window(window, order: int,
+                   n: int) -> Tuple[Fraction, Fraction]:
+    """The window as two rationals, ``default_window`` when it is None.
+
+    No generator has degree -2 or below, and a window must start above
+    degree -2; ValueError otherwise.
+    """
+    if window is None:
+        window = default_window(order, n)
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    if lo <= -2:
+        raise ValueError("window must start above degree -2")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class GradedDimensions:
     """Finitely supported map from rational degrees to dimensions.

@@ -20,7 +20,7 @@ from .contact import NotInterior, ToricDiagram, validate_diagram
 from .exactlat import (LinearlyDependent, basis_completion, det_int,
                        mat_inverse, primitive_vector, rat_kernel, rat_rank,
                        rat_solve, smith_invariants, transpose, vec_mat)
-from .grading import GradedDimensions, default_window
+from .grading import GradedDimensions, checked_window
 from .polyarith import f_to_h
 from .polytope import LabelledPolytope, convex_hull, labelled_polytope
 from .resolution import NotStrictlyConvex
@@ -355,9 +355,7 @@ def _hc_window(Q, window):
     if Q.order != 1:
         raise NotGorenstein(
             "sector contact homology needs an integral diagram")
-    if window is None:
-        window = default_window(1, Q.base.dimension)
-    return Fraction(window[0]), Fraction(window[1])
+    return checked_window(window, 1, Q.base.dimension)
 
 
 def hc_quotient_rows(Q: QuotientData,
@@ -392,13 +390,7 @@ def hc_smooth_base(Q: QuotientData,
     checked against the sector formula before returning."""
     if not Q.smooth:
         raise BaseNotSmooth("base has an orbifold vertex")
-    if Q.order != 1:
-        raise NotGorenstein(
-            "sector contact homology needs an integral diagram")
-    n = Q.base.dimension
-    if window is None:
-        window = default_window(1, n)
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = _hc_window(Q, window)
     base_h = next(comp.h for sector in Q.sectors if sector.period == 1
                   for comp in sector.components if not comp.face)
     items = []

@@ -25,7 +25,7 @@ from .exactlat import (
     rat_solve,
     smith_normal_form,
 )
-from .grading import GradedDimensions, default_window
+from .grading import GradedDimensions, checked_window
 from .polyarith import f_to_h, poly_mul
 from .polytope import (
     Face,
@@ -64,11 +64,13 @@ class NotStrictlyConvex(ValueError):
 
 
 class MismatchAt(AssertionError):
-    """Theorem-level failure: orbifold dimension differs from delta entry."""
+    """Theorem-level failure at grading j (degree 2j): by default an
+    orbifold dimension that differs from its delta entry."""
 
-    def __init__(self, j: Fraction):
+    def __init__(self, j: Fraction,
+                 what: str = "orbifold dimension mismatch"):
         self.j = j
-        super().__init__(f"orbifold dimension mismatch at grading {j}")
+        super().__init__(f"{what} at grading {j}")
 
 
 @dataclass(frozen=True)
@@ -379,6 +381,9 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[BoxElement]:
     """Lattice points of the open coefficient cube of the cone's rays.
 
     The zero cone contributes the single point 0 with empty coefficients.
+    With U*M*V = S the coefficient vectors c with c*M integral are
+    z*U mod 1 for z_i in (1/d_i)Z.  Every d_i divides L = d_k, so the
+    enumeration runs on the integer numerators L*c.
     """
     cone = tuple(sorted(cone))
     k = len(cone)
@@ -386,22 +391,36 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[BoxElement]:
     if k == 0:
         return [BoxElement((), (0,) * dim, (), Fraction(0))]
     M = [list(F.rays[i]) for i in cone]
-    S, U, V = smith_normal_form(M)
+    S, U, _ = smith_normal_form(M)
     dets = [S[i][i] for i in range(k)]
     assert all(d != 0 for d in dets), "cone rays must be independent"
-    out = []
+    L = dets[-1]
+    gens = [[L // d * u for u in row] for d, row in zip(dets, U)]
+    found = []
     for t in itertools.product(*[range(d) for d in dets]):
-        z = [Fraction(t[i], dets[i]) for i in range(k)]
-        c = [Fraction(sum(z[i] * U[i][j] for i in range(k))) % 1
-             for j in range(k)]
-        if any(cj == 0 for cj in c):
+        c = [sum(ti * g[j] for ti, g in zip(t, gens)) % L for j in range(k)]
+        if 0 in c:
             continue
-        pt = [sum(c[j] * M[j][i] for j in range(k)) for i in range(dim)]
-        assert all(x.denominator == 1 for x in pt)
-        out.append(BoxElement(cone, tuple(int(x) for x in pt), tuple(c),
-                              sum(c)))
+        pt = [sum(cj * row[i] for cj, row in zip(c, M)) for i in range(dim)]
+        if any(x % L for x in pt):
+            raise AssertionError(f"box point {pt}/{L} is not integral")
+        found.append((tuple(x // L for x in pt), c))
     # census: strict points plus face contributions fill the half-open box
-    return sorted(out, key=lambda b: b.point)
+    return [BoxElement(cone, pt, tuple(Fraction(cj, L) for cj in c),
+                       Fraction(sum(c), L))
+            for pt, c in sorted(found)]
+
+
+def _shift_counts(F: Fan, cone: Sequence[int]) -> Dict[int, int]:
+    """Box elements of the cone counted by the integer s = m * psi."""
+    m = F.order
+    counts: Dict[int, int] = {}
+    for b in box_elements(F, cone):
+        s, rest = divmod(m * b.shift.numerator, b.shift.denominator)
+        if rest:
+            raise MismatchAt(b.shift, "non-integral age m * psi")
+        counts[s] = counts.get(s, 0) + 1
+    return counts
 
 
 def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
@@ -427,19 +446,17 @@ def orbifold_poincare(F: Fan) -> GradedDimensions:
     if not F.crepant:
         raise ValueError("orbifold grading needs a crepant fan")
     m, n = F.order, F.dimension
-    acc: Dict[Fraction, int] = {}
+    acc: Dict[int, int] = {}  # m * j -> dimension
     for cone in F.cones():
-        boxes = box_elements(F, cone)
-        if not boxes:
+        counts = _shift_counts(F, cone)
+        if not counts:
             continue
         h = h_polynomial(F, cone)
-        for b in boxes:
-            assert (m * b.shift).denominator == 1
+        for s, mult in counts.items():
             for e, coeff in enumerate(h):
                 if coeff:
-                    j = b.shift + e
-                    acc[j] = acc.get(j, 0) + coeff
-    items = [(2 * j, v) for j, v in acc.items()]
+                    acc[s + m * e] = acc.get(s + m * e, 0) + mult * coeff
+    items = [(Fraction(2 * mj, m), v) for mj, v in acc.items()]
     # support bound: top delta index is at most m(n+1)-1, degree 2(n+1)-2/m
     top = 2 * (n + 1) - Fraction(2, m)
     out = GradedDimensions.from_items(items, (Fraction(0), top))
@@ -499,7 +516,14 @@ def hc_from_resolution(D: ToricDiagram, T: Triangulation,
                        window=None) -> GradedDimensions:
     """Graded dimensions via the filling:
     value at 2j = sum_{k >= 0} dim H^(2(n-j+k))_orb."""
-    rows = hc_sector_rows(D, T, window)
+    return sum_sector_rows(D, hc_sector_rows(D, T, window))
+
+
+def sum_sector_rows(D: ToricDiagram, rows: Dict[Fraction, GradedDimensions]
+                    ) -> GradedDimensions:
+    """The table summed over hc_sector_rows' rows, checked degree by degree
+    against contact_betti_from_delta; MismatchAt at the first degree where
+    they differ."""
     total: Dict[Fraction, int] = {}
     win = None
     for row in rows.values():
@@ -507,7 +531,11 @@ def hc_from_resolution(D: ToricDiagram, T: Triangulation,
         for d, v in row.entries.items():
             total[d] = total.get(d, 0) + v
     out = GradedDimensions(total, win)
-    assert out == contact_betti_from_delta(D, win)
+    reference = contact_betti_from_delta(D, win)
+    for d in sorted(set(total) | set(reference.entries)):
+        if out.dim(d) != reference.dim(d):
+            raise MismatchAt(d / 2,
+                             "sector row sum differs from the delta table")
     return out
 
 
@@ -516,34 +544,33 @@ def hc_sector_rows(D: ToricDiagram, T: Triangulation,
     """Per-sector contribution rows keyed by the shift psi.
 
     Each box element (plus the untwisted zero-cone sector) contributes
-    h_tau(q) shifted by psi; rows with equal psi are merged.
+    h_tau(q) shifted by psi; rows with equal psi are merged.  Its value at
+    degree 2j sums the coefficients at exponents e with k = psi + e - n + j
+    a non-negative integer.  In the integers s = m*psi and mj, with
+    r = s + mj - m*n, that is 0 unless m | r, and else the suffix sum of
+    h from e = -(r // m).
     """
-    if window is None:
-        window = default_window(D.order, D.dimension)
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    m, n = D.order, D.dimension
+    lo, hi = checked_window(window, m, n)
     F = fan_over(T)
     if not F.crepant:
         raise ValueError("graded table via filling needs a crepant fan")
-    m, n = D.order, D.dimension
-    rows: Dict[Fraction, Dict[Fraction, int]] = {}
+    first, last = math.ceil(m * lo / 2), math.floor(m * hi / 2)
+    rows: Dict[int, Dict[int, int]] = {}  # s -> {mj: value}
     for cone in F.cones():
-        boxes = box_elements(F, cone)
-        if not boxes:
+        counts = _shift_counts(F, cone)
+        if not counts:
             continue
         h = h_polynomial(F, cone)
-        for b in boxes:
-            row = rows.setdefault(b.shift, {})
-            # H-contribution sits at exponents b.shift + e; its value at
-            # degree 2j is the sum over k >= 0 at exponent n - j + k
-            for mj in range(math.ceil(m * lo / 2),
-                            math.floor(m * hi / 2) + 1):
-                j = Fraction(mj, m)
-                val = 0
-                for e, coeff in enumerate(h):
-                    k = b.shift + e - (n - j)
-                    if coeff and k.denominator == 1 and k >= 0:
-                        val += coeff
-                if val and lo <= 2 * j <= hi:
-                    row[2 * j] = row.get(2 * j, 0) + val
-    return {shift: GradedDimensions(entries, (lo, hi))
-            for shift, entries in sorted(rows.items())}
+        suffix = list(itertools.accumulate(reversed(h)))[::-1] + [0]
+        for s, mult in counts.items():
+            row = rows.setdefault(s, {})
+            # m | r exactly when mj = -s mod m
+            for mj in range(first + (-s - first) % m, last + 1, m):
+                val = suffix[min(max((m * n - s - mj) // m, 0), len(h))]
+                if val:
+                    row[mj] = row.get(mj, 0) + mult * val
+    return {Fraction(s, m): GradedDimensions(
+                {Fraction(2 * mj, m): v for mj, v in sorted(row.items())},
+                (lo, hi))
+            for s, row in sorted(rows.items())}

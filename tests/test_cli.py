@@ -224,6 +224,34 @@ def test_reversed_window_exits_64(capsys):
     assert run(capsys, ["hc", "corpus:unit-simplex", "--window", "4:4"])[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["cb", "corpus:lens-skew"],
+    ["hc", "corpus:lens-skew"],
+    ["hc", "corpus:order-three-square", "--pipeline", "resolution"],
+    ["crosscheck", "corpus:lens-skew"],
+])
+@pytest.mark.parametrize("window", ["-1:4", "-2/3:8"])
+def test_negative_window_is_a_value(capsys, argv, window):
+    code, out, err = run(capsys, argv + ["--window", window])
+    assert code == 0 and err == ""
+    assert json.loads(out)["window"] == window.split(":")
+    assert run(capsys, argv + ["--window=" + window])[1] == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cb", "corpus:lens-skew"],
+    ["hc", "corpus:order-three-square", "--pipeline", "resolution"],
+    ["hc", "corpus:unit-simplex"],
+    ["quotient", "corpus:unit-simplex"],
+    ["crosscheck", "corpus:lens-skew"],
+])
+@pytest.mark.parametrize("window", ["-100:-99", "-2:4"])
+def test_window_at_or_below_minus_two_exits_65(capsys, argv, window):
+    code, out, err = run(capsys, argv + ["--window", window])
+    assert code == 65 and out == ""
+    assert "window must start above degree -2" in err
+
+
 def test_non_rational_vertex_coordinates_exit_64(capsys, tmp_path):
     for i, bad in enumerate((True, False, 1.5, None, [1])):
         path = write_doc(tmp_path, {"kind": "diagram",

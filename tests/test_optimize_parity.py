@@ -1,0 +1,49 @@
+"""The CLI gives the same exit code and stdout under ``python -O``.
+
+Assertions are stripped under ``-O``, so every check a command relies on
+for its exit code must be an explicit raise.  Each command runs in two
+subprocesses, plain and with ``-O``.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+LADDER = json.loads((ROOT / "perfbench" / "ladder.json").read_text())
+
+# (argv, exit code of the plain run); "n2m13" is the ladder document
+COMMANDS = [
+    (["hc", "corpus:order-three-square", "--pipeline", "resolution",
+      "--window", "-100:-99"], 65),
+    (["hc", "corpus:unit-simplex", "--window", "-100:-99"], 65),
+    (["quotient", "corpus:unit-simplex", "--window", "-100:-99"], 65),
+    (["cb", "corpus:lens-skew", "--window", "-1:4"], 0),
+    (["hc", "n2m13"], 0),
+    (["crosscheck", "corpus:blowup-quad"], 0),
+]
+
+
+def _run(flags, argv):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "contactbetti.cli", *argv],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv,code", COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_optimized_run_matches_plain_run(tmp_path, argv, code):
+    doc = tmp_path / "n2m13.json"
+    doc.write_text(json.dumps({"kind": "diagram",
+                               "vertices": LADDER["n2m13"]}))
+    argv = [str(doc) if a == "n2m13" else a for a in argv]
+    plain = _run([], argv)
+    assert plain[0] == code
+    assert _run(["-O"], argv) == plain

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactbetti import resolution
 from contactbetti.contact import contact_betti_from_delta, validate_diagram
+from contactbetti.exactlat import smith_normal_form
+from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polyarith import poly_eval
 from contactbetti.corpus import corpus
 from contactbetti.polytope import (convex_hull, faces, labelled_polytope,
                                    triangulate_ids)
 from contactbetti.prequant import diagram_from_labelled
 from contactbetti.resolution import (
+    BoxElement,
     ImproperIntersection,
+    MismatchAt,
     NotCovering,
     NotRational,
     NotStrictlyConvex,
@@ -32,6 +39,7 @@ from contactbetti.resolution import (
     orbifold_poincare,
     stapledon_check,
     star_triangulation,
+    sum_sector_rows,
     support_function,
     support_function_from_values,
     triangulation_from_cells,
@@ -514,6 +522,171 @@ def test_hc_window_restriction():
 def test_hc_needs_crepant():
     with pytest.raises(ValueError):
         hc_from_resolution(HALF53, star_triangulation(HALF53, (0, 0)))
+
+
+def test_window_must_start_above_minus_two():
+    with pytest.raises(ValueError, match="above degree -2"):
+        hc_sector_rows(L53, L53_TRIVIAL, (-2, 4))
+    with pytest.raises(ValueError, match="above degree -2"):
+        hc_from_resolution(ORDER3, DIAG_A, (-100, -99))
+    assert hc_sector_rows(ORDER3, DIAG_A, (F(-4, 3), 4))
+
+
+def _corrupted(rows, shift, degree, by):
+    row = rows[shift]
+    entries = dict(row.entries)
+    entries[degree] = entries.get(degree, 0) + by
+    return {**rows, shift: GradedDimensions(entries, row.window)}
+
+
+def test_sector_sum_mismatch_names_the_first_degree():
+    rows = hc_sector_rows(L53, L53_TRIVIAL, (0, 8))
+    assert sum_sector_rows(L53, rows) == contact_betti_from_delta(L53, (0, 8))
+    bad = _corrupted(_corrupted(rows, F(2), 6, -1), F(1), 4, 1)
+    with pytest.raises(MismatchAt) as info:
+        sum_sector_rows(L53, bad)
+    assert info.value.j == 2  # degree 4
+    # an entry the delta table does not have at all
+    with pytest.raises(MismatchAt) as info:
+        sum_sector_rows(ORDER3, _corrupted(hc_sector_rows(ORDER3, DIAG_A),
+                                           F(0), F(-4, 3), 1))
+    assert info.value.j == F(-2, 3)  # degree -4/3
+
+
+def test_non_integral_age_is_a_mismatch(monkeypatch):
+    real = resolution.box_elements
+
+    def skewed(fan, cone):
+        return [BoxElement(b.cone, b.point, b.coefficients, b.shift + F(1, 6))
+                for b in real(fan, cone)]
+
+    monkeypatch.setattr(resolution, "box_elements", skewed)
+    for compute in (lambda: hc_sector_rows(L53, L53_TRIVIAL),
+                    lambda: orbifold_poincare(fan_over(L53_TRIVIAL))):
+        with pytest.raises(MismatchAt) as info:
+            compute()
+        assert info.value.j == F(1, 6)
+
+
+# ---------------------------------------------------------------- oracles
+# The Fraction forms of box_elements and hc_sector_rows from before their
+# integer kernels, compared field for field with the library.
+
+
+def box_elements_oracle(fan, cone):
+    cone = tuple(sorted(cone))
+    k = len(cone)
+    dim = fan.dimension + 1
+    if k == 0:
+        return [BoxElement((), (0,) * dim, (), F(0))]
+    M = [list(fan.rays[i]) for i in cone]
+    S, U, _ = smith_normal_form(M)
+    dets = [S[i][i] for i in range(k)]
+    out = []
+    for t in itertools.product(*[range(d) for d in dets]):
+        z = [F(t[i], dets[i]) for i in range(k)]
+        c = [F(sum(z[i] * U[i][j] for i in range(k))) % 1 for j in range(k)]
+        if any(cj == 0 for cj in c):
+            continue
+        pt = [sum(c[j] * M[j][i] for j in range(k)) for i in range(dim)]
+        assert all(x.denominator == 1 for x in pt)
+        out.append(BoxElement(cone, tuple(int(x) for x in pt), tuple(c),
+                              sum(c)))
+    return sorted(out, key=lambda b: b.point)
+
+
+def hc_sector_rows_oracle(D, fan, boxes, window=None):
+    if window is None:
+        window = default_window(D.order, D.dimension)
+    lo, hi = F(window[0]), F(window[1])
+    m, n = D.order, D.dimension
+    rows = {}
+    for cone in fan.cones():
+        if not boxes[cone]:
+            continue
+        h = h_polynomial(fan, cone)
+        for b in boxes[cone]:
+            row = rows.setdefault(b.shift, {})
+            for mj in range(math.ceil(m * lo / 2),
+                            math.floor(m * hi / 2) + 1):
+                j = F(mj, m)
+                val = 0
+                for e, coeff in enumerate(h):
+                    k = b.shift + e - (n - j)
+                    if coeff and k.denominator == 1 and k >= 0:
+                        val += coeff
+                if val and lo <= 2 * j <= hi:
+                    row[2 * j] = row.get(2 * j, 0) + val
+    return {shift: GradedDimensions(entries, (lo, hi))
+            for shift, entries in sorted(rows.items())}
+
+
+def _default_triangulation(D):
+    P = D.polytope
+    if len(P.vertices) == D.dimension + 1:
+        return trivial_triangulation(D)
+    return triangulation_from_cells(D, P.vertices, triangulate_ids(P))
+
+
+def _star_centre(D):
+    """First interior point of (1/m)Z^n whose lift is primitive, so that
+    the star triangulation at it is crepant; None if there is none."""
+    m, P = D.order, D.polytope
+    ranges = [range(math.ceil(m * min(v[i] for v in P.vertices)),
+                    math.floor(m * max(v[i] for v in P.vertices)) + 1)
+              for i in range(D.dimension)]
+    for x in itertools.product(*ranges):
+        p = tuple(F(c, m) for c in x)
+        if math.gcd(m, *x) == 1 and P.contains(p, strict=True):
+            return p
+    return None
+
+
+CORPUS_DIAGRAMS = [(name, _corpus_diagram(doc))
+                   for name, doc in sorted(corpus().items())]
+# n2m101 is left out: the oracle enumerates its 935,563 box elements in
+# minutes
+LADDER_DIAGRAMS = [(name, validate_diagram(convex_hull(
+                        [tuple(F(c) for c in v) for v in verts])))
+                   for name, verts in sorted(LADDER.items())
+                   if name[:2] in ("n2", "n3") and name != "n2m101"]
+# star triangulations for the corpus documents with an interior point of
+# (1/m)Z^n: all but unit-simplex, projective-plane, order-three-square and
+# product-of-spheres
+ORACLE_CASES = (
+    [(name, D, _default_triangulation(D))
+     for name, D in CORPUS_DIAGRAMS + LADDER_DIAGRAMS]
+    + [(name + "-star", D, star_triangulation(D, _star_centre(D)))
+       for name, D in CORPUS_DIAGRAMS if _star_centre(D) is not None])
+NARROW_WINDOWS = [(F(5, 7), F(9, 7)), (F(1, 3), F(1, 3)), (2, 2)]
+WIDE_WINDOWS = [None, (-1, 4), (0, F(31, 2))]
+
+
+@pytest.mark.parametrize("D,T", [case[1:] for case in ORACLE_CASES],
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_kernels_match_fraction_oracles(D, T):
+    fan = fan_over(T)
+    boxes = {}
+    for cone in fan.cones():
+        got = box_elements(fan, cone)
+        boxes[cone] = box_elements_oracle(fan, cone)
+        assert got == boxes[cone]
+        for b, want in zip(got, boxes[cone]):
+            assert (b.cone, b.point, b.coefficients, b.shift) == (
+                want.cone, want.point, want.coefficients, want.shift)
+            assert all(type(c) is F for c in b.coefficients + (b.shift,))
+    m = D.order
+    windows = NARROW_WINDOWS + [(F(2 * (m + 1), m),) * 2]
+    # wide windows only where the oracle's per-degree loop stays short
+    if m * sum(map(len, boxes.values())) <= 7000:
+        windows += WIDE_WINDOWS
+    for window in windows:
+        got = hc_sector_rows(D, T, window)
+        want = hc_sector_rows_oracle(D, fan, boxes, window)
+        assert list(got) == list(want)
+        for shift in want:
+            assert got[shift].entries == want[shift].entries
+            assert got[shift].window == want[shift].window
 
 
 # ---------------------------------------------------------------- properties
