@@ -601,70 +601,77 @@ def _add_triangulation(sub):
                        help="use the diagram itself as single cell")
 
 
-def _build_parser() -> _Parser:
+def _add_int_reeb(sub, help_text="integral quotient direction"):
+    sub.add_argument("--reeb", type=_int_point_arg, metavar="W1,...,R",
+                     help=help_text)
+
+
+def _cb_options(sub):
+    _add_reeb_field(sub)
+    _add_window(sub)
+    sub.add_argument("--pipeline", choices=("delta", "direct", "both"),
+                     default="both")
+
+
+def _orbits_options(sub):
+    _add_reeb_field(sub)
+    sub.add_argument("--iterates", type=_positive_int_arg, default=6,
+                     metavar="N", help="degrees of the first N iterates")
+
+
+def _quotient_options(sub):
+    _add_int_reeb(sub)
+    _add_window(sub)
+
+
+def _hc_options(sub):
+    _add_int_reeb(sub, "integral quotient direction (quotient pipeline)")
+    _add_window(sub)
+    _add_triangulation(sub)
+    sub.add_argument("--pipeline", choices=("quotient", "resolution"),
+                     help="default: quotient when integral, else resolution")
+
+
+def _crosscheck_options(sub):
+    _add_int_reeb(sub)
+    _add_window(sub)
+    _add_triangulation(sub)
+
+
+# command -> (help line, options added after input and --format), in the
+# order the help lists them
+_COMMANDS = {
+    "validate": ("check a document and report its data", None),
+    "ehrhart": ("counting quasi-polynomial branches", None),
+    "delta": ("numerator vector of the counting series", None),
+    "cb": ("graded orbit counts by degree", _cb_options),
+    "orbits": ("closed-orbit family data", _orbits_options),
+    "resolve": ("triangulate and check the induced fan", _add_triangulation),
+    "orbifold": ("graded sector cohomology of the fan", _add_triangulation),
+    "quotient": ("quotient base and twisted sectors", _quotient_options),
+    "hc": ("graded table with per-sector rows", _hc_options),
+    "crosscheck": ("run all applicable pipelines and compare",
+                   _crosscheck_options),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The full parser, or with ``command`` only that subcommand's.
+
+    Errors print no usage line (see _Parser.error), so a known command's
+    help and usage errors read the same from either parser.
+    """
     parser = _Parser(prog="contactbetti",
                      description="Contact invariants of toric diagrams "
                                  "via exact cross-validating pipelines.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-
-    _add_common(subs.add_parser("validate",
-                                help="check a document and report its data"))
-    _add_common(subs.add_parser("ehrhart",
-                                help="counting quasi-polynomial branches"))
-    _add_common(subs.add_parser("delta",
-                                help="numerator vector of the counting "
-                                     "series"))
-
-    cb = subs.add_parser("cb", help="graded orbit counts by degree")
-    _add_common(cb)
-    _add_reeb_field(cb)
-    _add_window(cb)
-    cb.add_argument("--pipeline", choices=("delta", "direct", "both"),
-                    default="both")
-
-    orbits = subs.add_parser("orbits", help="closed-orbit family data")
-    _add_common(orbits)
-    _add_reeb_field(orbits)
-    orbits.add_argument("--iterates", type=_positive_int_arg, default=6,
-                        metavar="N", help="degrees of the first N iterates")
-
-    resolve = subs.add_parser("resolve",
-                              help="triangulate and check the induced fan")
-    _add_common(resolve)
-    _add_triangulation(resolve)
-
-    orbifold = subs.add_parser("orbifold",
-                               help="graded sector cohomology of the fan")
-    _add_common(orbifold)
-    _add_triangulation(orbifold)
-
-    quotient = subs.add_parser("quotient",
-                               help="quotient base and twisted sectors")
-    _add_common(quotient)
-    quotient.add_argument("--reeb", type=_int_point_arg, metavar="W1,...,R",
-                          help="integral quotient direction")
-    _add_window(quotient)
-
-    hc = subs.add_parser("hc", help="graded table with per-sector rows")
-    _add_common(hc)
-    hc.add_argument("--reeb", type=_int_point_arg, metavar="W1,...,R",
-                    help="integral quotient direction (quotient pipeline)")
-    _add_window(hc)
-    _add_triangulation(hc)
-    hc.add_argument("--pipeline", choices=("quotient", "resolution"),
-                    help="default: quotient when integral, else resolution")
-
-    crosscheck = subs.add_parser("crosscheck",
-                                 help="run all applicable pipelines and "
-                                      "compare")
-    _add_common(crosscheck)
-    crosscheck.add_argument("--reeb", type=_int_point_arg,
-                            metavar="W1,...,R",
-                            help="integral quotient direction")
-    _add_window(crosscheck)
-    _add_triangulation(crosscheck)
-
+    for name in _COMMANDS if command is None else (command,):
+        help_text, options = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub)
+        if options:
+            options(sub)
     return parser
 
 
@@ -674,8 +681,12 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a known command gets its own parser; --help, a missing or an
+    # unknown command need the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else PARSE_ERROR
     try:

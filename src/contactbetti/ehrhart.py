@@ -32,6 +32,17 @@ from .polytope import (
 )
 
 
+class MismatchAt(AssertionError):
+    """Theorem-level failure at grading j (degree 2j): by default an
+    orbifold dimension that differs from its delta entry.  An explicit
+    raise, so the check survives ``python -O``."""
+
+    def __init__(self, j: Fraction,
+                 what: str = "orbifold dimension mismatch"):
+        self.j = j
+        super().__init__(f"{what} at grading {j}")
+
+
 def general_binomial(a: int, k: int) -> int:
     """Binomial coefficient C(a, k) for any integer a and k >= 0."""
     if k < 0:
@@ -160,15 +171,18 @@ def _branch_polynomial(dv: DeltaVector, residue: int) -> Tuple[Fraction, ...]:
 def quasipolynomial(P: RationalPolytope) -> QuasiPolynomial:
     """Branch polynomials recovered from the delta vector.
 
-    Validated against raw counts for t = 1 .. 3m(n+1) before returning.
+    Validated against raw counts for t = 0 .. 3m(n+1) before returning;
+    MismatchAt (grading t/m) at the first dilate whose count differs.
     """
     dv = delta_vector(P)
     m, n = dv.order, dv.dimension
     qp = QuasiPolynomial(m, n, tuple(_branch_polynomial(dv, r)
                                      for r in range(m)))
-    assert qp.evaluate(0) == 1
-    for t in range(1, 3 * m * (n + 1) + 1):
-        assert qp.evaluate(t) == count_points(P, t), f"count mismatch at t={t}"
+    for t in range(3 * m * (n + 1) + 1):
+        count = count_points(P, t) if t else 1
+        if qp.evaluate(t) != count:
+            raise MismatchAt(Fraction(t, m),
+                             f"quasi-polynomial differs from the count L({t})")
     return qp
 
 

@@ -1,4 +1,5 @@
-"""Exact lattice linear algebra: normal forms, basis completion, jets.
+"""Exact lattice linear algebra: normal forms, basis completion, floor
+sums, jets.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
@@ -384,6 +385,28 @@ def primitive_vector(v) -> Vec:
     ints = [int(f * scale) for f in fracs]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m > 0, any a, b.
+
+    Euclidean recursion (the AtCoder Library's floor_sum): reduce a and b
+    modulo m, then count the same lattice points under the line with the
+    axes swapped, which takes (n, m, a, b) to (top // m, a, m, top % m)
+    for top = a*n + b; O(log m) steps.
+    """
+    assert n >= 0 and m > 0
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .exactlat import (
     LinearlyDependent,
     det_int,
+    floor_sum,
     primitive_vector,
     rat_kernel,
     rat_rank,
@@ -235,67 +236,113 @@ def _coordinate_box(P: RationalPolytope, t: int):
     return lo, hi
 
 
+def _least_line(lines, x: int, last: int):
+    """The least of the lines (a*x + b)/q (q > 0) at the integer x, and
+    the last integer up to ``last`` before another line undercuts it.
+
+    Among lines tied at x the one of least slope is taken; it stays least
+    to the right of x until a line of smaller slope crosses below it.
+    """
+    best = lines[0]
+    ba, bb, bq = best
+    for line in lines[1:]:
+        a, b, q = line
+        lhs, rhs = (a * x + b) * bq, (ba * x + bb) * q
+        if lhs < rhs or (lhs == rhs and a * bq < ba * q):
+            best, ba, bb, bq = line, a, b, q
+    for a, b, q in lines:
+        slope = a * bq - ba * q
+        if slope < 0:  # below best exactly when x' * slope < bb*q - b*bq
+            last = min(last, (bb * q - b * bq) // slope)
+    return best, last
+
+
 def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     """Number of points of (1/t)Z^n in P, equivalently Z^n points of t*P.
 
-    Row scan: the first n-1 coordinates run over the integer bounding box,
-    the last coordinate range is solved from the facet inequalities.  Each
-    facet <a, x> + t*c >= 0 is cleared to the integer inequality
-    A.x + C >= 0 (A = d*a, C = d*t*c, d the denominator of c); between
-    integers, the strict form A.x + C > 0 is A.x + C - 1 >= 0.  Counts are
+    Each facet <a, p> + t*c >= 0 is cleared to the integer inequality
+    A.p + C >= 0 (A = d*a, C = d*t*c, d the denominator of c); between
+    integers, the strict form A.p + C > 0 is A.p + C - 1 >= 0.
+
+    Slice kernel: the first n-2 coordinates run over the integer bounding
+    box, and in each slice the last two coordinates (x, y) satisfy
+    alpha*x + beta*y + gamma >= 0 per facet.  Facets with beta = 0 bound
+    x.  The others bound y from below (beta > 0) or above (beta < 0), so
+    the y-count at x is floor(min_up (alpha*x + gamma)/-beta)
+    + floor(min_low (alpha*x + gamma)/beta) + 1.  The x-range is split
+    wherever either least line changes; on each piece the count is two
+    floor sums plus the piece length, over the part where the real upper
+    bound is not below the real lower one (elsewhere that expression is
+    at most 0 and the count is 0).  For f facets and a box of width t*w
+    this costs O((t*w)^(n-2) * f^2 * log t) per dilate, against
+    O((t*w)^(n-1) * f) for a row scan.  n = 1 is one interval.  Counts are
     memoized on P by (t, interior).
     """
     assert t >= 1 and t == int(t)
     key = (t, interior)
     if key in P._counts:
         return P._counts[key]
-    lower, upper, flat = [], [], []
-    for f in P.facets:
-        d = f.offset.denominator
-        head = tuple(d * a for a in f.normal[:-1])
-        an = d * f.normal[-1]
-        c = t * f.offset.numerator - int(interior)
-        if an > 0:    # x_n >= ceil(-(head.x + c) / an)
-            lower.append((head, c, an))
-        elif an < 0:  # x_n <= floor((head.x + c) / -an)
-            upper.append((head, c, -an))
-        else:
-            flat.append((head, c))
-    assert lower and upper, "bounded polytope needs facets on both sides"
-    lo, hi = _coordinate_box(P, t)
-
-    total = 0
-    for prefix in itertools.product(*[range(lo[i], hi[i] + 1)
-                                      for i in range(P.dimension - 1)]):
-        if any(sum(map(operator.mul, h, prefix)) + c < 0 for h, c in flat):
-            continue
-        first = max(-((sum(map(operator.mul, h, prefix)) + c) // an)
-                    for h, c, an in lower)
-        last = min((sum(map(operator.mul, h, prefix)) + c) // an
-                   for h, c, an in upper)
-        if last >= first:
-            total += last - first + 1
+    rows = [([f.offset.denominator * a for a in f.normal],
+             t * f.offset.numerator - int(interior)) for f in P.facets]
+    if P.dimension == 1:
+        first = max(-(c // a) for (a,), c in rows if a > 0)
+        last = min(c // -a for (a,), c in rows if a < 0)
+        total = max(last - first + 1, 0)
+    else:
+        total = _count_slices(rows, *_coordinate_box(P, t))
     P._counts[key] = total
     return total
 
 
-def count_points_naive(P: RationalPolytope, t: int,
-                       interior: bool = False) -> int:
-    """Bounding-box scan testing every facet; oracle for count_points."""
-    assert t >= 1
-    n = P.dimension
-    scaled = [(f.normal, t * f.offset) for f in P.facets]
-    lo, hi = _coordinate_box(P, t)
+def _count_slices(rows, lo, hi) -> int:
+    """Lattice points of {p in box [lo, hi] : A.p + C >= 0 for (A, C) in
+    rows}, one 2-D slice per integer point of the first n-2 coordinates."""
+    n = len(lo)
+    lower, upper, xbounds = [], [], []
+    for (*head, alpha, beta), c in rows:
+        if beta > 0:
+            lower.append((head, alpha, c, beta))
+        elif beta < 0:
+            upper.append((head, alpha, c, -beta))
+        else:
+            xbounds.append((head, alpha, c))
+    assert lower and upper, "bounded polytope needs facets on both sides"
+
     total = 0
-    for pt in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)]):
-        ok = True
-        for normal, offset in scaled:
-            val = sum(a * x for a, x in zip(normal, pt)) + offset
-            if val < 0 or (interior and val == 0):
-                ok = False
-                break
-        if ok:
-            total += 1
+    for prefix in itertools.product(*[range(lo[i], hi[i] + 1)
+                                      for i in range(n - 2)]):
+        x, last = lo[n - 2], hi[n - 2]
+        for head, alpha, c in xbounds:
+            gamma = sum(map(operator.mul, head, prefix)) + c
+            if alpha > 0:
+                x = max(x, -(gamma // alpha))
+            elif alpha < 0:
+                last = min(last, gamma // -alpha)
+            elif gamma < 0:
+                last = x - 1
+        if x > last:
+            continue
+        low = [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
+               for head, alpha, c, q in lower]
+        up = [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
+              for head, alpha, c, q in upper]
+        while x <= last:
+            (la, lb, lq), end = _least_line(low, x, last)
+            (ua, ub, uq), end = _least_line(up, x, end)
+            # real y-range nonempty: (ua*s + ub)/uq + (la*s + lb)/lq >= 0
+            k, r = ua * lq + la * uq, ub * lq + lb * uq
+            s, e = x, end
+            if k > 0:
+                s = max(s, -(r // k))
+            elif k < 0:
+                e = min(e, r // -k)
+            elif r < 0:
+                e = s - 1
+            if e >= s:
+                size = e - s + 1
+                total += (floor_sum(size, uq, ua, ua * s + ub)
+                          + floor_sum(size, lq, la, la * s + lb) + size)
+            x = end + 1
     return total
 
 

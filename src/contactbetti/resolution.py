@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import ToricDiagram, contact_betti_from_delta
-from .ehrhart import delta_vector
+from .ehrhart import MismatchAt, delta_vector
 from .exactlat import (
     det_int,
     lattice_index,
@@ -61,16 +61,6 @@ class NotRational(ValueError):
 
 class NotStrictlyConvex(ValueError):
     pass
-
-
-class MismatchAt(AssertionError):
-    """Theorem-level failure at grading j (degree 2j): by default an
-    orbifold dimension that differs from its delta entry."""
-
-    def __init__(self, j: Fraction,
-                 what: str = "orbifold dimension mismatch"):
-        self.j = j
-        super().__init__(f"{what} at grading {j}")
 
 
 @dataclass(frozen=True)
@@ -483,7 +473,13 @@ class StapledonReport:
 
 def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
     """Per-degree equality dim H^2j_orb == delta_(mj), plus the generating
-    series identity multiplied out to a fixed truncation order."""
+    series identity multiplied out to a fixed truncation order.
+
+    The series part checks (1 - z^m)^(n+1) * sum_t L(t) z^t against delta
+    for j < 2m(n+1), which reads the counts L(t) only for t < 2m(n+1).
+    Its first m(n+1) comparisons repeat delta_vector's own convolution;
+    the vanishing of the terms m(n+1) <= j < 2m(n+1) is the new check.
+    """
     F = fan_over(T)
     H = orbifold_poincare(F)
     dv = delta_vector(D.polytope)
@@ -494,22 +490,20 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
             raise MismatchAt(j)
 
     # (1 - z^m)^(n+1) * (sum_t L(t) z^t) must reproduce delta
-    top = 3 * m * (n + 1)
-    counts = [1] + [count_points(D.polytope, t) for t in range(1, top + 1)]
+    top = 2 * m * (n + 1)
+    counts = [1] + [count_points(D.polytope, t) for t in range(1, top)]
     factor = [1]
     base = [1] + [0] * (m - 1) + [-1]
     for _ in range(n + 1):
         factor = list(poly_mul(factor, base))
-    prod = [0] * (top + 1)
-    for i, c in enumerate(factor):
-        for t, L in enumerate(counts):
-            if i + t <= top:
-                prod[i + t] += c * L
-    for j in range(top - m * (n + 1)):
-        want = dv[j] if j < m * (n + 1) else 0
-        if prod[j] != want:
+    prod = [0] * top
+    for i, c in enumerate(factor[:top]):
+        for t, L in enumerate(counts[:top - i]):
+            prod[i + t] += c * L
+    for j in range(top):
+        if prod[j] != dv[j]:
             raise MismatchAt(Fraction(j, m))
-    return StapledonReport(H, dv.entries, top - m * (n + 1) - 1)
+    return StapledonReport(H, dv.entries, top - 1)
 
 
 def hc_from_resolution(D: ToricDiagram, T: Triangulation,

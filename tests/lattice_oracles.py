@@ -1,0 +1,68 @@
+"""Slow lattice-point counters kept as oracles for polytope.count_points.
+
+``count_points_naive`` tests every point of the integer bounding box of
+tP against every facet.  ``count_points_row_scan`` is the row scan the
+slice kernel replaced: the first n-1 coordinates run over the box and the
+last coordinate's range is solved from the cleared integer inequalities.
+"""
+import itertools
+import math
+import operator
+
+
+def _coordinate_box(P, t):
+    lo, hi = [], []
+    for i in range(P.dimension):
+        vals = [t * v[i] for v in P.vertices]
+        lo.append(math.ceil(min(vals)))
+        hi.append(math.floor(max(vals)))
+    return lo, hi
+
+
+def count_points_naive(P, t, interior=False):
+    """Bounding-box scan testing every facet."""
+    assert t >= 1
+    n = P.dimension
+    scaled = [(f.normal, t * f.offset) for f in P.facets]
+    lo, hi = _coordinate_box(P, t)
+    total = 0
+    for pt in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)]):
+        ok = True
+        for normal, offset in scaled:
+            val = sum(a * x for a, x in zip(normal, pt)) + offset
+            if val < 0 or (interior and val == 0):
+                ok = False
+                break
+        if ok:
+            total += 1
+    return total
+
+
+def count_points_row_scan(P, t, interior=False):
+    """Row scan: integer // on the last coordinate, one row per prefix."""
+    assert t >= 1
+    lower, upper, flat = [], [], []
+    for f in P.facets:
+        d = f.offset.denominator
+        head = tuple(d * a for a in f.normal[:-1])
+        an = d * f.normal[-1]
+        c = t * f.offset.numerator - int(interior)
+        if an > 0:    # x_n >= ceil(-(head.x + c) / an)
+            lower.append((head, c, an))
+        elif an < 0:  # x_n <= floor((head.x + c) / -an)
+            upper.append((head, c, -an))
+        else:
+            flat.append((head, c))
+    lo, hi = _coordinate_box(P, t)
+    total = 0
+    for prefix in itertools.product(*[range(lo[i], hi[i] + 1)
+                                      for i in range(P.dimension - 1)]):
+        if any(sum(map(operator.mul, h, prefix)) + c < 0 for h, c in flat):
+            continue
+        first = max(-((sum(map(operator.mul, h, prefix)) + c) // an)
+                    for h, c, an in lower)
+        last = min((sum(map(operator.mul, h, prefix)) + c) // an
+                   for h, c, an in upper)
+        if last >= first:
+            total += last - first + 1
+    return total

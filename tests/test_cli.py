@@ -355,3 +355,29 @@ def test_crosscheck_mismatch_exits_2(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, [])[0] == 64
+
+
+# argv that end in argparse: help or a usage error
+PARSER_ARGV = [[], ["-h"], ["--help"], ["bogus"], ["-h", "cb"], ["CB"],
+               ["cb", "x", "--window", "3:1"],
+               ["orbits", "x", "--iterates", "0"],
+               ["hc", "x", "--star", "1,1", "--trivial"],
+               ["hc", "x", "--pipeline", "nope"]]
+for _command in cli._COMMANDS:
+    PARSER_ARGV += [[_command, "--help"], [_command],
+                    [_command, "x", "--bogus"],
+                    [_command, "x", "--format", "xml"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV,
+                         ids=[" ".join(a) or "-" for a in PARSER_ARGV])
+def test_one_command_parser_reads_like_the_full_parser(capsys, monkeypatch,
+                                                       argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        full = (exc.code, *capsys.readouterr())
+    else:
+        pytest.fail("argv %s parsed" % argv)
+    assert run(capsys, argv) == full

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from contactbetti.ehrhart import (
     DeltaVector,
+    MismatchAt,
     delta_vector,
     general_binomial,
     interior_series_coeffs,
@@ -26,6 +31,7 @@ L53 = convex_hull([(1, 0), (0, 1), (-1, -1)])
 ORDER3 = convex_hull([(F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)),
                       (F(2, 3), F(2, 3)), (F(2, 3), F(1, 3))])
 SIMPLEX2 = convex_hull([(0, 0), (1, 0), (0, 1)])
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_general_binomial():
@@ -232,3 +238,42 @@ def test_reflexivity_routes_agree_random(pts):
     rep = is_reflexive(P)
     if rep.reason is None:
         assert rep.palindromic == rep.dual_integral
+
+
+# ---------------------------------------------------------------- -O proof
+
+# Corrupt the memoized counts of dilates 2m(n+1) and 3m(n+1) - 1 of the
+# order-2 triangle (m = 2, n = 2): both lie in quasipolynomial's validation
+# window and outside delta_vector's, so the first one must be reported.
+PATCHED_RUN = """
+import sys
+from contactbetti.ehrhart import MismatchAt, quasipolynomial
+from contactbetti.polytope import convex_hull, count_points
+P = convex_hull([("1/2", 0), (0, "1/2"), ("-1/2", "-1/2")])
+for t in (12, 17):
+    P._counts[t, False] = count_points(P, t) + 1
+try:
+    quasipolynomial(P)
+except MismatchAt as exc:
+    print(exc.j)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_quasipolynomial_raises_at_first_bad_dilate(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", PATCHED_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "6\n"  # grading t/m = 12/2
+
+
+def test_quasipolynomial_mismatch_is_an_assertion_error():
+    P = convex_hull([(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))])
+    P._counts[12, False] = count_points(P, 12) - 1
+    with pytest.raises(AssertionError) as info:
+        quasipolynomial(P)
+    assert isinstance(info.value, MismatchAt) and info.value.j == 6
+

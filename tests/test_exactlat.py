@@ -12,6 +12,7 @@ from contactbetti.exactlat import (
     basis_completion,
     complete_to_basis,
     det_int,
+    floor_sum,
     hermite_normal_form,
     identity,
     intmat,
@@ -409,3 +410,27 @@ def test_transpose_and_vec_mat():
     M = ((1, 2), (3, 4), (5, 6))
     assert transpose(M) == ((1, 3, 5), (2, 4, 6))
     assert vec_mat((1, 0, -1), M) == (-4, -4)
+
+
+# ---------------------------------------------------------------- floor sums
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=60),
+       st.integers(min_value=-200, max_value=200),
+       st.integers(min_value=-200, max_value=200))
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_edge_cases():
+    assert floor_sum(0, 7, -5, -3) == 0
+    assert floor_sum(1, 7, 100, -3) == -1
+    assert floor_sum(5, 1, -2, -1) == sum(-2 * i - 1 for i in range(5))
+    # large arguments take few steps and stay exact
+    n, m, a, b = 10 ** 6, 999_983, -(10 ** 9 + 7), 3 ** 30
+    assert floor_sum(n, m, a, b) == (
+        floor_sum(n, m, a % m, b % m)
+        + (a // m) * n * (n - 1) // 2 + (b // m) * n)
+

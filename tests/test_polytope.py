@@ -1,9 +1,13 @@
+import importlib.util
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracles import count_points_naive, count_points_row_scan
 
 from contactbetti.polytope import (
     DegenerateInput,
@@ -12,7 +16,6 @@ from contactbetti.polytope import (
     UnboundedInput,
     convex_hull,
     count_points,
-    count_points_naive,
     dual_polytope,
     enumerate_halfspace_vertices,
     faces,
@@ -24,6 +27,7 @@ from contactbetti.polytope import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 L53_TRIANGLE = [(1, 0), (0, 1), (-1, -1)]
 ORDER3_SQUARE = [(F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)),
@@ -115,6 +119,86 @@ def test_row_scan_matches_naive():
             assert count_points(P, t) == count_points_naive(P, t)
             assert (count_points(P, t, interior=True)
                     == count_points_naive(P, t, interior=True))
+
+
+def box(*sides):
+    return convex_hull(list(itertools.product(*sides)))
+
+
+# rational facets, and facets whose last normal coefficient is zero (and
+# in 3-D and 4-D ones normal to the first n-2 coordinates only, which cut
+# whole slices)
+ORACLE_POLYTOPES = [
+    convex_hull([(F(-2, 3),), (F(5, 4),)]),
+    convex_hull([(F(1, 2),), (F(1, 2),), (F(3, 2),)]),
+    convex_hull(ORDER3_SQUARE),
+    convex_hull([(F(-1, 2), F(-1, 3)), (F(3, 2), F(-1, 3)),
+                 (F(1, 2), F(5, 4)), (F(-1, 2), F(1, 4))]),
+    convex_hull([(0, F(1, 5)), (F(7, 3), 0), (F(7, 3), F(2, 3)),
+                 (F(1, 4), F(3, 2))]),
+    box((F(-1, 2), F(3, 4)), (F(-1, 3), 1), (0, F(2, 5))),
+    convex_hull([(0, 0, 0), (F(3, 2), 0, 0), (0, F(4, 3), 0),
+                 (0, 0, F(5, 4)), (F(3, 2), F(4, 3), F(1, 2))]),
+    box((0, F(1, 2)), (F(-2, 3), F(1, 3)), (F(1, 4), 1), (0, F(3, 5))),
+    convex_hull([(0, 0, 0, 0), (F(3, 2), 0, 0, 0), (0, F(4, 3), 0, 0),
+                 (0, 0, 1, 0), (F(1, 2), F(1, 3), F(1, 4), F(7, 5)),
+                 (F(1, 2), 0, F(1, 2), F(-1, 2))]),
+]
+
+
+@pytest.mark.parametrize("P", ORACLE_POLYTOPES,
+                         ids=[str(i) for i in range(len(ORACLE_POLYTOPES))])
+def test_slice_kernel_matches_both_oracles(P):
+    for t in range(1, 7 if P.dimension < 4 else 4):
+        for interior in (False, True):
+            want = count_points_naive(P, t, interior)
+            assert count_points_row_scan(P, t, interior) == want
+            assert count_points(P, t, interior) == want, (P, t, interior)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slice_kernel_matches_both_oracles_on_random_hulls(n):
+    rng = random.Random(400 + n)
+    checked = 0
+    while checked < 12:
+        m = rng.randint(1, 5)
+        pts = [tuple(F(rng.randint(-2 * m, 2 * m), m) for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 4))]
+        try:
+            P = convex_hull(pts)
+        except DegenerateInput:
+            continue
+        checked += 1
+        for t in (1, 2, 3) if n < 4 else (1, 2):
+            for interior in (False, True):
+                want = count_points_naive(P, t, interior)
+                assert count_points_row_scan(P, t, interior) == want
+                assert count_points(P, t, interior) == want, (pts, t)
+
+
+def _ladder():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ladder", ROOT / "perfbench" / "ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_counts_are_invariant_under_presentation():
+    # lattice-equivalent presentations of a ladder row (seeds 0-3) have
+    # the same dilate counts; seed 0 also matches the row scan
+    ladder = _ladder()
+    for name, a in ladder.load_pinned().items():
+        row = ladder.ROWS[name]
+        top = row.m * (row.n + 1)
+        seen = []
+        for seed in range(4):
+            P = convex_hull(ladder.document(name, a, seed)["vertices"])
+            seen.append([count_points(P, t) for t in range(1, top)])
+            if seed == 0:
+                assert seen[0] == [count_points_row_scan(P, t)
+                                   for t in range(1, top)], name
+        assert all(counts == seen[0] for counts in seen), name
 
 
 def random_simplex(rng, n, m):

@@ -471,6 +471,16 @@ def test_stapledon_identity():
         assert rep.series_checked_to == 2 * m * (n + 1) - 1
 
 
+def test_stapledon_counts_only_the_dilates_it_reads():
+    D = validate_diagram(convex_hull(
+        [(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))]))
+    rep = stapledon_check(D, trivial_triangulation(D))
+    top = 2 * D.order * (D.dimension + 1)
+    assert rep.series_checked_to == top - 1
+    closed = {t for t, interior in D.polytope._counts if not interior}
+    assert closed == set(range(1, top))
+
+
 def test_stapledon_delta_field():
     rep = stapledon_check(L53, L53_STAR)
     assert rep.delta == (1, 1, 1)
