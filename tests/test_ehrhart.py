@@ -246,7 +246,6 @@ def test_reflexivity_routes_agree_random(pts):
 # order-2 triangle (m = 2, n = 2): both lie in quasipolynomial's validation
 # window and outside delta_vector's, so the first one must be reported.
 PATCHED_RUN = """
-import sys
 from contactbetti.ehrhart import MismatchAt, quasipolynomial
 from contactbetti.polytope import convex_hull, count_points
 P = convex_hull([("1/2", 0), (0, "1/2"), ("-1/2", "-1/2")])
@@ -276,4 +275,3 @@ def test_quasipolynomial_mismatch_is_an_assertion_error():
     with pytest.raises(AssertionError) as info:
         quasipolynomial(P)
     assert isinstance(info.value, MismatchAt) and info.value.j == 6
-

@@ -433,4 +433,3 @@ def test_floor_sum_edge_cases():
     assert floor_sum(n, m, a, b) == (
         floor_sum(n, m, a % m, b % m)
         + (a // m) * n * (n - 1) // 2 + (b // m) * n)
-

@@ -130,7 +130,7 @@ def box(*sides):
 # whole slices)
 ORACLE_POLYTOPES = [
     convex_hull([(F(-2, 3),), (F(5, 4),)]),
-    convex_hull([(F(1, 2),), (F(1, 2),), (F(3, 2),)]),
+    convex_hull([(-1,), (F(7, 3),)]),
     convex_hull(ORDER3_SQUARE),
     convex_hull([(F(-1, 2), F(-1, 3)), (F(3, 2), F(-1, 3)),
                  (F(1, 2), F(5, 4)), (F(-1, 2), F(1, 4))]),
