@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .ehrhart import DeltaVector, delta_vector
+from .ehrhart import delta_vector
 from .exactlat import (
     Jet,
     basis_completion,
@@ -97,29 +97,6 @@ def validate_diagram(P: RationalPolytope) -> ToricDiagram:
         if any(d != 1 for d in inv):
             raise FacetNotUnimodular(fid, inv)
     return ToricDiagram(P, m, normals, tuple(facet_ids))
-
-
-def c1_order(normals: Sequence[Sequence[int]]) -> Optional[int]:
-    """Least m >= 1 with an integral functional taking value m on every normal.
-
-    Returns None when no multiple of the all-ones vector is hit by an
-    integer functional (the non-torsion case).
-    """
-    from .exactlat import smith_normal_form
-    A = [list(map(int, row)) for row in normals]
-    S, U, V = smith_normal_form(A)
-    rows, cols = len(A), len(A[0])
-    # we need x with A x = m * 1; in Smith coordinates S y = m * (U 1)
-    u1 = [sum(U[i][j] for j in range(rows)) for i in range(rows)]
-    r = sum(1 for i in range(min(rows, cols)) if S[i][i] != 0)
-    if any(u1[i] != 0 for i in range(r, rows)):
-        return None
-    mult = 1
-    for i in range(r):
-        d = S[i][i]
-        g = math.gcd(d, u1[i])
-        mult = mult * (d // g) // math.gcd(mult, d // g)
-    return mult
 
 
 @dataclass(frozen=True)
@@ -269,11 +246,6 @@ def orbit_degree(family: OrbitFamily, N: int) -> Fraction:
         raise ValueError("index diverges: base point lies on this facet")
     return Fraction(_scaled_degree(family, _floor_terms(family), N),
                     family.order)
-
-
-def cz_index(family: OrbitFamily, N: int) -> Fraction:
-    """Conley-Zehnder index of the N-th iterate, an exact rational."""
-    return orbit_degree(family, N) - len(family.b_coeffs) + 2
 
 
 def _iterate_bound(family: OrbitFamily, d_max: Fraction) -> int:

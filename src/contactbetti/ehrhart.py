@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Tuple
 from .polyarith import poly_eval, poly_mul, poly_scale
 from .polytope import (
     RationalPolytope,
-    convex_hull,
     count_points,
     dual_polytope,
     enumerate_lattice_points,
@@ -41,15 +40,6 @@ class MismatchAt(AssertionError):
                  what: str = "orbifold dimension mismatch"):
         self.j = j
         super().__init__(f"{what} at grading {j}")
-
-
-def general_binomial(a: int, k: int) -> int:
-    """Binomial coefficient C(a, k) for any integer a and k >= 0."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if a >= 0:
-        return math.comb(a, k)
-    return (-1) ** k * math.comb(k - 1 - a, k)
 
 
 @dataclass(frozen=True)
@@ -184,34 +174,6 @@ def quasipolynomial(P: RationalPolytope) -> QuasiPolynomial:
             raise MismatchAt(Fraction(t, m),
                              f"quasi-polynomial differs from the count L({t})")
     return qp
-
-
-def interior_series_coeffs(P: RationalPolytope) -> Tuple[int, ...]:
-    """Coefficient list (delta_{mn-j})_j of the interior counting series.
-
-    Index j runs over 0 .. m(n+1)-1 with out-of-range delta read as zero.
-    The full reciprocity identity
-
-        L_int(t+m) = sum_{j == t mod m, -m < j <= mn}
-                     delta_{mn-j} C((t-j)/m + n, n)
-
-    also needs the terms with j < 0 (they carry the delta entries above
-    index mn); the returned truncation is the conventional numerator, and
-    validation below always uses the untruncated sum.
-    """
-    dv = delta_vector(P)
-    m, n = dv.order, dv.dimension
-    coeffs = tuple(dv[m * n - j] for j in range(m * (n + 1)))
-
-    for t in range(0, 3 * m + 1):
-        acc = 0
-        j = -m + 1 + ((t - (-m + 1)) % m)  # smallest j > -m with j == t (m)
-        while j <= m * n:
-            acc += dv[m * n - j] * general_binomial((t - j) // m + n, n)
-            j += m
-        assert acc == count_points(P, t + m, interior=True), \
-            f"interior count mismatch at t={t + m}"
-    return coeffs
 
 
 @dataclass(frozen=True)

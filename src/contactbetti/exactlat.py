@@ -62,6 +62,8 @@ def det_int(M) -> int:
     A = [list(r) for r in M]
     k = len(A)
     assert all(len(r) == k for r in A), "determinant needs a square matrix"
+    if k == 0:
+        return 1
     sign, prev = 1, 1
     for p in range(k - 1):
         if A[p][p] == 0:
@@ -263,42 +265,6 @@ def basis_completion(vectors) -> Mat:
     return completion
 
 
-def complete_to_basis(vectors) -> Vec:
-    """The single vector completing d-1 rows of Z^d to a Z-basis."""
-    completion = basis_completion(vectors)
-    assert len(completion) == 1, "need exactly one missing basis vector"
-    return completion[0]
-
-
-def solve_left(A, b):
-    """All integer solutions x of x*A = b.
-
-    Returns (particular, kernel_basis_rows) or None when no integral
-    solution exists.  A has one row per unknown.
-    """
-    M = intmat(A)
-    nr, nc = len(M), len(M[0])
-    target = tuple(int(x) for x in b)
-    assert len(target) == nc
-    H, U = hermite_normal_form(M)
-    residual = list(target)
-    y = [0] * nr
-    for i in range(nr):
-        pivot_col = next((c for c in range(nc) if H[i][c]), None)
-        if pivot_col is None:
-            continue
-        if residual[pivot_col] % H[i][pivot_col]:
-            return None
-        y[i] = residual[pivot_col] // H[i][pivot_col]
-        for c in range(nc):
-            residual[c] -= y[i] * H[i][c]
-    if any(residual):
-        return None
-    particular = vec_mat(tuple(y), U)
-    kernel = tuple(U[i] for i in range(nr) if not any(H[i]))
-    return particular, kernel
-
-
 # ----------------------------------------------------------------------
 # rational (Fraction) helpers
 
@@ -345,22 +311,6 @@ def rat_solve(A, b):
     if pivots != tuple(range(n)):
         raise LinearlyDependent("singular system")
     return tuple(row[n] for row in R)
-
-
-def rat_kernel(A):
-    """Basis of the right kernel {x : A*x = 0} over Fractions."""
-    R, pivots = rat_echelon(A)
-    nc = len(A[0]) if A else 0
-    basis = []
-    for fc in range(nc):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * nc
-        vec[fc] = Fraction(1)
-        for row, pc in zip(R, pivots):
-            vec[pc] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def mat_inverse(M) -> Mat:

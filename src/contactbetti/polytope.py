@@ -3,7 +3,9 @@
 Vertex and halfspace representations, face lattices, lattice point counting,
 normalized volumes, polar duals, and labelled (weighted normal) polytopes.
 Halfspaces are stored as (normal a, offset c) meaning <a, x> + c >= 0 with a
-a primitive inward integer normal.
+a primitive inward integer normal.  Every conversion between vertices and
+facets, here and for the good cones of ``prequant``, reads the extreme rays
+of a homogenized cone off the one kernel ``cone_rays``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlat import (
-    LinearlyDependent,
-    det_int,
-    floor_sum,
-    primitive_vector,
-    rat_kernel,
-    rat_rank,
-    rat_solve,
-)
+from .exactlat import det_int, floor_sum, rat_rank
 
 RatPoint = tuple[Fraction, ...]
 
@@ -112,26 +106,45 @@ def affine_dim(points) -> int:
     return rat_rank(diffs)
 
 
-def _hyperplane(points):
-    """Primitive integer (normal, offset) through the given points.
+def cone_rays(rows) -> tuple[tuple[int, ...], ...]:
+    """Sorted primitive integer extreme rays of {y in Q^d : <row, y> >= 0}.
 
-    Returns None unless the points affinely span exactly a hyperplane.
+    The one vertex/facet enumerator of the package: hull facets, halfspace
+    vertices and good-cone rays are all extreme rays of a pointed cone,
+    reached by homogenization (Fukuda and Prodon, Double description
+    method revisited, 1996).  Brute force over the (d-1)-subsets of the
+    rows, cleared to integers: the signed maximal minors of a subset span
+    its kernel unless they all vanish, and +-that vector is an extreme ray
+    when every row is >= 0 on it.  For d = 1 the empty subset leaves the
+    whole line, (1,) and (-1,).  The cone must be pointed (rows of rank
+    d), or the lineality directions come out as rays.
     """
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    kern = rat_kernel(diffs or [[0] * len(base)])
-    if len(kern) != 1:
-        return None
-    normal = primitive_vector(kern[0])
-    offset = -sum(a * x for a, x in zip(normal, base))
-    return normal, offset
+    ints = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*[x.denominator for x in row])
+        ints.append(tuple(int(x * scale) for x in row))
+    d = len(ints[0])
+    rays = set()
+    for sub in itertools.combinations(ints, d - 1):
+        cand = [(-1) ** k * det_int([r[:k] + r[k + 1:] for r in sub])
+                for k in range(d)]
+        if not any(cand):
+            continue
+        g = math.gcd(*cand)
+        cand = tuple(x // g for x in cand)
+        for ray in (cand, tuple(-x for x in cand)):
+            if all(sum(map(operator.mul, row, ray)) >= 0 for row in ints):
+                rays.add(ray)
+    return tuple(sorted(rays))
 
 
 def convex_hull(points) -> RationalPolytope:
-    """Exact convex hull by supporting-hyperplane enumeration.
+    """Exact convex hull.
 
-    Brute force over n-subsets of the input; fine at desk scale (n <= 4,
-    a few dozen points).
+    The facets <a, x> + c >= 0 are the extreme rays (a, c) of the cone of
+    functionals nonnegative on every lifted point (p, 1), with a scaled to
+    a primitive normal.
     """
     pts = []
     for p in _as_points(points):
@@ -142,17 +155,11 @@ def convex_hull(points) -> RationalPolytope:
         raise DegenerateInput("points do not span the ambient space")
 
     halfspaces: dict[tuple, tuple] = {}
-    for subset in itertools.combinations(range(len(pts)), n):
-        hp = _hyperplane([pts[i] for i in subset])
-        if hp is None:
-            continue
-        normal, offset = hp
-        vals = [sum(a * x for a, x in zip(normal, p)) + offset for p in pts]
-        if all(v >= 0 for v in vals):
-            halfspaces[normal, offset] = tuple(vals)
-        elif all(v <= 0 for v in vals):
-            neg = tuple(-a for a in normal)
-            halfspaces[neg, -offset] = tuple(-v for v in vals)
+    for *a, c in cone_rays([p + (1,) for p in pts]):
+        g = math.gcd(*a)
+        normal, offset = tuple(x // g for x in a), Fraction(c, g)
+        halfspaces[normal, offset] = tuple(
+            sum(map(operator.mul, normal, p)) + offset for p in pts)
 
     assert halfspaces, "full-dimensional input must have supporting facets"
 
@@ -208,12 +215,6 @@ def _build_face_lattice(P: RationalPolytope) -> dict[int, tuple[Face, ...]]:
     assert {f.vertex_ids for f in lattice[0]} == {
         (i,) for i in range(len(P.vertices))}
     return lattice
-
-
-def faces(P: RationalPolytope, d: int) -> tuple[Face, ...]:
-    """All d-dimensional faces, 0 <= d <= n (d = n is the polytope itself)."""
-    assert 0 <= d <= P.dimension
-    return P.face_lattice()[d]
 
 
 def order(P: RationalPolytope) -> int:
@@ -426,34 +427,20 @@ def dual_polytope(P: RationalPolytope) -> RationalPolytope:
 def enumerate_halfspace_vertices(normals, offsets):
     """Vertices of {x : <a_i, x> + c_i >= 0}; raises when unbounded.
 
-    The normals may be any exact scalars; brute force over n-subsets.
+    The normals may be any exact scalars.  The rays (x, s) of the cone
+    {<a_i, x> + c_i s >= 0, s >= 0} are the vertices x/s (s > 0) and the
+    recession directions x (s = 0).
     """
     rows = [tuple(Fraction(x) for x in a) for a in normals]
-    offs = [Fraction(c) for c in offsets]
     n = len(rows[0])
     if rat_rank(rows) < n:
         raise UnboundedInput("normals do not span, polyhedron has a line")
-    # a nonzero recession direction must be tight on n-1 independent normals
-    for subset in itertools.combinations(range(len(rows)), n - 1):
-        kern = rat_kernel([rows[i] for i in subset] or [[0] * n])
-        if len(kern) != 1:
-            continue
-        for k in kern:
-            for cand in (k, tuple(-x for x in k)):
-                if any(cand) and all(
-                        sum(a * x for a, x in zip(row, cand)) >= 0
-                        for row in rows):
-                    raise UnboundedInput("recession direction %s" % (cand,))
+    lifted = [row + (Fraction(c),) for row, c in zip(rows, offsets)]
     vertices = []
-    for subset in itertools.combinations(range(len(rows)), n):
-        sub = [rows[i] for i in subset]
-        try:
-            pt = rat_solve(sub, [-offs[i] for i in subset])
-        except LinearlyDependent:
-            continue
-        if all(sum(a * x for a, x in zip(row, pt)) + c >= 0
-               for row, c in zip(rows, offs)) and pt not in vertices:
-            vertices.append(pt)
+    for *x, s in cone_rays(lifted + [(0,) * n + (1,)]):
+        if s == 0:
+            raise UnboundedInput("recession direction %s" % (tuple(x),))
+        vertices.append(tuple(Fraction(v, s) for v in x))
     return sorted(vertices)
 
 

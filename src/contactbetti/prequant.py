@@ -18,11 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
 from .exactlat import (LinearlyDependent, basis_completion, det_int,
-                       mat_inverse, primitive_vector, rat_kernel, rat_rank,
-                       rat_solve, smith_invariants, transpose, vec_mat)
+                       mat_inverse, rat_rank, rat_solve, smith_invariants,
+                       transpose, vec_mat)
 from .grading import GradedDimensions, checked_window
 from .polyarith import f_to_h
-from .polytope import LabelledPolytope, convex_hull, labelled_polytope
+from .polytope import (LabelledPolytope, cone_rays, convex_hull,
+                       labelled_polytope)
 from .resolution import NotStrictlyConvex
 
 
@@ -92,16 +93,7 @@ def _cone_skeleton(normals):
             raise ValueError("normals must be primitive, got %s" % (row,))
     if rat_rank(nu) < n1:
         raise NotStrictlyConvex("normals do not span, the cone has a line")
-    rays = set()
-    for subset in itertools.combinations(range(d), n1 - 1):
-        kern = rat_kernel([nu[i] for i in subset])
-        if len(kern) != 1:
-            continue
-        cand = primitive_vector(kern[0])
-        for ray in (cand, tuple(-x for x in cand)):
-            if all(_dot(row, ray) >= 0 for row in nu):
-                rays.add(ray)
-    rays = tuple(sorted(rays))
+    rays = cone_rays(nu)
     if rat_rank(rays) < n1:
         raise NotStrictlyConvex("cone is not full-dimensional")
     zero_sets = [frozenset(j for j in range(d) if _dot(nu[j], ray) == 0)
@@ -408,23 +400,9 @@ def hc_smooth_base(Q: QuotientData,
 # global invariants
 
 
-def _minor_gcd(rows, n1: int) -> int:
-    g = 0
-    for subset in itertools.combinations(range(len(rows)), n1):
-        g = math.gcd(g, abs(det_int([list(rows[i]) for i in subset])))
-    return g
-
-
 def fundamental_group_order(D: ToricDiagram) -> int:
     """gcd of the maximal minors of the lifted vertex matrix."""
-    p = _minor_gcd(D.normals, D.dimension + 1)
+    p = math.gcd(*[det_int(sub) for sub in
+                   itertools.combinations(D.normals, D.dimension + 1)])
     assert p >= 1
     return p
-
-
-def minimal_chern(Q: QuotientData) -> int:
-    """r times the total-space fundamental group order; manifold bases only."""
-    if not Q.smooth:
-        raise BaseNotSmooth("minimal Chern number formula needs a "
-                            "manifold base")
-    return Q.r * _minor_gcd(Q.cone.normals, Q.cone.dimension)

@@ -3,10 +3,11 @@
 A rational triangulation of a diagram D induces a fan over D x {1}; when
 every lifted point (m*p, m) is primitive the fan is crepant and the toric
 variety it defines is a filling whose orbifold cohomology is encoded by
-the delta vector of D.  This module builds those fans, certifies strictly
-convex support functions by exact feasibility solving, enumerates box
-elements cone by cone, and assembles the orbifold Poincare series and the
-graded dimension table it induces.
+the delta vector of D.  This module validates triangulations, builds
+their fans, enumerates box elements cone by cone, and assembles the
+orbifold Poincare series and the graded dimension table it induces.  It
+does not certify that the filling is projective (a strictly convex
+support function): the cohomology it reads off needs only the fan.
 """
 from __future__ import annotations
 
@@ -14,27 +15,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import MismatchAt, delta_vector
-from .exactlat import (
-    det_int,
-    lattice_index,
-    primitive_vector,
-    rat_solve,
-    smith_normal_form,
-)
+from .exactlat import (det_int, lattice_index, primitive_vector,
+                       smith_normal_form)
 from .grading import GradedDimensions, checked_window
 from .polyarith import f_to_h, poly_mul
-from .polytope import (
-    Face,
-    RationalPolytope,
-    count_points,
-    faces,
-    normalized_volume,
-    simplex_normalized_volume,
-)
+from .polytope import (count_points, normalized_volume,
+                       simplex_normalized_volume)
 
 
 class PointNotInterior(ValueError):
@@ -205,157 +195,6 @@ def fan_over(T: Triangulation) -> Fan:
 
 
 # ------------------------------------------------------------------
-# support functions
-
-
-def _strict_feasible(rows: List[List[Fraction]],
-                     nvars: int) -> Optional[List[Fraction]]:
-    """Some w with row . w < 0 for every row, by Fourier-Motzkin; None if
-    the strict homogeneous system is infeasible."""
-    system = [[Fraction(x) for x in r] for r in rows]
-    stages = []
-    for var in range(nvars - 1, -1, -1):
-        stages.append((var, [r[:] for r in system]))
-        zero, pos, neg = [], [], []
-        for r in system:
-            (zero if r[var] == 0 else pos if r[var] > 0 else neg).append(r)
-        new = [r for r in zero]
-        for rp in pos:
-            for rn in neg:
-                comb = [(-rn[var]) * a + rp[var] * b
-                        for a, b in zip(rp, rn)]
-                new.append(comb)
-        system = new
-    if any(all(x == 0 for x in r) for r in system):
-        return None
-    w = [Fraction(0)] * nvars
-    for var, stage_rows in reversed(stages):
-        lo, hi = None, None
-        for r in stage_rows:
-            rest = sum(r[i] * w[i] for i in range(nvars) if i != var)
-            if r[var] > 0:
-                bound = -rest / r[var]
-                hi = bound if hi is None else min(hi, bound)
-            elif r[var] < 0:
-                bound = -rest / r[var]
-                lo = bound if lo is None else max(lo, bound)
-            elif rest >= 0 and any(x != 0 for x in r):
-                return None
-        if lo is None and hi is None:
-            w[var] = Fraction(0)
-        elif lo is None:
-            w[var] = hi - 1
-        elif hi is None:
-            w[var] = lo + 1
-        else:
-            if lo >= hi:
-                return None
-            w[var] = (lo + hi) / 2
-    return w
-
-
-@dataclass(frozen=True)
-class SupportFunction:
-    fan: Fan
-    values: Tuple[Fraction, ...]              # phi on the ray generators
-    cartier: Tuple[Tuple[Fraction, ...], ...]  # one vector per maximal cone
-
-    def evaluate(self, x) -> Fraction:
-        for cone, msig in zip(self.fan.max_cones, self.cartier):
-            rows = [[self.fan.rays[i][k] for i in cone]
-                    for k in range(len(x))]
-            try:
-                coeffs = rat_solve(rows, list(x))
-            except Exception:
-                continue
-            if all(c >= 0 for c in coeffs):
-                return sum(a * b for a, b in zip(msig, x))
-        raise ValueError("point outside the fan support")
-
-
-def support_function_from_values(F: Fan, values) -> SupportFunction:
-    values = tuple(Fraction(v) for v in values)
-    cartier = []
-    for cone in F.max_cones:
-        # m_sigma with <m_sigma, ray_i> = value_i on the cone's rays
-        rows = [list(F.rays[i]) for i in cone]
-        rhs = [values[i] for i in cone]
-        cartier.append(tuple(rat_solve(rows, rhs)))
-    return SupportFunction(F, values, tuple(cartier))
-
-
-def is_strictly_convex(F: Fan, phi: SupportFunction) -> bool:
-    """Every Cartier vector strictly beats phi on all rays outside its cone."""
-    for cone, msig in zip(F.max_cones, phi.cartier):
-        for rid, ray in enumerate(F.rays):
-            val = sum(a * b for a, b in zip(msig, ray))
-            if rid in cone:
-                if val != phi.values[rid]:
-                    return False
-            elif val <= phi.values[rid]:
-                return False
-    return True
-
-
-def support_function(F: Fan,
-                     heights: Optional[Sequence] = None) -> SupportFunction:
-    """A strictly convex support function for the fan, from certifying
-    heights; solved exactly as a strict feasibility problem when no
-    heights are supplied.  Raises if none exists (non-regular input)."""
-    if heights is not None:
-        phi = support_function_from_values(F, heights)
-        if not is_strictly_convex(F, phi):
-            raise NotStrictlyConvex("supplied heights are not certifying")
-        return phi
-
-    nrays = len(F.rays)
-    if len(F.max_cones) == 1:
-        return support_function_from_values(F, [Fraction(0)] * nrays)
-
-    # strict constraints: for each maximal cone and each outside ray,
-    # value(ray) < <m_cone, ray>, written in the height unknowns
-    rows = []
-    for cone in F.max_cones:
-        cols = [[F.rays[i][k] for i in cone] for k in range(F.dimension + 1)]
-        for rid in range(nrays):
-            if rid in cone:
-                continue
-            # lambda with ray = sum lambda_i cone_ray_i
-            lam = rat_solve(cols, list(F.rays[rid]))
-            row = [Fraction(0)] * nrays
-            row[rid] = Fraction(1)
-            for i, cid in enumerate(cone):
-                row[cid] -= lam[i]
-            rows.append(row)
-    w = _strict_feasible(rows, nrays)
-    if w is None:
-        raise NotStrictlyConvex(
-            "no strictly convex support function exists for this fan")
-    phi = support_function_from_values(F, w)
-    assert is_strictly_convex(F, phi)
-    return phi
-
-
-@dataclass(frozen=True)
-class MomentPolyhedron:
-    normals: Tuple[Tuple[int, ...], ...]
-    offsets: Tuple[Fraction, ...]
-    vertices: Tuple[Tuple[Fraction, ...], ...]
-
-
-def moment_polyhedron(F: Fan, phi: SupportFunction) -> MomentPolyhedron:
-    """Halfspace description {<x, ray> >= phi(ray)} plus Cartier vertices."""
-    if not is_strictly_convex(F, phi):
-        raise NotStrictlyConvex("moment polyhedron needs strict convexity")
-    verts = tuple(phi.cartier)
-    assert len(set(verts)) == len(verts), "Cartier vertices must be distinct"
-    for v in verts:
-        assert all(sum(a * b for a, b in zip(v, ray)) >= phi.values[i]
-                   for i, ray in enumerate(F.rays))
-    return MomentPolyhedron(F.rays, phi.values, verts)
-
-
-# ------------------------------------------------------------------
 # box elements and cohomology
 
 
@@ -420,15 +259,6 @@ def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
     n1 = F.dimension + 1
     return f_to_h(n1 - len(tau), [n1 - len(sigma) for sigma in F.cones()
                                   if tau <= frozenset(sigma)])
-
-
-def face_h_polynomial(P: RationalPolytope, face: Face) -> Tuple[int, ...]:
-    """h_F(q) over the nonempty faces G of F:
-    sum q^(dim F - dim G) (1-q)^(dim G)."""
-    inside = set(face.vertex_ids)
-    return f_to_h(face.dim, [d for d in range(face.dim + 1)
-                             for g in faces(P, d)
-                             if set(g.vertex_ids) <= inside])
 
 
 def orbifold_poincare(F: Fan) -> GradedDimensions:

@@ -1,13 +1,60 @@
-"""Slow lattice-point counters kept as oracles for polytope.count_points.
+"""Slow lattice-point counters and a slow hull, kept as test oracles.
 
 ``count_points_naive`` tests every point of the integer bounding box of
 tP against every facet.  ``count_points_row_scan`` is the row scan the
 slice kernel replaced: the first n-1 coordinates run over the box and the
 last coordinate's range is solved from the cleared integer inequalities.
+``hull_by_hyperplanes`` is the hull search that ``polytope.cone_rays``
+replaced: every n-subset of the points that spans a hyperplane with all
+points on one side gives a facet.
 """
 import itertools
 import math
 import operator
+from fractions import Fraction
+
+from contactbetti.exactlat import primitive_vector, rat_echelon, rat_rank
+
+
+def rat_kernel(A):
+    """Basis of the right kernel {x : A*x = 0} over Fractions."""
+    R, pivots = rat_echelon(A)
+    nc = len(A[0]) if A else 0
+    basis = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def hull_by_hyperplanes(points):
+    """(sorted vertices, sorted (normal, offset) facets) of a
+    full-dimensional point set, by supporting-hyperplane search."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    n = len(pts[0])
+    facets = set()
+    for subset in itertools.combinations(pts, n):
+        base = subset[0]
+        kern = rat_kernel([[x - b for x, b in zip(p, base)]
+                           for p in subset[1:]] or [[0] * n])
+        if len(kern) != 1:
+            continue
+        normal = primitive_vector(kern[0])
+        offset = -sum(a * x for a, x in zip(normal, base))
+        vals = [sum(a * x for a, x in zip(normal, p)) + offset for p in pts]
+        if all(v >= 0 for v in vals):
+            facets.add((normal, offset))
+        elif all(v <= 0 for v in vals):
+            facets.add((tuple(-a for a in normal), -offset))
+    vertices = [p for p in pts if rat_rank(
+        [a for a, c in facets
+         if sum(x * y for x, y in zip(a, p)) + c == 0] or [[0] * n]) == n]
+    return vertices, sorted(facets)
 
 
 def _coordinate_box(P, t):

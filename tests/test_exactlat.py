@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracles import rat_kernel
 
 from contactbetti.exactlat import (
     Jet,
     LinearlyDependent,
     NotUnimodularSystem,
     basis_completion,
-    complete_to_basis,
     det_int,
     floor_sum,
     hermite_normal_form,
@@ -21,12 +21,10 @@ from contactbetti.exactlat import (
     mat_mul,
     primitive_vector,
     rat_echelon,
-    rat_kernel,
     rat_rank,
     rat_solve,
     smith_invariants,
     smith_normal_form,
-    solve_left,
     transpose,
     vec_mat,
 )
@@ -172,37 +170,41 @@ def test_det_matches_cofactor(rows):
     assert det_int(rows) == naive_det(rows)
 
 
+def test_det_of_the_empty_matrix_is_one():
+    assert det_int([]) == 1
+
+
 # ---------------------------------------------------------------- completion
 
 
 def test_complete_unit_vectors():
-    assert complete_to_basis(((1, 0, 0), (0, 1, 0))) == (0, 0, 1)
+    assert basis_completion(((1, 0, 0), (0, 1, 0)))[0] == (0, 0, 1)
 
 
 def test_complete_two_in_three():
     vs = ((1, 0, 1), (0, 1, 1))
-    eta = complete_to_basis(vs)
+    eta = basis_completion(vs)[0]
     assert abs(det_int(vs + (eta,))) == 1
 
 
 def test_complete_order3_facet():
     # facet normals of an order-3 diagram; eta = (0, 1, 1) is one valid answer
     vs = ((1, 2, 3), (2, 2, 3))
-    eta = complete_to_basis(vs)
+    eta = basis_completion(vs)[0]
     assert abs(det_int(vs + (eta,))) == 1
     # deterministic
-    assert eta == complete_to_basis(vs)
+    assert eta == basis_completion(vs)[0]
 
 
 def test_complete_rejects_non_saturated():
     with pytest.raises(NotUnimodularSystem) as err:
-        complete_to_basis(((2, 0, 0), (0, 1, 0)))
+        basis_completion(((2, 0, 0), (0, 1, 0)))
     assert 2 in err.value.invariants
 
 
 def test_complete_rejects_dependent():
     with pytest.raises(LinearlyDependent):
-        complete_to_basis(((1, 2, 3), (2, 4, 6)))
+        basis_completion(((1, 2, 3), (2, 4, 6)))
 
 
 @settings(max_examples=150)
@@ -241,39 +243,6 @@ def test_lattice_index_is_abs_det(rows):
             lattice_index(rows)
     else:
         assert lattice_index(rows) == abs(d)
-
-
-# ---------------------------------------------------------------- solves
-
-
-def test_solve_left_simple():
-    A = intmat([(1, 0), (0, 1), (1, 1)])
-    sol = solve_left(A, (2, 3))
-    assert sol is not None
-    particular, kernel = sol
-    assert vec_mat(particular, A) == (2, 3)
-    assert len(kernel) == 1
-    assert vec_mat(kernel[0], A) == (0, 0)
-
-
-def test_solve_left_no_solution():
-    assert solve_left(((2, 0),), (1, 0)) is None
-
-
-@settings(max_examples=100)
-@given(int_matrices(3), st.lists(small_ints, min_size=3, max_size=3))
-def test_solve_left_roundtrip(rows, x):
-    M = intmat(rows)
-    x = tuple(x[:len(M)])
-    if len(x) < len(M):
-        return
-    b = vec_mat(x, M)
-    sol = solve_left(M, b)
-    assert sol is not None
-    particular, kernel = sol
-    assert vec_mat(particular, M) == b
-    for k in kernel:
-        assert vec_mat(k, M) == tuple(0 for _ in b)
 
 
 def test_mat_inverse_unimodular():

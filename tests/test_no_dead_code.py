@@ -1,0 +1,80 @@
+"""Every top-level def and class of the package has a caller in the package.
+
+A definition counts as used when some module of ``src/contactbetti``
+loads its name, outside the definition's own body, where that name is
+bound to it: defined in that module, or imported with ``from .module
+import name`` (possibly through another module's import).  An import
+alone is no use: a name imported only to be re-exported must be listed
+in the package ``__all__``.  ``cli.main`` is the console script.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "contactbetti"
+ENTRY_POINTS = {"cli.main"}
+
+
+def _scan():
+    """Top-level definitions, name bindings and name loads per module."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defs, binds, exported = {}, {}, set()
+    for module, tree in trees.items():
+        bound = binds.setdefault(module, {})
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs["%s.%s" % (module, node.name)] = node
+                bound[node.name] = (module, node.name)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = (node.module,
+                                                         alias.name)
+    loads = [(module, node) for module, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    return defs, binds, loads, exported
+
+
+def _resolve(binds, module, name):
+    seen = set()
+    while (module, name) not in seen:
+        seen.add((module, name))
+        target = binds.get(module, {}).get(name)
+        if target is None or target == (module, name):
+            break
+        module, name = target
+    return "%s.%s" % (module, name)
+
+
+def unused_definitions():
+    defs, binds, loads, exported = _scan()
+    loaded = {}  # definition -> ids of the Name nodes that load it
+    for module, node in loads:
+        key = _resolve(binds, module, node.id)
+        loaded.setdefault(key, set()).add(id(node))
+    unused = []
+    for key, node in defs.items():
+        if node.name in exported or key in ENTRY_POINTS:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not loaded.get(key, set()) - own:
+            unused.append(key)
+    return unused
+
+
+def test_scanner_sees_the_package():
+    defs, binds, loads, exported = _scan()
+    assert {"polytope.cone_rays", "polytope.convex_hull", "cli.main"} <= set(
+        defs)
+    assert _resolve(binds, "resolution", "MismatchAt") == "ehrhart.MismatchAt"
+    assert "convex_hull" in exported
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    assert unused_definitions() == []

@@ -7,18 +7,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_oracles import count_points_naive, count_points_row_scan
+from lattice_oracles import (count_points_naive, count_points_row_scan,
+                             hull_by_hyperplanes)
 
 from contactbetti.polytope import (
     DegenerateInput,
     NotSimple,
     OriginNotInterior,
     UnboundedInput,
+    cone_rays,
     convex_hull,
     count_points,
     dual_polytope,
     enumerate_halfspace_vertices,
-    faces,
     labelled_polytope,
     normalized_volume,
     order,
@@ -76,6 +77,42 @@ def test_hull_3d_simplex():
     assert len(P.vertices) == 4
     assert len(P.facets) == 4
     assert normalized_volume(P) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hull_matches_hyperplane_oracle_on_random_points(n):
+    rng = random.Random(700 + n)
+    checked = 0
+    while checked < 10:
+        m = rng.randint(1, 3)
+        pts = [tuple(F(rng.randint(-2 * m, 2 * m), m) for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 5))]
+        try:
+            P = convex_hull(pts)
+        except DegenerateInput:
+            continue
+        checked += 1
+        vertices, facets = hull_by_hyperplanes(pts)
+        assert list(P.vertices) == vertices, pts
+        assert [(f.normal, f.offset) for f in P.facets] == facets, pts
+        # V -> H -> V: the facets cut out exactly the hull's vertices
+        assert enumerate_halfspace_vertices(
+            [f.normal for f in P.facets],
+            [f.offset for f in P.facets]) == vertices
+
+
+def test_cone_rays_in_one_dimension():
+    # the empty subset of rows leaves the whole line: candidates +-1
+    assert cone_rays([(3,)]) == ((1,),)
+    assert cone_rays([(F(-1, 2),), (-4,)]) == ((-1,),)
+    assert cone_rays([(1,), (-1,)]) == ()
+
+
+def test_cone_rays_clears_rational_rows():
+    # the quadrant x >= 0, y >= 0, written with rational rows
+    assert cone_rays([(F(1, 2), 0), (0, F(2, 3))]) == ((0, 1), (1, 0))
+    assert cone_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == (
+        (0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 # ---------------------------------------------------------------- order
@@ -278,24 +315,25 @@ def test_dual_requires_interior_origin():
 
 def test_faces_square():
     P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert len(faces(P, 0)) == 4
-    assert len(faces(P, 1)) == 4
-    assert len(faces(P, 2)) == 1
+    assert len(P.face_lattice()[0]) == 4
+    assert len(P.face_lattice()[1]) == 4
+    assert len(P.face_lattice()[2]) == 1
 
 
 def test_faces_triangle_and_order3():
-    assert len(faces(convex_hull(L53_TRIANGLE), 1)) == 3
-    assert len(faces(convex_hull(ORDER3_SQUARE), 1)) == 4
+    assert len(convex_hull(L53_TRIANGLE).face_lattice()[1]) == 3
+    assert len(convex_hull(ORDER3_SQUARE).face_lattice()[1]) == 4
 
 
 def test_face_incidence_data():
     P = convex_hull(L53_TRIANGLE)
-    for v in faces(P, 0):
+    for v in P.face_lattice()[0]:
         assert len(v.facet_ids) == 2  # a polygon vertex meets two edges
 
 
 def euler_characteristic(P):
-    return sum((-1) ** d * len(faces(P, d)) for d in range(P.dimension))
+    lattice = P.face_lattice()
+    return sum((-1) ** d * len(lattice[d]) for d in range(P.dimension))
 
 
 def test_euler_relation():
@@ -327,6 +365,17 @@ def test_halfspace_unbounded_detected():
         enumerate_halfspace_vertices([(1, 0), (0, 1)], [0, 0])
     with pytest.raises(UnboundedInput):
         enumerate_halfspace_vertices([(1, 0), (-1, 0)], [0, 1])
+
+
+def test_halfspace_unbounded_even_when_empty():
+    # x >= 1 and x <= 0 leave nothing, yet y >= 0 has a recession direction
+    with pytest.raises(UnboundedInput):
+        enumerate_halfspace_vertices([(1, 0), (-1, 0), (0, 1)], [-1, 0, 0])
+    # bounding y too leaves an empty polytope without vertices
+    assert enumerate_halfspace_vertices(
+        [(1, 0), (-1, 0), (0, 1), (0, -1)], [-1, 0, 0, 0]) == []
+    with pytest.raises(DegenerateInput):
+        labelled_polytope([(1, 0), (-1, 0), (0, 1), (0, -1)], [-1, 0, 0, 0])
 
 
 def test_labelled_polytope_basic():

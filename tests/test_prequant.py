@@ -9,8 +9,9 @@ from contactbetti.contact import (
     contact_betti_from_delta,
     validate_diagram,
 )
+from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector
-from contactbetti.exactlat import lattice_index
+from contactbetti.exactlat import lattice_index, primitive_vector
 from contactbetti.polytope import convex_hull, labelled_polytope
 from contactbetti.prequant import (
     BaseNotSmooth,
@@ -24,7 +25,6 @@ from contactbetti.prequant import (
     hc_quotient_rows,
     hc_smooth_base,
     is_good_cone,
-    minimal_chern,
     orbifold_cohomology_of_base,
     quotient_polytope,
 )
@@ -96,6 +96,30 @@ def test_diagram_cones_are_good():
     for D in (L53, L53_ALT, SIMPLEX, SQUARE, QUAD, TEARDROP, RHOMBUS,
               ORDER3, HALF53):
         assert is_good_cone(D.normals).good
+
+
+def _corpus_diagrams():
+    for doc in corpus().values():
+        if doc["kind"] == "diagram":
+            yield validate_diagram(convex_hull(
+                [tuple(F(c) for c in v) for v in doc["vertices"]]))
+        else:
+            yield diagram_from_labelled(
+                labelled_polytope(doc["normals"], doc["offsets"]))
+
+
+def test_good_cone_rays_are_the_diagram_facets():
+    # <(m v, m), (a, c)> = m (<a, v> + c): the facet <a, x> + c >= 0
+    # is the ray (a, c), tight on the lifts of the facet's vertices
+    for D in _corpus_diagrams():
+        facets = {primitive_vector(f.normal + (f.offset,)): f.vertex_ids
+                  for f in D.polytope.facets}
+        C = good_cone(D.normals)
+        assert C.rays == tuple(sorted(facets))
+        for ray in C.rays:
+            assert tuple(j for j, nu in enumerate(D.normals)
+                         if sum(a * b for a, b in zip(nu, ray)) == 0
+                         ) == facets[ray]
 
 
 def test_plane_cone_with_coarse_apex_is_good():
@@ -402,11 +426,13 @@ def test_fundamental_group_orders():
 
 
 def test_minimal_chern_numbers():
+    # over a manifold base the minimal Chern number is r |pi_1|
     for D, nu, mu in [(L53, (0, 0, 1), 3), (SIMPLEX, (1, 1, 3), 3),
                       (SQUARE, (1, 1, 2), 2), (QUAD, (1, 1, 1), 1)]:
-        assert minimal_chern(quotient_polytope(D, nu)) == mu
-    with pytest.raises(BaseNotSmooth):
-        minimal_chern(quotient_polytope(L53_ALT, (1, 1, 2)))
+        Q = quotient_polytope(D, nu)
+        assert Q.smooth
+        assert Q.r * fundamental_group_order(D) == mu
+    assert not quotient_polytope(L53_ALT, (1, 1, 2)).smooth
 
 
 # ---------------------------------------------------------------- properties

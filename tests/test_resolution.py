@@ -12,9 +12,9 @@ from contactbetti import resolution
 from contactbetti.contact import contact_betti_from_delta, validate_diagram
 from contactbetti.exactlat import smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
-from contactbetti.polyarith import poly_eval
+from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
-from contactbetti.polytope import (convex_hull, faces, labelled_polytope,
+from contactbetti.polytope import (convex_hull, labelled_polytope,
                                    triangulate_ids)
 from contactbetti.prequant import diagram_from_labelled
 from contactbetti.resolution import (
@@ -23,25 +23,19 @@ from contactbetti.resolution import (
     MismatchAt,
     NotCovering,
     NotRational,
-    NotStrictlyConvex,
     PointNotInterior,
     PointNotRational,
     Triangulation,
     box_elements,
-    face_h_polynomial,
     fan_over,
     h_polynomial,
     hc_from_resolution,
     hc_sector_rows,
-    is_strictly_convex,
-    moment_polyhedron,
     normalized_volume_of_fan_base,
     orbifold_poincare,
     stapledon_check,
     star_triangulation,
     sum_sector_rows,
-    support_function,
-    support_function_from_values,
     triangulation_from_cells,
     trivial_triangulation,
     validate_triangulation,
@@ -271,74 +265,6 @@ def test_half53_star_fan_not_crepant():
     assert not fan_over(star_triangulation(HALF53, (0, 0))).crepant
 
 
-# ---------------------------------------------------------------- support
-
-
-def test_support_function_single_cone():
-    fan = fan_over(L53_TRIVIAL)
-    phi = support_function(fan)
-    assert phi.values == (0, 0, 0)
-    assert is_strictly_convex(fan, phi)
-    assert phi.evaluate((0, 0, 1)) == 0
-    with pytest.raises(ValueError):
-        phi.evaluate((0, 0, -1))
-
-
-def test_support_function_star_heights():
-    fan = fan_over(L53_STAR)
-    phi = support_function(fan, heights=(0, 0, 0, 1))
-    assert set(phi.cartier) == {(2, -1, 1), (-1, 2, 1), (-1, -1, 1)}
-    assert phi.evaluate((0, 0, 1)) == 1
-    assert phi.evaluate((0, 1, 1)) == 0
-
-
-def test_support_function_rejects_bad_heights():
-    fan = fan_over(L53_STAR)
-    with pytest.raises(NotStrictlyConvex):
-        support_function(fan, heights=(0, 0, 0, -1))
-    phi0 = support_function_from_values(fan, (0, 0, 0, 0))
-    assert not is_strictly_convex(fan, phi0)
-
-
-def test_support_function_solved_exactly():
-    for tri in (L53_STAR, DIAG_A, DIAG_B, QUAD_STAR, QUAD_FLOP):
-        fan = fan_over(tri)
-        phi = support_function(fan)
-        assert is_strictly_convex(fan, phi)
-
-
-def test_moment_polyhedron():
-    fan = fan_over(L53_STAR)
-    mp = moment_polyhedron(fan, support_function(fan, heights=(0, 0, 0, 1)))
-    assert len(mp.vertices) == 3
-    assert mp.normals == fan.rays
-    with pytest.raises(NotStrictlyConvex):
-        moment_polyhedron(fan, support_function_from_values(fan, (0,) * 4))
-
-
-# the six-point configuration with two nested triangles: the cyclic
-# "pinwheel" split of the three quads admits no certifying heights,
-# while breaking the cycle on one quad does
-MOAE_PTS = tuple((F(x), F(y)) for x, y in
-                 [(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
-MOAE_PINWHEEL = ((0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5),
-                 (0, 3, 5), (3, 4, 5))
-MOAE_BROKEN = ((0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (0, 2, 3),
-               (2, 3, 5), (3, 4, 5))
-
-
-def test_nonregular_triangulation_has_no_support_function():
-    fan = fan_over(Triangulation(MOAE_PTS, MOAE_PINWHEEL, 1))
-    with pytest.raises(NotStrictlyConvex):
-        support_function(fan)
-
-
-def test_breaking_the_pinwheel_restores_regularity():
-    fan = fan_over(Triangulation(MOAE_PTS, MOAE_BROKEN, 1))
-    phi = support_function(fan)
-    assert len(set(moment_polyhedron(fan, phi).vertices)) == 7
-
-
 # ---------------------------------------------------------------- boxes
 
 
@@ -417,13 +343,24 @@ def test_h_at_one_counts_maximal_cones():
         assert poly_eval(h_polynomial(fan, ()), 1) == len(fan.max_cones)
 
 
+def face_h_polynomial(P, face):
+    """h_F(q) over the nonempty faces G of F:
+    sum q^(dim F - dim G) (1-q)^(dim G)."""
+    inside = set(face.vertex_ids)
+    lattice = P.face_lattice()
+    return f_to_h(face.dim, [d for d in range(face.dim + 1)
+                             for g in lattice[d]
+                             if set(g.vertex_ids) <= inside])
+
+
 def test_face_h_polynomial():
     P = SQUARE.polytope
-    assert face_h_polynomial(P, faces(P, 0)[0]) == (1,)
-    assert face_h_polynomial(P, faces(P, 1)[0]) == (1, 1)
-    assert face_h_polynomial(P, faces(P, 2)[0]) == (1, 2, 1)
+    lattice = P.face_lattice()
+    assert face_h_polynomial(P, lattice[0][0]) == (1,)
+    assert face_h_polynomial(P, lattice[1][0]) == (1, 1)
+    assert face_h_polynomial(P, lattice[2][0]) == (1, 2, 1)
     T = L53.polytope
-    assert face_h_polynomial(T, faces(T, 2)[0]) == (1, 1, 1)
+    assert face_h_polynomial(T, T.face_lattice()[2][0]) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------- orbifold
