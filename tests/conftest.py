@@ -1,11 +1,23 @@
-"""Shared brute-force generator for the reflexive polygon classification."""
+"""Shared test helpers: the validated diagram of a corpus document, and a
+brute-force generator for the reflexive polygon classification."""
 import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
+from contactbetti.contact import validate_diagram
 from contactbetti.ehrhart import is_reflexive
-from contactbetti.polytope import convex_hull, translate
+from contactbetti.polytope import convex_hull, labelled_polytope, translate
+from contactbetti.prequant import diagram_from_labelled
+
+
+def corpus_diagram(doc):
+    """The diagram of a corpus document; labelled ones are lifted."""
+    if doc["kind"] == "diagram":
+        return validate_diagram(convex_hull(
+            [tuple(Fraction(c) for c in v) for v in doc["vertices"]]))
+    return diagram_from_labelled(
+        labelled_polytope(doc["normals"], doc["offsets"]))
 
 
 def _cross(u, v):

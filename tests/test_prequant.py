@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_diagram
 from contactbetti.contact import (
     NotInterior,
     contact_betti_from_delta,
@@ -98,20 +99,10 @@ def test_diagram_cones_are_good():
         assert is_good_cone(D.normals).good
 
 
-def _corpus_diagrams():
-    for doc in corpus().values():
-        if doc["kind"] == "diagram":
-            yield validate_diagram(convex_hull(
-                [tuple(F(c) for c in v) for v in doc["vertices"]]))
-        else:
-            yield diagram_from_labelled(
-                labelled_polytope(doc["normals"], doc["offsets"]))
-
-
 def test_good_cone_rays_are_the_diagram_facets():
     # <(m v, m), (a, c)> = m (<a, v> + c): the facet <a, x> + c >= 0
     # is the ray (a, c), tight on the lifts of the facet's vertices
-    for D in _corpus_diagrams():
+    for D in map(corpus_diagram, corpus().values()):
         facets = {primitive_vector(f.normal + (f.offset,)): f.vertex_ids
                   for f in D.polytope.facets}
         C = good_cone(D.normals)

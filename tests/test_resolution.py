@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_diagram
 from contactbetti import resolution
 from contactbetti.contact import contact_betti_from_delta, validate_diagram
 from contactbetti.exactlat import smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
-from contactbetti.polytope import (convex_hull, labelled_polytope,
-                                   triangulate_ids)
-from contactbetti.prequant import diagram_from_labelled
+from contactbetti.polytope import convex_hull, triangulate_ids
 from contactbetti.resolution import (
     BoxElement,
     ImproperIntersection,
@@ -191,18 +190,10 @@ def test_equal_volume_overlap_without_shared_facet_rejected():
         validate_triangulation(QUAD, tri)
 
 
-def _corpus_diagram(doc):
-    if doc["kind"] == "diagram":
-        return validate_diagram(convex_hull(
-            [tuple(F(c) for c in v) for v in doc["vertices"]]))
-    return diagram_from_labelled(
-        labelled_polytope(doc["normals"], doc["offsets"]))
-
-
 LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
                      / "ladder.json").read_text())
 PULLING_CASES = (
-    [_corpus_diagram(doc) for doc in corpus().values()]
+    [corpus_diagram(doc) for doc in corpus().values()]
     + [validate_diagram(convex_hull([tuple(F(c) for c in v) for v in verts]))
        for name, verts in sorted(LADDER.items()) if name.startswith("n3")]
     # a 3-D diagram with two different pulling triangulations
@@ -589,7 +580,7 @@ def _star_centre(D):
     return None
 
 
-CORPUS_DIAGRAMS = [(name, _corpus_diagram(doc))
+CORPUS_DIAGRAMS = [(name, corpus_diagram(doc))
                    for name, doc in sorted(corpus().items())]
 # n2m101 is left out: the oracle enumerates its 935,563 box elements in
 # minutes
