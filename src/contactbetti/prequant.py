@@ -98,19 +98,19 @@ def _cone_skeleton(normals):
         raise NotStrictlyConvex("cone is not full-dimensional")
     zero_sets = [frozenset(j for j in range(d) if _dot(nu[j], ray) == 0)
                  for ray in rays]
-    seen: Dict[frozenset, ConeFace] = {}
-    for size in range(d + 1):
-        for J in itertools.combinations(range(d), size):
-            members = frozenset(i for i, z in enumerate(zero_sets)
-                                if set(J) <= z)
-            if not members or members in seen:
-                continue
-            tight = sorted(set.intersection(*[set(zero_sets[i])
-                                              for i in members]))
-            dim = rat_rank([rays[i] for i in members])
-            seen[members] = ConeFace(tuple(tight), dim)
-    faces = tuple(sorted(seen.values(), key=lambda f: (len(f.tight), f.tight)))
-    return rays, faces
+    # faces by their ray sets: the nonempty intersections of rays_on(j)
+    # over the subsets J of facets, closed under one facet at a time
+    member_sets = {frozenset(range(len(rays)))}
+    for j in range(d):
+        on = frozenset(i for i, z in enumerate(zero_sets) if j in z)
+        member_sets |= {S & on for S in member_sets}
+    member_sets.discard(frozenset())
+    faces = []
+    for members in member_sets:
+        tight = frozenset.intersection(*[zero_sets[i] for i in members])
+        faces.append(ConeFace(tuple(sorted(tight)),
+                              rat_rank([rays[i] for i in members])))
+    return rays, tuple(sorted(faces, key=lambda f: (len(f.tight), f.tight)))
 
 
 def is_good_cone(normals) -> GoodConeReport:

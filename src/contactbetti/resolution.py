@@ -4,7 +4,7 @@ A rational triangulation of a diagram D induces a fan over D x {1}; when
 every lifted point (m*p, m) is primitive the fan is crepant and the toric
 variety it defines is a filling whose orbifold cohomology is encoded by
 the delta vector of D.  This module validates triangulations, builds
-their fans, enumerates box elements cone by cone, and assembles the
+their fans, counts box elements by age cone by cone, and assembles the
 orbifold Poincare series and the graded dimension table it induces.  It
 does not certify that the filling is projective (a strictly convex
 support function): the cohomology it reads off needs only the fan.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -198,58 +199,42 @@ def fan_over(T: Triangulation) -> Fan:
 # box elements and cohomology
 
 
-@dataclass(frozen=True)
-class BoxElement:
-    cone: Tuple[int, ...]
-    point: Tuple[int, ...]
-    coefficients: Tuple[Fraction, ...]
-    shift: Fraction  # psi = sum of the coefficients
+def box_elements(F: Fan, cone: Sequence[int]) -> List[int]:
+    """Ages s = m * psi of the cone's box elements, one entry per element.
 
-
-def box_elements(F: Fan, cone: Sequence[int]) -> List[BoxElement]:
-    """Lattice points of the open coefficient cube of the cone's rays.
-
-    The zero cone contributes the single point 0 with empty coefficients.
-    With U*M*V = S the coefficient vectors c with c*M integral are
-    z*U mod 1 for z_i in (1/d_i)Z.  Every d_i divides L = d_k, so the
-    enumeration runs on the integer numerators L*c.
+    A box element is a lattice point sum c_i v_i of the cone's rays v_i
+    with every c_i in (0, 1); its age is psi = sum c_i.  The zero cone
+    contributes the single point 0, of age 0.  With U*M*V = S the
+    coefficient vectors c with c*M integral are z*U mod 1 for z_i in
+    (1/d_i)Z.  Every d_i divides L = d_k, so the enumeration runs on the
+    integer numerators L*c.
     """
-    cone = tuple(sorted(cone))
     k = len(cone)
-    dim = F.dimension + 1
     if k == 0:
-        return [BoxElement((), (0,) * dim, (), Fraction(0))]
-    M = [list(F.rays[i]) for i in cone]
+        return [0]
+    m = F.order
+    M = [list(F.rays[i]) for i in sorted(cone)]
     S, U, _ = smith_normal_form(M)
     dets = [S[i][i] for i in range(k)]
-    assert all(d != 0 for d in dets), "cone rays must be independent"
+    if 0 in dets:
+        raise AssertionError(f"cone {tuple(cone)}: rays must be independent")
     L = dets[-1]
     gens = [[L // d * u for u in row] for d, row in zip(dets, U)]
-    found = []
+    cols = list(zip(*gens))
+    ages = []
     for t in itertools.product(*[range(d) for d in dets]):
-        c = [sum(ti * g[j] for ti, g in zip(t, gens)) % L for j in range(k)]
+        c = [sum(ti * g for ti, g in zip(t, col)) % L for col in cols]
         if 0 in c:
             continue
-        pt = [sum(cj * row[i] for cj, row in zip(c, M)) for i in range(dim)]
+        pt = [sum(cj * row[i] for cj, row in zip(c, M))
+              for i in range(F.dimension + 1)]
         if any(x % L for x in pt):
             raise AssertionError(f"box point {pt}/{L} is not integral")
-        found.append((tuple(x // L for x in pt), c))
-    # census: strict points plus face contributions fill the half-open box
-    return [BoxElement(cone, pt, tuple(Fraction(cj, L) for cj in c),
-                       Fraction(sum(c), L))
-            for pt, c in sorted(found)]
-
-
-def _shift_counts(F: Fan, cone: Sequence[int]) -> Dict[int, int]:
-    """Box elements of the cone counted by the integer s = m * psi."""
-    m = F.order
-    counts: Dict[int, int] = {}
-    for b in box_elements(F, cone):
-        s, rest = divmod(m * b.shift.numerator, b.shift.denominator)
+        s, rest = divmod(m * sum(c), L)
         if rest:
-            raise MismatchAt(b.shift, "non-integral age m * psi")
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+            raise MismatchAt(Fraction(sum(c), L), "non-integral age m * psi")
+        ages.append(s)
+    return ages
 
 
 def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
@@ -261,27 +246,41 @@ def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
                                   if tau <= frozenset(sigma)])
 
 
+def _age_h(F: Fan) -> Dict[int, List[int]]:
+    """The fan's box elements summed by age: {s: sum of h_tau over the
+    elements of age s = m * psi}, tau the element's cone, in ascending s.
+
+    Each h_tau is padded to the n + 2 coefficients of h of the zero cone.
+    """
+    census: Dict[int, List[int]] = {}
+    for cone in F.cones():
+        ages = box_elements(F, cone)
+        if not ages:
+            continue
+        h = h_polynomial(F, cone)
+        for s, mult in Counter(ages).items():
+            acc = census.setdefault(s, [0] * (F.dimension + 2))
+            for e, coeff in enumerate(h):
+                acc[e] += mult * coeff
+    return dict(sorted(census.items()))
+
+
 def orbifold_poincare(F: Fan) -> GradedDimensions:
-    """dim H^(2j)_orb of the filling, j in (1/m)Z, assembled cone by cone."""
+    """dim H^(2j)_orb of the filling, j in (1/m)Z: an element of age psi
+    in cone tau adds h_tau(q) at degrees 2(psi + e)."""
     if not F.crepant:
         raise ValueError("orbifold grading needs a crepant fan")
     m, n = F.order, F.dimension
-    acc: Dict[int, int] = {}  # m * j -> dimension
-    for cone in F.cones():
-        counts = _shift_counts(F, cone)
-        if not counts:
-            continue
-        h = h_polynomial(F, cone)
-        for s, mult in counts.items():
-            for e, coeff in enumerate(h):
-                if coeff:
-                    acc[s + m * e] = acc.get(s + m * e, 0) + mult * coeff
-    items = [(Fraction(2 * mj, m), v) for mj, v in acc.items()]
+    items = [(Fraction(2 * (s + m * e), m), coeff)
+             for s, h in _age_h(F).items() for e, coeff in enumerate(h)]
     # support bound: top delta index is at most m(n+1)-1, degree 2(n+1)-2/m
     top = 2 * (n + 1) - Fraction(2, m)
     out = GradedDimensions.from_items(items, (Fraction(0), top))
     total = sum(out.entries.values())
-    assert total == m ** (n + 1) * normalized_volume_of_fan_base(F)
+    mass = m ** (n + 1) * normalized_volume_of_fan_base(F)
+    if total != mass:
+        raise AssertionError(f"orbifold dimensions add up to {total}, "
+                             f"not m^(n+1) * volume = {mass}")
     return out
 
 
@@ -365,14 +364,14 @@ def sum_sector_rows(D: ToricDiagram, rows: Dict[Fraction, GradedDimensions]
 
 def hc_sector_rows(D: ToricDiagram, T: Triangulation,
                    window=None) -> Dict[Fraction, GradedDimensions]:
-    """Per-sector contribution rows keyed by the shift psi.
+    """Per-sector contribution rows keyed by the age psi.
 
-    Each box element (plus the untwisted zero-cone sector) contributes
-    h_tau(q) shifted by psi; rows with equal psi are merged.  Its value at
-    degree 2j sums the coefficients at exponents e with k = psi + e - n + j
-    a non-negative integer.  In the integers s = m*psi and mj, with
-    r = s + mj - m*n, that is 0 unless m | r, and else the suffix sum of
-    h from e = -(r // m).
+    The box elements of age psi (psi = 0 for the untwisted zero-cone
+    sector) contribute the sum of their h_tau(q) shifted by psi.  The
+    row's value at degree 2j sums the coefficients at exponents e with
+    k = psi + e - n + j a non-negative integer.  In the integers s = m*psi
+    and mj, with r = s + mj - m*n, that is 0 unless m | r, and else the
+    suffix sum of h from e = -(r // m).
     """
     m, n = D.order, D.dimension
     lo, hi = checked_window(window, m, n)
@@ -380,21 +379,14 @@ def hc_sector_rows(D: ToricDiagram, T: Triangulation,
     if not F.crepant:
         raise ValueError("graded table via filling needs a crepant fan")
     first, last = math.ceil(m * lo / 2), math.floor(m * hi / 2)
-    rows: Dict[int, Dict[int, int]] = {}  # s -> {mj: value}
-    for cone in F.cones():
-        counts = _shift_counts(F, cone)
-        if not counts:
-            continue
-        h = h_polynomial(F, cone)
+    rows: Dict[Fraction, GradedDimensions] = {}
+    for s, h in _age_h(F).items():
         suffix = list(itertools.accumulate(reversed(h)))[::-1] + [0]
-        for s, mult in counts.items():
-            row = rows.setdefault(s, {})
-            # m | r exactly when mj = -s mod m
-            for mj in range(first + (-s - first) % m, last + 1, m):
-                val = suffix[min(max((m * n - s - mj) // m, 0), len(h))]
-                if val:
-                    row[mj] = row.get(mj, 0) + mult * val
-    return {Fraction(s, m): GradedDimensions(
-                {Fraction(2 * mj, m): v for mj, v in sorted(row.items())},
-                (lo, hi))
-            for s, row in sorted(rows.items())}
+        row = {}
+        # m | r exactly when mj = -s mod m
+        for mj in range(first + (-s - first) % m, last + 1, m):
+            val = suffix[min(max((m * n - s - mj) // m, 0), len(h))]
+            if val:
+                row[Fraction(2 * mj, m)] = val
+        rows[Fraction(s, m)] = GradedDimensions(row, (lo, hi))
+    return rows

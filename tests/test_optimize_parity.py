@@ -24,6 +24,9 @@ COMMANDS = [
     (["cb", "corpus:lens-skew", "--window", "-1:4"], 0),
     (["hc", "n2m13"], 0),
     (["crosscheck", "corpus:blowup-quad"], 0),
+    (["orbifold", "corpus:order-three-square"], 0),
+    (["resolve", "corpus:lens-triangle"], 0),
+    (["hc", "n2m13", "--pipeline", "resolution", "--trivial"], 0),
 ]
 
 

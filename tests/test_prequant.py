@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from contactbetti.contact import (
 )
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector
-from contactbetti.exactlat import lattice_index, primitive_vector
-from contactbetti.polytope import convex_hull, labelled_polytope
+from contactbetti.exactlat import lattice_index, primitive_vector, rat_rank
+from contactbetti.polytope import convex_hull, cone_rays, labelled_polytope
 from contactbetti.prequant import (
     BaseNotSmooth,
+    ConeFace,
     NotGorenstein,
     NotPrimitive,
     diagram_from_labelled,
@@ -27,6 +29,7 @@ from contactbetti.prequant import (
     hc_smooth_base,
     is_good_cone,
     orbifold_cohomology_of_base,
+    _cone_skeleton,
     quotient_polytope,
 )
 from contactbetti.resolution import NotStrictlyConvex
@@ -91,6 +94,40 @@ def test_lens_cone_skeleton():
     assert len(C.faces) == 7
     assert sorted(f.dim for f in C.faces) == [1, 1, 1, 2, 2, 2, 3]
     assert C.faces[0].tight == ()
+
+
+def cone_faces_oracle(normals):
+    """The faces of {y : <nu_j, y> >= 0} by a walk over all 2^d subsets J
+    of the facets: each nonempty set of rays tight on all of J is a face."""
+    rays = cone_rays(normals)
+    zero_sets = [frozenset(j for j, nu in enumerate(normals)
+                           if sum(a * b for a, b in zip(nu, ray)) == 0)
+                 for ray in rays]
+    seen = {}
+    for size in range(len(normals) + 1):
+        for J in itertools.combinations(range(len(normals)), size):
+            members = frozenset(i for i, z in enumerate(zero_sets)
+                                if set(J) <= z)
+            if members and members not in seen:
+                tight = frozenset.intersection(*[zero_sets[i]
+                                                 for i in members])
+                seen[members] = ConeFace(tuple(sorted(tight)), rat_rank(
+                    [rays[i] for i in members]))
+    return sorted(seen.values(), key=lambda f: (len(f.tight), f.tight))
+
+
+# smooth, with 18 vertices: 2^18 subsets of facets for 37 faces
+PARABOLA18 = validate_diagram(convex_hull(
+    [(i, i * i) for i in range(-8, 9)] + [(8, 65)]))
+
+
+@pytest.mark.parametrize("name", sorted(corpus()) + ["parabola-18"])
+def test_cone_faces_match_the_subset_walk(name):
+    D = PARABOLA18 if name == "parabola-18" else corpus_diagram(
+        corpus()[name])
+    rays, faces = _cone_skeleton(D.normals)
+    assert list(faces) == cone_faces_oracle(D.normals)
+    assert rays == cone_rays(D.normals)
 
 
 def test_diagram_cones_are_good():

@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +23,7 @@ from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
 from contactbetti.polytope import convex_hull, triangulate_ids
 from contactbetti.resolution import (
-    BoxElement,
+    Fan,
     ImproperIntersection,
     MismatchAt,
     NotCovering,
@@ -259,20 +265,21 @@ def test_half53_star_fan_not_crepant():
 # ---------------------------------------------------------------- boxes
 
 
+def oracle_ages(fan, cone):
+    """The ages m * psi of the oracle's box elements, sorted."""
+    return sorted(fan.order * b.shift for b in box_elements_oracle(fan, cone))
+
+
 def test_box_elements_zero_cone():
     fan = fan_over(L53_TRIVIAL)
-    (b,) = box_elements(fan, ())
-    assert b.point == (0, 0, 0)
-    assert b.coefficients == ()
-    assert b.shift == 0
+    assert box_elements(fan, ()) == [0] == oracle_ages(fan, ())
 
 
 def test_box_elements_z3_cone():
     fan = fan_over(L53_TRIVIAL)
-    boxes = box_elements(fan, (0, 1, 2))
-    assert [b.point for b in boxes] == [(0, 0, 1), (0, 0, 2)]
-    assert [b.shift for b in boxes] == [1, 2]
-    assert boxes[0].coefficients == (F(1, 3), F(1, 3), F(1, 3))
+    # the points (0,0,1) and (0,0,2): coefficients all 1/3, all 2/3
+    assert sorted(box_elements(fan, (0, 1, 2))) == [1, 2]
+    assert oracle_ages(fan, (0, 1, 2)) == [1, 2]
 
 
 def test_box_elements_unimodular_cone_empty():
@@ -282,12 +289,18 @@ def test_box_elements_unimodular_cone_empty():
 
 def test_box_elements_on_order3_diagonal():
     fan = fan_over(DIAG_A)
-    # the diagonal edge joins rays (1,1,3) and (2,2,3)
-    boxes = box_elements(fan, (0, 3))
-    assert [b.point for b in boxes] == [(1, 1, 2), (2, 2, 4)]
-    assert [b.shift for b in boxes] == [F(2, 3), F(4, 3)]
+    # the diagonal edge joins rays (1,1,3) and (2,2,3); its box points
+    # (1,1,2) and (2,2,4) have psi = 2/3 and 4/3
+    assert sorted(box_elements(fan, (0, 3))) == [2, 4]
+    assert oracle_ages(fan, (0, 3)) == [2, 4]
     for edge in ((0, 1), (0, 2), (1, 3), (2, 3)):
         assert box_elements(fan, edge) == []
+
+
+def test_box_elements_needs_independent_rays():
+    fan = Fan(((1, 0, 1), (2, 0, 2)), ((0, 1),), True, 1, 2)
+    with pytest.raises(AssertionError, match="independent"):
+        box_elements(fan, (0, 1))
 
 
 def test_box_census_matches_lattice_index():
@@ -492,23 +505,52 @@ def test_sector_sum_mismatch_names_the_first_degree():
 
 
 def test_non_integral_age_is_a_mismatch(monkeypatch):
-    real = resolution.box_elements
-
-    def skewed(fan, cone):
-        return [BoxElement(b.cone, b.point, b.coefficients, b.shift + F(1, 6))
-                for b in real(fan, cone)]
-
-    monkeypatch.setattr(resolution, "box_elements", skewed)
-    for compute in (lambda: hc_sector_rows(L53, L53_TRIVIAL),
-                    lambda: orbifold_poincare(fan_over(L53_TRIVIAL))):
+    # order 1 against rays of height 3: the diagonal edge's ages are
+    # m * psi = 2/3 and 4/3
+    skewed = dataclasses.replace(fan_over(DIAG_A), order=1)
+    monkeypatch.setattr(resolution, "fan_over", lambda T: skewed)
+    for compute in (lambda: box_elements(skewed, (0, 3)),
+                    lambda: orbifold_poincare(skewed),
+                    lambda: hc_sector_rows(ORDER3, DIAG_A)):
         with pytest.raises(MismatchAt) as info:
             compute()
-        assert info.value.j == F(1, 6)
+        assert info.value.j in (F(2, 3), F(4, 3))
+
+
+# The mass identity of orbifold_poincare against a patched base volume:
+# the CLI exits 2 with the identity's message, also under python -O.
+PATCHED_RUN = """
+from contactbetti import cli, resolution
+real = resolution.normalized_volume_of_fan_base
+resolution.normalized_volume_of_fan_base = lambda F: real(F) + 1
+print(cli.main(["orbifold", "corpus:lens-triangle"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_orbifold_mass_identity_is_checked(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", PATCHED_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.stdout == "2\n", proc.stderr
+    assert "orbifold dimensions add up to" in proc.stderr
 
 
 # ---------------------------------------------------------------- oracles
 # The Fraction forms of box_elements and hc_sector_rows from before their
-# integer kernels, compared field for field with the library.
+# integer kernels: the library's ages are compared with the oracle's
+# m * psi, its sector rows row for row.
+
+
+@dataclass(frozen=True)
+class BoxElement:
+    cone: Tuple[int, ...]
+    point: Tuple[int, ...]
+    coefficients: Tuple[Fraction, ...]
+    shift: Fraction  # psi = sum of the coefficients
 
 
 def box_elements_oracle(fan, cone):
@@ -608,11 +650,9 @@ def test_kernels_match_fraction_oracles(D, T):
     for cone in fan.cones():
         got = box_elements(fan, cone)
         boxes[cone] = box_elements_oracle(fan, cone)
-        assert got == boxes[cone]
-        for b, want in zip(got, boxes[cone]):
-            assert (b.cone, b.point, b.coefficients, b.shift) == (
-                want.cone, want.point, want.coefficients, want.shift)
-            assert all(type(c) is F for c in b.coefficients + (b.shift,))
+        assert len(got) == len(boxes[cone])
+        assert sorted(got) == sorted(D.order * b.shift for b in boxes[cone])
+        assert all(type(s) is int for s in got)
     m = D.order
     windows = NARROW_WINDOWS + [(F(2 * (m + 1), m),) * 2]
     # wide windows only where the oracle's per-degree loop stays short
