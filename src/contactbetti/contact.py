@@ -4,8 +4,10 @@ A toric diagram is a full-dimensional rational simplicial polytope D in
 R^n whose facet vertex systems are unimodular after lifting each vertex
 v to the integer normal (m*v, m), m the order of D.  A choice of
 interior point and perturbation direction determines a Reeb vector whose
-closed orbits come in one family per facet.  Each family is solved once
-with first-order jets; the Conley-Zehnder index of every iterate is then
+closed orbits come in one family per facet.  The perturbed Reeb vector
+is linear in the infinitesimal, so each family is two rational solves
+against one inverse of the facet basis, a value part and a slope part
+(first-order jets); the Conley-Zehnder index of every iterate is then
 an exact integer computation (one ``divmod``-style floor per coefficient,
 the jet slope deciding exact ties).
 
@@ -104,7 +106,8 @@ class ReebVector:
     """Interior base point plus perturbation direction.
 
     Represents the lifted vector (m(v + eps*d), m) with eps an
-    infinitesimal; coordinates become first-order jets downstream.
+    infinitesimal; ``orbit_data`` solves its value part (m*v, m) and its
+    slope part (m*d, 0) separately.
     """
 
     base: Tuple[Fraction, ...]
@@ -119,11 +122,6 @@ class ReebVector:
                      for i in range(D.dimension))
         direction = tuple(perturb ** i for i in range(D.dimension))
         return ReebVector(base, direction)
-
-    def lifted_jets(self, m: int) -> Tuple[Jet, ...]:
-        coords = tuple(Jet(m * self.base[i], m * self.direction[i])
-                       for i in range(len(self.base)))
-        return coords + (Jet(m, 0),)
 
 
 def _check_interior(D: ToricDiagram, reeb: ReebVector) -> None:
@@ -166,9 +164,13 @@ def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
                eta: Optional[Sequence[int]] = None) -> OrbitFamily:
     """Solve for the orbit family coefficients on one facet.
 
+    The lifted Reeb vector is linear in eps, so its coordinates in the
+    basis (facet normals, eta) are two products with the one inverse of
+    that basis: the value part of (m*v, m) and the slope part of (m*d, 0).
     ``eta`` may be supplied explicitly (any completion of the facet
     normals to a lattice basis); by default the canonical completion is
-    used.  The sign of eta is flipped if needed so that b > 0.
+    used.  The sign of eta is flipped if needed so that b > 0 in the
+    lexicographic (value, slope) order.
     """
     _check_interior(D, reeb)
     m, n = D.order, D.dimension
@@ -177,25 +179,35 @@ def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
         eta = basis_completion(facet_normals)[0]
     eta = tuple(int(c) for c in eta)
 
-    nu = reeb.lifted_jets(m)
-    B = facet_normals + [list(eta)]
-    coeffs = vec_mat(nu, mat_inverse(B))
-    b_coeffs = tuple(c if isinstance(c, Jet) else Jet(c, 0)
-                     for c in coeffs[:n])
-    b = coeffs[n] if isinstance(coeffs[n], Jet) else Jet(coeffs[n], 0)
-    k = eta[-1]
-    if b.is_zero():
+    Binv = mat_inverse(facet_normals + [list(eta)])
+    nu_value = [m * x for x in reeb.base] + [m]
+    nu_slope = [m * x for x in reeb.direction] + [0]
+    value, slope = vec_mat(nu_value, Binv), vec_mat(nu_slope, Binv)
+    b = Jet(value[n], slope[n])
+    if b == Jet(0, 0):
         raise GenericityFailure(0, facet_id)
-    if b < Jet(0, 0):
-        eta = tuple(-c for c in eta)
-        k, b = -k, -b
+    sign = -1 if b < Jet(0, 0) else 1
+    eta, k = tuple(sign * c for c in eta), sign * eta[-1]
 
-    # defining identities, checked as exact jets
-    recon = [sum((bj * fn[i] for bj, fn in zip(b_coeffs, facet_normals)),
-                 start=b * eta[i]) for i in range(n + 1)]
-    assert all(r == nu_i for r, nu_i in zip(recon, nu))
-    assert sum(b_coeffs, start=b * Fraction(k, m)) == 1
-    return OrbitFamily(facet_id, m, eta, k, b_coeffs, b)
+    # defining identities, checked on each part
+    for what, nu, coeffs, total in (("value", nu_value, value, 1),
+                                    ("slope", nu_slope, slope, 0)):
+        bj, bn = coeffs[:n], sign * coeffs[n]
+        got = sum(bj) + bn * Fraction(k, m)
+        if got != total:
+            raise AssertionError(
+                f"facet {facet_id}: {what} coefficients sum to {got}, "
+                f"not {total}")
+        recon = [sum(c * fn[i] for c, fn in zip(bj, facet_normals))
+                 + bn * eta[i] for i in range(n + 1)]
+        if recon != nu:
+            raise AssertionError(
+                f"facet {facet_id}: {what} part reconstructs "
+                f"({', '.join(map(str, recon))}), not "
+                f"({', '.join(map(str, nu))})")
+    b_coeffs = tuple(Jet(v, s) for v, s in zip(value[:n], slope[:n]))
+    return OrbitFamily(facet_id, m, eta, k, b_coeffs,
+                       Jet(sign * value[n], sign * slope[n]))
 
 
 def _floor_terms(family: OrbitFamily) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -209,7 +221,7 @@ def _floor_terms(family: OrbitFamily) -> Tuple[Tuple[int, int, int, int], ...]:
     b = family.b
     terms = []
     for j, bj in enumerate(family.b_coeffs):
-        if bj.is_zero():
+        if not bj.value and not bj.slope:
             continue  # structural zero: no floor contribution
         ratio = bj.value / b.value
         slope = bj.slope * b.value - bj.value * b.slope
@@ -306,7 +318,10 @@ def mean_euler_characteristic(D: ToricDiagram) -> Fraction:
     """Average of the graded dimensions: m^(n+1) vol-normalized mass / 2."""
     m, n = D.order, D.dimension
     chi = Fraction(m ** (n + 1) * normalized_volume(D.polytope), 2)
-    assert chi == Fraction(sum(delta_vector(D.polytope).entries), 2)
+    half_mass = Fraction(sum(delta_vector(D.polytope).entries), 2)
+    if chi != half_mass:
+        raise AssertionError(f"mean Euler characteristic {chi} differs "
+                             f"from half the delta mass {half_mass}")
     return chi
 
 
@@ -325,8 +340,15 @@ def minimal_discrepancy(D: ToricDiagram) -> Fraction:
         if count_points(D.polytope, s, interior=True) > 0:
             r = Fraction(s, m) - 1
             break
-    assert r is not None, "no interior point up to dilate m(n+1)"
-    assert r == n - Fraction(dv.top_index, m)
-    cb = contact_betti_from_delta(D)
-    assert 2 * r == min(cb.degrees())
+    if r is None:
+        raise AssertionError("no interior point up to dilate m(n+1) = "
+                             f"{m * (n + 1)}")
+    from_delta = n - Fraction(dv.top_index, m)
+    if r != from_delta:
+        raise AssertionError(f"minimal discrepancy {r} from the dilate "
+                             f"scan, {from_delta} from the top delta index")
+    lowest = min(contact_betti_from_delta(D).degrees())
+    if 2 * r != lowest:
+        raise AssertionError(f"twice the minimal discrepancy {r} is not "
+                             f"the lowest graded degree {lowest}")
     return r

@@ -102,21 +102,30 @@ class QuasiPolynomial:
         if len(lead) != 1:
             raise ValueError("branch leading coefficients must agree")
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.branches[0][self.dimension]
-
     def evaluate(self, t: int) -> int:
         val = poly_eval(self.branches[t % self.period], Fraction(t))
         if val.denominator != 1:
             raise ValueError(f"non-integral count at t={t}")
         return val.numerator
 
-    def evaluate_interior(self, t: int) -> int:
-        """Interior count via reciprocity: L_int(t) = (-1)^n L(-t)."""
-        if t < 1:
-            raise ValueError("interior counts need t >= 1")
-        return (-1) ** self.dimension * self.evaluate(-t)
+
+def series_numerator(P: RationalPolytope, upto: int) -> Tuple[int, ...]:
+    """Coefficients of z^j, j < upto, in (1 - z^m)^(n+1) * sum_t L(t) z^t.
+
+    The coefficient of z^j is sum_i (-1)^i C(n+1, i) L(j - i*m), which
+    reads the counts L(t) for t < upto only.  For j < m(n+1) these are
+    the delta entries; every coefficient from m(n+1) on vanishes.
+    """
+    n = P.dimension
+    m = order(P)
+    counts = [1] + [count_points(P, t) for t in range(1, upto)]
+    entries = []
+    for j in range(upto):
+        acc = 0
+        for i in range(min(j // m, n + 1) + 1):
+            acc += (-1) ** i * math.comb(n + 1, i) * counts[j - i * m]
+        entries.append(acc)
+    return tuple(entries)
 
 
 def delta_vector(P: RationalPolytope) -> DeltaVector:
@@ -127,17 +136,13 @@ def delta_vector(P: RationalPolytope) -> DeltaVector:
     """
     n = P.dimension
     m = order(P)
-    top = m * (n + 1)
-    counts = [1] + [count_points(P, t) for t in range(1, top)]
-    entries = []
-    for j in range(top):
-        acc = 0
-        for i in range(j // m + 1):
-            acc += (-1) ** i * math.comb(n + 1, i) * counts[j - i * m]
-        entries.append(acc)
-    dv = DeltaVector(tuple(entries), m, n)
+    entries = series_numerator(P, m * (n + 1))
+    dv = DeltaVector(entries, m, n)
     # mass check: sum delta_j = m * (normalized volume of mP)
-    assert sum(entries) == m ** (n + 1) * normalized_volume(P)
+    mass = m ** (n + 1) * normalized_volume(P)
+    if sum(entries) != mass:
+        raise AssertionError(f"delta entries add up to {sum(entries)}, "
+                             f"not m^(n+1) * volume = {mass}")
     return dv
 
 

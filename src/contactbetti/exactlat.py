@@ -3,8 +3,9 @@ sums, jets.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
-anywhere.  First-order jets (value + slope*eps for an infinitesimal eps > 0)
-carry symbolic perturbations through linear solves.
+anywhere.  A first-order jet (value + slope*eps for an infinitesimal
+eps > 0) is a record of its two parts; a perturbation linear in eps is
+carried through a linear solve as two solves, one per part.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def mat_mul(A, B) -> Mat:
 
 
 def vec_mat(v, M):
-    """Row vector times matrix.  Entries of v may be ints, Fractions or Jets."""
+    """Row vector times matrix.  Entries of v may be ints or Fractions."""
     cols = list(zip(*M))
     return tuple(sum(x * c for x, c in zip(v, col)) for col in cols)
 
@@ -363,12 +364,13 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 # first-order jets
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class Jet:
     """value + slope*eps with eps an infinitesimal positive quantity.
 
-    Products drop the eps^2 term; comparisons are lexicographic in
-    (value, slope), matching the eps -> 0+ limit.
+    A record with no arithmetic: orbit families solve the value and slope
+    parts separately.  Both fields are stored as Fractions, and jets are
+    ordered lexicographically in (value, slope), matching eps -> 0+.
     """
 
     value: Fraction
@@ -377,91 +379,3 @@ class Jet:
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
         object.__setattr__(self, "slope", Fraction(self.slope))
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Jet):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Jet(Fraction(x))
-        return None
-
-    def _key(self):
-        return (self.value, self.slope)
-
-    def __repr__(self):
-        return f"Jet({self.value!s}, {self.slope!s})"
-
-    def __eq__(self, other):
-        o = Jet._coerce(other)
-        return NotImplemented if o is None else self._key() == o._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        o = Jet._coerce(other)
-        return NotImplemented if o is None else self._key() < o._key()
-
-    def __le__(self, other):
-        o = Jet._coerce(other)
-        return NotImplemented if o is None else self._key() <= o._key()
-
-    def __gt__(self, other):
-        o = Jet._coerce(other)
-        return NotImplemented if o is None else self._key() > o._key()
-
-    def __ge__(self, other):
-        o = Jet._coerce(other)
-        return NotImplemented if o is None else self._key() >= o._key()
-
-    def __neg__(self):
-        return Jet(-self.value, -self.slope)
-
-    def __add__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value + o.value, self.slope + o.slope)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value - o.value, self.slope - o.slope)
-
-    def __rsub__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(o.value - self.value, o.slope - self.slope)
-
-    def __mul__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value * o.value,
-                   self.value * o.slope + self.slope * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by a jet with zero value part")
-        return Jet(self.value / o.value,
-                   (self.slope * o.value - self.value * o.slope)
-                   / (o.value * o.value))
-
-    def __rtruediv__(self, other):
-        o = Jet._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def is_zero(self) -> bool:
-        return self.value == 0 and self.slope == 0

@@ -49,7 +49,7 @@ class GradedDimensions:
 
     Zero entries are never stored.  ``window`` records the degree range the
     producer actually enumerated, so equality of two tables is only
-    meaningful on overlapping windows; ``restrict`` trims to a subwindow.
+    meaningful on overlapping windows.
     """
 
     entries: Mapping[Fraction, int] = field(default_factory=dict)
@@ -72,15 +72,6 @@ class GradedDimensions:
 
     def degrees(self) -> Iterator[Fraction]:
         return iter(sorted(self.entries))
-
-    def restrict(self, lo: Degree, hi: Degree) -> "GradedDimensions":
-        lo, hi = _as_degree(lo), _as_degree(hi)
-        wlo, whi = self.window
-        if lo < wlo or hi > whi:
-            raise ValueError("cannot widen a window by restriction")
-        return GradedDimensions(
-            {d: c for d, c in self.entries.items() if lo <= d <= hi},
-            (lo, hi))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedDimensions):

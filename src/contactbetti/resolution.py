@@ -19,13 +19,12 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .contact import ToricDiagram, contact_betti_from_delta
-from .ehrhart import MismatchAt, delta_vector
+from .ehrhart import MismatchAt, delta_vector, series_numerator
 from .exactlat import (det_int, lattice_index, primitive_vector,
                        smith_normal_form)
 from .grading import GradedDimensions, checked_window
-from .polyarith import f_to_h, poly_mul
-from .polytope import (count_points, normalized_volume,
-                       simplex_normalized_volume)
+from .polyarith import f_to_h
+from .polytope import normalized_volume, simplex_normalized_volume
 
 
 class PointNotInterior(ValueError):
@@ -304,10 +303,10 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
     """Per-degree equality dim H^2j_orb == delta_(mj), plus the generating
     series identity multiplied out to a fixed truncation order.
 
-    The series part checks (1 - z^m)^(n+1) * sum_t L(t) z^t against delta
-    for j < 2m(n+1), which reads the counts L(t) only for t < 2m(n+1).
-    Its first m(n+1) comparisons repeat delta_vector's own convolution;
-    the vanishing of the terms m(n+1) <= j < 2m(n+1) is the new check.
+    The series part checks that the coefficients m(n+1) <= j < 2m(n+1)
+    of (1 - z^m)^(n+1) * sum_t L(t) z^t vanish, which reads the counts
+    L(t) only for t < 2m(n+1); the coefficients below m(n+1) are delta
+    itself.  MismatchAt (grading j/m) at the first nonzero one.
     """
     F = fan_over(T)
     H = orbifold_poincare(F)
@@ -318,21 +317,13 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
         if H.dim(2 * j) != dv[mj]:
             raise MismatchAt(j)
 
-    # (1 - z^m)^(n+1) * (sum_t L(t) z^t) must reproduce delta
-    top = 2 * m * (n + 1)
-    counts = [1] + [count_points(D.polytope, t) for t in range(1, top)]
-    factor = [1]
-    base = [1] + [0] * (m - 1) + [-1]
-    for _ in range(n + 1):
-        factor = list(poly_mul(factor, base))
-    prod = [0] * top
-    for i, c in enumerate(factor[:top]):
-        for t, L in enumerate(counts[:top - i]):
-            prod[i + t] += c * L
-    for j in range(top):
-        if prod[j] != dv[j]:
-            raise MismatchAt(Fraction(j, m))
-    return StapledonReport(H, dv.entries, top - 1)
+    top = m * (n + 1)
+    series = series_numerator(D.polytope, 2 * top)
+    for j in range(top, 2 * top):
+        if series[j]:
+            raise MismatchAt(Fraction(j, m),
+                             "counting series numerator does not vanish")
+    return StapledonReport(H, dv.entries, 2 * top - 1)
 
 
 def hc_from_resolution(D: ToricDiagram, T: Triangulation,

@@ -6,7 +6,8 @@ slice kernel replaced: the first n-1 coordinates run over the box and the
 last coordinate's range is solved from the cleared integer inequalities.
 ``hull_by_hyperplanes`` is the hull search that ``polytope.cone_rays``
 replaced: every n-subset of the points that spans a hyperplane with all
-points on one side gives a facet.
+points on one side gives a facet.  ``interior_count_by_reciprocity``
+reads interior counts off a counting quasi-polynomial.
 """
 import itertools
 import math
@@ -113,3 +114,9 @@ def count_points_row_scan(P, t, interior=False):
         if last >= first:
             total += last - first + 1
     return total
+
+
+def interior_count_by_reciprocity(qp, t):
+    """Interior count via reciprocity: L_int(t) = (-1)^n L(-t)."""
+    assert t >= 1, "interior counts need t >= 1"
+    return (-1) ** qp.dimension * qp.evaluate(-t)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactbetti import contact
 from contactbetti.contact import (
     FacetNotUnimodular,
     GenericityFailure,
@@ -22,7 +23,7 @@ from contactbetti.contact import (
     validate_diagram,
 )
 from contactbetti.exactlat import Jet, smith_normal_form
-from contactbetti.grading import default_window
+from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polytope import convex_hull, normalized_volume
 
 F = Fraction
@@ -126,13 +127,44 @@ def test_orbit_data_worked_example():
 
 
 def test_orbit_data_identity_holds():
+    # nu = sum_j b_j nu_j + b eta, part by part: the value part is
+    # (m v, m) with coefficients summing to 1, the slope part (m d, 0)
+    # with coefficients summing to 0
     for D in (L53, SIMPLEX2, ORDER3):
         reeb = ReebVector.default_for(D)
+        m, n = D.order, D.dimension
+        parts = (("value", [m * x for x in reeb.base] + [m], 1),
+                 ("slope", [m * x for x in reeb.direction] + [0], 0))
         for fid in range(len(D.facet_vertex_ids)):
             fam = orbit_data(D, fid, reeb)
             assert fam.b > Jet(0, 0)
-            total = sum(fam.b_coeffs, start=fam.b * F(fam.k, fam.order))
-            assert total == 1
+            for part, nu, total in parts:
+                bj = [getattr(c, part) for c in fam.b_coeffs]
+                b = getattr(fam.b, part)
+                assert sum(bj) + b * F(fam.k, m) == total
+                assert [sum(c * v[i] for c, v in zip(bj, D.facet_normals(fid)))
+                        + b * fam.eta[i] for i in range(n + 1)] == nu
+
+
+def _bumped_solves(monkeypatch, bump):
+    # every solve of orbit_data comes back with bump[j] added to entry j
+    real = contact.vec_mat
+    monkeypatch.setattr(contact, "vec_mat", lambda v, M: tuple(
+        c + bump.get(j, 0) for j, c in enumerate(real(v, M))))
+
+
+def test_orbit_data_coefficient_sum_is_checked(monkeypatch):
+    _bumped_solves(monkeypatch, {0: 1})
+    with pytest.raises(AssertionError,
+                       match="value coefficients sum to 2, not 1"):
+        orbit_data(L53, 0, ReebVector.default_for(L53))
+
+
+def test_orbit_data_reconstruction_is_checked(monkeypatch):
+    # the bumps cancel in the sum, so only the reconstruction fails
+    _bumped_solves(monkeypatch, {0: 1, 1: -1})
+    with pytest.raises(AssertionError, match="value part reconstructs"):
+        orbit_data(L53, 0, ReebVector.default_for(L53))
 
 
 def test_orbit_data_interior_enforced():
@@ -237,10 +269,15 @@ def oracle_floor(x, N, j):
 
 def oracle_degree(fam, N):
     n = len(fam.b_coeffs)
+    b = fam.b
     total = F(N * fam.k, fam.order)
     for j, bj in enumerate(fam.b_coeffs):
-        if not bj.is_zero():
-            total += oracle_floor(N * bj / fam.b, N, j)
+        if bj != Jet(0, 0):
+            # N * bj / b to first order, by the quotient rule
+            quotient = Jet(N * bj.value / b.value,
+                           N * (bj.slope * b.value - bj.value * b.slope)
+                           / b.value ** 2)
+            total += oracle_floor(quotient, N, j)
     return 2 * total + 2 * n - 2
 
 
@@ -422,7 +459,41 @@ def test_mean_euler():
     assert mean_euler_characteristic(ORDER3) == 3
 
 
+def test_mean_euler_identity_is_checked(monkeypatch):
+    real = contact.normalized_volume
+    monkeypatch.setattr(contact, "normalized_volume", lambda P: real(P) + 1)
+    with pytest.raises(AssertionError,
+                       match="characteristic 2 differs from half the delta "
+                             "mass 3/2"):
+        mean_euler_characteristic(L53)
+
+
 def test_minimal_discrepancy():
     assert minimal_discrepancy(L53) == 0
     assert minimal_discrepancy(SIMPLEX2) == 2
     assert minimal_discrepancy(ORDER3) == F(-1, 3)
+
+
+def test_minimal_discrepancy_without_interior_point(monkeypatch):
+    monkeypatch.setattr(contact, "count_points", lambda P, t, interior: 0)
+    with pytest.raises(AssertionError,
+                       match="no interior point up to dilate .* = 3"):
+        minimal_discrepancy(L53)
+
+
+def test_minimal_discrepancy_top_delta_index_is_checked(monkeypatch):
+    # hide the interior point of the first dilate: the scan then says 1
+    real = contact.count_points
+    monkeypatch.setattr(contact, "count_points", lambda P, t, interior: (
+        0 if t == 1 else real(P, t, interior)))
+    with pytest.raises(AssertionError, match="discrepancy 1 from the dilate "
+                                             "scan, 0 from the top delta"):
+        minimal_discrepancy(L53)
+
+
+def test_minimal_discrepancy_lowest_degree_is_checked(monkeypatch):
+    monkeypatch.setattr(contact, "contact_betti_from_delta",
+                        lambda D: GradedDimensions({F(2): 1}, (0, 8)))
+    with pytest.raises(AssertionError, match="discrepancy 0 is not the "
+                                             "lowest graded degree 2"):
+        minimal_discrepancy(L53)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracles import interior_count_by_reciprocity
 
+from contactbetti import ehrhart
 from contactbetti.ehrhart import (
     DeltaVector,
     MismatchAt,
@@ -84,6 +86,14 @@ def test_delta_implicit_zeros():
     assert dv[1] == 1
 
 
+def test_delta_mass_identity_is_checked(monkeypatch):
+    real = ehrhart.normalized_volume
+    monkeypatch.setattr(ehrhart, "normalized_volume", lambda P: real(P) + 1)
+    with pytest.raises(AssertionError,
+                       match="delta entries add up to 3, not .* = 4"):
+        delta_vector(L53)
+
+
 def test_delta_rejects_bad_entries():
     with pytest.raises(ValueError):
         DeltaVector((2, 0, 0), 1, 2)
@@ -118,7 +128,7 @@ def test_quasipolynomial_leading_coefficient_is_volume():
         qp = quasipolynomial(P)
         n = P.dimension
         vol = normalized_volume(P) / __import__("math").factorial(n)
-        assert qp.leading_coefficient == vol
+        assert qp.branches[0][n] == vol
 
 
 def test_reciprocity():
@@ -127,9 +137,9 @@ def test_reciprocity():
         n = P.dimension
         m = qp.period
         for t in range(1, 3 * m + 1):
-            assert (qp.evaluate_interior(t)
-                    == count_points(P, t, interior=True))
-            assert qp.evaluate(-t) == (-1) ** n * qp.evaluate_interior(t)
+            interior = interior_count_by_reciprocity(qp, t)
+            assert interior == count_points(P, t, interior=True)
+            assert qp.evaluate(-t) == (-1) ** n * interior
 
 
 # ---------------------------------------------------------------- interior
@@ -262,7 +272,8 @@ def test_delta_properties_random(pts):
     qp = quasipolynomial(P)
     for t in range(1, 2 * m + 1):
         assert qp.evaluate(t) == count_points(P, t)
-        assert qp.evaluate_interior(t) == count_points(P, t, interior=True)
+        assert (interior_count_by_reciprocity(qp, t)
+                == count_points(P, t, interior=True))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,18 +6,28 @@ bound to it: defined in that module, or imported with ``from .module
 import name`` (possibly through another module's import).  An import
 alone is no use: a name imported only to be re-exported must be listed
 in the package ``__all__``.  ``cli.main`` is the console script.
+
+A method of a package class counts as used when some module loads an
+attribute of that name outside the method's own body.  Dunder methods and
+overrides of a base class's method are called by the machinery that
+defines them, so they are exempt.
 """
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "contactbetti"
 ENTRY_POINTS = {"cli.main"}
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _scan():
     """Top-level definitions, name bindings and name loads per module."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     defs, binds, exported = {}, {}, set()
     for module, tree in trees.items():
         bound = binds.setdefault(module, {})
@@ -68,6 +78,33 @@ def unused_definitions():
     return unused
 
 
+def unused_methods():
+    trees = _trees()
+    loads = {}  # attribute name -> ids of the nodes that load it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loads.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module("contactbetti." + module),
+                            cls.name).__mro__[1:]
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        or node.name.startswith("__")
+                        or any(node.name in vars(b) for b in bases)):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not loads.get(node.name, set()) - own:
+                    unused.append("%s.%s.%s" % (module, cls.name, node.name))
+    return unused
+
+
 def test_scanner_sees_the_package():
     defs, binds, loads, exported = _scan()
     assert {"polytope.cone_rays", "polytope.convex_hull", "cli.main"} <= set(
@@ -78,3 +115,7 @@ def test_scanner_sees_the_package():
 
 def test_every_definition_has_a_caller_outside_the_tests():
     assert unused_definitions() == []
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    assert unused_methods() == []

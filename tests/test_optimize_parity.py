@@ -27,6 +27,8 @@ COMMANDS = [
     (["orbifold", "corpus:order-three-square"], 0),
     (["resolve", "corpus:lens-triangle"], 0),
     (["hc", "n2m13", "--pipeline", "resolution", "--trivial"], 0),
+    (["orbits", "corpus:order-three-square"], 0),
+    (["cb", "n2m13", "--pipeline", "both"], 0),
 ]
 
 

@@ -21,7 +21,7 @@ from contactbetti.exactlat import smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
-from contactbetti.polytope import convex_hull, triangulate_ids
+from contactbetti.polytope import convex_hull, count_points, triangulate_ids
 from contactbetti.resolution import (
     Fan,
     ImproperIntersection,
@@ -420,6 +420,18 @@ def test_stapledon_counts_only_the_dilates_it_reads():
     assert rep.series_checked_to == top - 1
     closed = {t for t, interior in D.polytope._counts if not interior}
     assert closed == set(range(1, top))
+
+
+def test_stapledon_series_reads_each_count():
+    # one wrong memoized count at t = m(n+1) + 1, past delta's own
+    # window, leaves a nonzero series coefficient at j = t
+    D = validate_diagram(convex_hull(
+        [(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))]))
+    t = D.order * (D.dimension + 1) + 1
+    D.polytope._counts[(t, False)] = count_points(D.polytope, t) + 1
+    with pytest.raises(MismatchAt, match="does not vanish") as info:
+        stapledon_check(D, trivial_triangulation(D))
+    assert info.value.j == F(t, D.order)
 
 
 def test_stapledon_delta_field():
