@@ -22,7 +22,7 @@ from .contact import (GenericityFailure, ReebVector, ToricDiagram,
                       contact_betti_direct, contact_betti_from_delta,
                       mean_euler_characteristic, minimal_discrepancy,
                       orbit_data, orbit_degree, validate_diagram)
-from .corpus import corpus
+from .corpus import DOCUMENTS, corpus
 from .ehrhart import delta_vector, is_reflexive, quasipolynomial
 from .exactlat import basis_completion, primitive_vector
 from .grading import GradedDimensions, default_window
@@ -59,11 +59,11 @@ class DocumentError(Exception):
 def _load_raw(source: str) -> dict:
     if source.startswith("corpus:"):
         name = source[len("corpus:"):]
-        docs = corpus()
+        docs = corpus(name)
         if name not in docs:
             raise DocumentError(
                 "unknown corpus document %r; available: %s"
-                % (name, ", ".join(sorted(docs))))
+                % (name, ", ".join(sorted(d["name"] for d in DOCUMENTS))))
         return docs[name]
     with open(source, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -89,6 +89,9 @@ DOCUMENTS = (
 )
 
 
-def corpus() -> Dict[str, dict]:
-    """Name -> document mapping; callers receive independent copies."""
-    return {doc["name"]: copy.deepcopy(doc) for doc in DOCUMENTS}
+def corpus(*names: str) -> Dict[str, dict]:
+    """Name -> document mapping for the given names, all documents when
+    none is given; unknown names are left out.  Only the documents asked
+    for are copied, and callers receive independent copies."""
+    return {doc["name"]: copy.deepcopy(doc) for doc in DOCUMENTS
+            if not names or doc["name"] in names}

@@ -1,9 +1,10 @@
-"""Exact lattice linear algebra: normal forms, basis completion, floor
-sums, jets.
+"""Exact lattice linear algebra: normal forms, basis completion,
+elimination, floor sums, jets.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
-anywhere.  A first-order jet (value + slope*eps for an infinitesimal
+anywhere.  Rank, solves and inverses over Q run on one fraction-free
+elimination (``int_echelon``) on integer rows.  A first-order jet (value + slope*eps for an infinitesimal
 eps > 0) is a record of its two parts; a perturbation linear in eps is
 carried through a linear solve as two solves, one per part.
 """
@@ -267,17 +268,38 @@ def basis_completion(vectors) -> Mat:
 
 
 # ----------------------------------------------------------------------
-# rational (Fraction) helpers
+# elimination over Q on integer rows
 
 
-def rat_echelon(rows):
-    """Reduced row echelon form over Fractions, with its pivot columns.
+def clear_row(row, scale: int = 0) -> Vec:
+    """The int/Fraction row times ``scale`` as a tuple of ints.
 
-    Returns (R, pivots): R keeps the nonzero rows only, row i has a 1 in
-    column pivots[i] and every other row a 0 there.  The form is unique,
-    so everything read off it is independent of the input row order.
+    ``scale`` defaults to the least common denominator of the row and
+    must be a multiple of it; no Fraction is created.
     """
-    A = [[Fraction(x) for x in row] for row in rows]
+    if not scale:
+        scale = math.lcm(*[x.denominator for x in row])
+    return tuple(x.numerator * (scale // x.denominator) for x in row)
+
+
+def _content_free(row) -> list[int]:
+    """The integer row divided by the gcd of its entries (a zero row stays)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
+
+
+def int_echelon(rows) -> tuple[Mat, Vec]:
+    """Reduced row echelon form over Q, kept on primitive integer rows.
+
+    Returns (R, pivots): R keeps the nonzero rows, row i has a positive
+    pivot in column pivots[i] and every other row a 0 there, so
+    R[i] / R[i][pivots[i]] is the unique reduced echelon form and neither
+    depends on the row order.  Rows are cleared to integers once; a pivot
+    p clears column c from a row r by r <- p*r - r[c]*(pivot row), divided
+    by its content (the gcd of its entries): fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968) that creates no Fraction.
+    """
+    A = [_content_free(clear_row(row)) for row in rows]
     nr, nc = len(A), len(A[0]) if A else 0
     pivots = []
     for c in range(nc):
@@ -288,30 +310,33 @@ def rat_echelon(rows):
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [v * inv for v in A[r]]
+        prow = A[r]
+        p = prow[c]
         for i in range(nr):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [v - f * w for v, w in zip(A[i], A[r])]
+            f = A[i][c]
+            if f and i != r:
+                A[i] = _content_free([p * v - f * w
+                                      for v, w in zip(A[i], prow)])
         pivots.append(c)
-    return tuple(tuple(row) for row in A[:len(pivots)]), tuple(pivots)
+    R = tuple(tuple(row) if row[pc] > 0 else tuple(-v for v in row)
+              for row, pc in zip(A, pivots))
+    return R, tuple(pivots)
 
 
 def rat_rank(rows) -> int:
     """Rank of a matrix with Fraction/int entries."""
-    return len(rat_echelon(rows)[1])
+    return len(int_echelon(rows)[1])
 
 
 def rat_solve(A, b):
-    """Solve the square system A*x = b over Fractions; raises if singular."""
+    """Solve the square system A*x = b over Q; raises if singular."""
     n = len(A)
     M = [list(row) + [bv] for row, bv in zip(A, b)]
     assert all(len(row) == n + 1 for row in M)
-    R, pivots = rat_echelon(M)
+    R, pivots = int_echelon(M)
     if pivots != tuple(range(n)):
         raise LinearlyDependent("singular system")
-    return tuple(row[n] for row in R)
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(R))
 
 
 def mat_inverse(M) -> Mat:
@@ -319,23 +344,24 @@ def mat_inverse(M) -> Mat:
     n = len(M)
     A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     assert all(len(row) == 2 * n for row in A)
-    R, pivots = rat_echelon(A)
+    R, pivots = int_echelon(A)
     if pivots != tuple(range(n)):
         raise LinearlyDependent("matrix is singular")
-    if any(v.denominator != 1 for row in R for v in row[n:]):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(v) for v in row[n:]) for row in R)
+    inverse = []
+    for i, row in enumerate(R):
+        p = row[i]
+        if any(v % p for v in row[n:]):
+            raise ValueError("matrix is not unimodular")
+        inverse.append(tuple(v // p for v in row[n:]))
+    return tuple(inverse)
 
 
 def primitive_vector(v) -> Vec:
     """Scale a nonzero rational vector to its primitive integer multiple."""
-    fracs = [Fraction(x) for x in v]
-    if not any(fracs):
+    ints = clear_row(v)
+    if not any(ints):
         raise ValueError("zero vector has no primitive multiple")
-    scale = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(_content_free(ints))
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

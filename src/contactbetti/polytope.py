@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlat import det_int, floor_sum, rat_rank
+from .exactlat import clear_row, det_int, floor_sum, rat_rank
 
 RatPoint = tuple[Fraction, ...]
 
@@ -96,14 +96,12 @@ def _as_points(points) -> list[RatPoint]:
 
 
 def affine_dim(points) -> int:
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if not pts:
+    """Dimension of the affine span of int/Fraction points; -1 for none."""
+    if not points:
         return -1
-    base = pts[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rat_rank(diffs)
+    base = points[0]
+    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    return rat_rank(diffs) if diffs else 0
 
 
 def cone_rays(rows) -> tuple[tuple[int, ...], ...]:
@@ -119,11 +117,7 @@ def cone_rays(rows) -> tuple[tuple[int, ...], ...]:
     whole line, (1,) and (-1,).  The cone must be pointed (rows of rank
     d), or the lineality directions come out as rays.
     """
-    ints = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = math.lcm(*[x.denominator for x in row])
-        ints.append(tuple(int(x * scale) for x in row))
+    ints = [clear_row(row) for row in rows]
     d = len(ints[0])
     rays = set()
     for sub in itertools.combinations(ints, d - 1):
@@ -144,39 +138,44 @@ def convex_hull(points) -> RationalPolytope:
 
     The facets <a, x> + c >= 0 are the extreme rays (a, c) of the cone of
     functionals nonnegative on every lifted point (p, 1), with a scaled to
-    a primitive normal.
+    a primitive normal.  The points are cleared once by L, the least
+    common denominator of all their coordinates, to the integer rows
+    (L*p, L) of the same cone; p is on the facet of the ray (a, c) when
+    <a, L*p> + c*L == 0, an integer value taken once per (facet, point)
+    and read by both the vertex test and the facets' vertex ids.
     """
     pts = []
     for p in _as_points(points):
         if p not in pts:
             pts.append(p)
     n = len(pts[0])
-    if affine_dim(pts) != n:
+    L = math.lcm(*[x.denominator for p in pts for x in p])
+    lifted = [clear_row(p + (1,), L) for p in pts]
+    if affine_dim(lifted) != n:
         raise DegenerateInput("points do not span the ambient space")
 
-    halfspaces: dict[tuple, tuple] = {}
-    for *a, c in cone_rays([p + (1,) for p in pts]):
+    halfspaces: dict[tuple, tuple[int, ...]] = {}
+    for ray in cone_rays(lifted):
+        *a, c = ray
         g = math.gcd(*a)
-        normal, offset = tuple(x // g for x in a), Fraction(c, g)
-        halfspaces[normal, offset] = tuple(
-            sum(map(operator.mul, normal, p)) + offset for p in pts)
+        halfspaces[tuple(x // g for x in a), Fraction(c, g)] = tuple(
+            sum(map(operator.mul, ray, q)) for q in lifted)
 
     assert halfspaces, "full-dimensional input must have supporting facets"
 
     # vertices: points whose tight facet normals span the whole space
-    vertex_list = []
-    for idx, p in enumerate(pts):
-        tight = [hs[0] for hs, vals in halfspaces.items() if vals[idx] == 0]
+    kept = []
+    for i, p in enumerate(pts):
+        tight = [hs[0] for hs, vals in halfspaces.items() if vals[i] == 0]
         if tight and rat_rank(tight) == n:
-            vertex_list.append(p)
-    vertex_list.sort()
-    vertices = tuple(vertex_list)
+            kept.append((p, i))
+    kept.sort()
+    vertices = tuple(p for p, _ in kept)
 
     facets = []
     for (normal, offset), vals in sorted(halfspaces.items()):
-        vertex_ids = tuple(i for i, v in enumerate(vertices)
-                           if sum(a * x for a, x in zip(normal, v)) + offset == 0)
-        assert affine_dim([vertices[i] for i in vertex_ids]) == n - 1
+        vertex_ids = tuple(k for k, (_, i) in enumerate(kept) if vals[i] == 0)
+        assert affine_dim([lifted[kept[k][1]] for k in vertex_ids]) == n - 1
         facets.append(Facet(normal, offset, vertex_ids))
 
     return RationalPolytope(n, vertices, tuple(facets))

@@ -206,7 +206,10 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[int]:
     contributes the single point 0, of age 0.  With U*M*V = S the
     coefficient vectors c with c*M integral are z*U mod 1 for z_i in
     (1/d_i)Z.  Every d_i divides L = d_k, so the enumeration runs on the
-    integer numerators L*c.
+    integer numerators L*c = sum t_i g_i mod L of the generator rows
+    g_i = (L/d_i) U_i.  Since L*c*M = sum t_i (g_i M) mod L, checking
+    once that L divides every g_i M certifies that every box point is
+    a lattice point.
     """
     k = len(cone)
     if k == 0:
@@ -219,16 +222,19 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[int]:
         raise AssertionError(f"cone {tuple(cone)}: rays must be independent")
     L = dets[-1]
     gens = [[L // d * u for u in row] for d, row in zip(dets, U)]
+    for g in gens:
+        image = [sum(gj * row[i] for gj, row in zip(g, M))
+                 for i in range(F.dimension + 1)]
+        if any(x % L for x in image):
+            raise AssertionError(
+                f"cone {tuple(cone)}: Smith generator {tuple(g)} maps to "
+                f"{tuple(image)}, not divisible by {L}")
     cols = list(zip(*gens))
     ages = []
     for t in itertools.product(*[range(d) for d in dets]):
         c = [sum(ti * g for ti, g in zip(t, col)) % L for col in cols]
         if 0 in c:
             continue
-        pt = [sum(cj * row[i] for cj, row in zip(c, M))
-              for i in range(F.dimension + 1)]
-        if any(x % L for x in pt):
-            raise AssertionError(f"box point {pt}/{L} is not integral")
         s, rest = divmod(m * sum(c), L)
         if rest:
             raise MismatchAt(Fraction(sum(c), L), "non-integral age m * psi")

@@ -1,4 +1,9 @@
-"""Slow lattice-point counters and a slow hull, kept as test oracles.
+"""Slow elimination, lattice-point counters and a slow hull, kept as test
+oracles.
+
+``rat_echelon`` is the ``Fraction`` Gauss-Jordan elimination that
+``exactlat.int_echelon`` replaced; ``rat_kernel`` and the hull oracle
+read it.
 
 ``count_points_naive`` tests every point of the integer bounding box of
 tP against every facet.  ``count_points_row_scan`` is the row scan the
@@ -14,7 +19,35 @@ import math
 import operator
 from fractions import Fraction
 
-from contactbetti.exactlat import primitive_vector, rat_echelon, rat_rank
+from contactbetti.exactlat import primitive_vector
+
+
+def rat_echelon(rows):
+    """Reduced row echelon form over Fractions, with its pivot columns.
+
+    Returns (R, pivots): R keeps the nonzero rows only, row i has a 1 in
+    column pivots[i] and every other row a 0 there.  The form is unique,
+    so everything read off it is independent of the input row order.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    nr, nc = len(A), len(A[0]) if A else 0
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [v * inv for v in A[r]]
+        for i in range(nr):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [v - f * w for v, w in zip(A[i], A[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in A[:len(pivots)]), tuple(pivots)
 
 
 def rat_kernel(A):
@@ -52,9 +85,9 @@ def hull_by_hyperplanes(points):
             facets.add((normal, offset))
         elif all(v <= 0 for v in vals):
             facets.add((tuple(-a for a in normal), -offset))
-    vertices = [p for p in pts if rat_rank(
+    vertices = [p for p in pts if len(rat_echelon(
         [a for a, c in facets
-         if sum(x * y for x, y in zip(a, p)) + c == 0] or [[0] * n]) == n]
+         if sum(x * y for x, y in zip(a, p)) + c == 0] or [[0] * n])[1]) == n]
     return vertices, sorted(facets)
 
 

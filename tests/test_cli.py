@@ -54,10 +54,20 @@ def test_corpus_has_at_least_nine_documents():
 
 
 def test_corpus_returns_fresh_copies():
-    first = corpus()
+    first = corpus("lens-triangle")
+    assert list(first) == ["lens-triangle"]
     first["lens-triangle"]["vertices"].append(["9", "9"])
-    assert corpus()["lens-triangle"]["vertices"] == [
-        ["1", "0"], ["0", "1"], ["-1", "-1"]]
+    for docs in (corpus("lens-triangle", "no-such-document"), corpus()):
+        assert docs["lens-triangle"]["vertices"] == [
+            ["1", "0"], ["0", "1"], ["-1", "-1"]]
+    assert "no-such-document" not in corpus("no-such-document")
+
+
+def test_unknown_corpus_name_lists_the_documents(capsys):
+    code, out, err = run(capsys, ["validate", "corpus:no-such-document"])
+    assert code == 64 and out == ""
+    assert "unknown corpus document 'no-such-document'" in err
+    assert ", ".join(sorted(d["name"] for d in DOCUMENTS)) in err
 
 
 @pytest.mark.parametrize("name", sorted(d["name"] for d in DOCUMENTS))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_oracles import rat_kernel
+from lattice_oracles import rat_echelon, rat_kernel
 
 from contactbetti.exactlat import (
     Jet,
@@ -15,12 +15,12 @@ from contactbetti.exactlat import (
     floor_sum,
     hermite_normal_form,
     identity,
+    int_echelon,
     intmat,
     lattice_index,
     mat_inverse,
     mat_mul,
     primitive_vector,
-    rat_echelon,
     rat_rank,
     rat_solve,
     smith_invariants,
@@ -262,19 +262,39 @@ def test_rational_helpers():
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+mixed_entries = small_ints | small_fracs | st.just(Fraction(0))
 
 
-def frac_matrices(max_dim=4):
-    return st.integers(min_value=1, max_value=max_dim).flatmap(
-        lambda nr: st.integers(min_value=1, max_value=max_dim).flatmap(
-            lambda nc: st.lists(
-                st.lists(small_fracs | st.just(Fraction(0)),
-                         min_size=nc, max_size=nc),
-                min_size=nr, max_size=nr)))
+@st.composite
+def frac_matrices(draw, max_dim=4):
+    """Rows mixing int and Fraction entries, with zero and repeated rows."""
+    nr = draw(st.integers(min_value=1, max_value=max_dim))
+    nc = draw(st.integers(min_value=1, max_value=max_dim))
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([0] * nc)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(mixed_entries,
+                                      min_size=nc, max_size=nc)))
+    return rows
+
+
+def oracle_solve(S, b):
+    """Solution of a square system read off the Fraction echelon form,
+    or None when it is singular."""
+    n = len(S)
+    R, pivots = rat_echelon([list(row) + [bv] for row, bv in zip(S, b)])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n] for row in R)
 
 
 @settings(max_examples=150, deadline=None)
-@given(frac_matrices(), st.lists(small_fracs, min_size=4, max_size=4))
+@given(frac_matrices(), st.lists(mixed_entries, min_size=4, max_size=4))
 def test_rat_echelon_properties(A, rhs):
     nr, nc = len(A), len(A[0])
     R, pivots = rat_echelon(A)
@@ -287,6 +307,16 @@ def test_rat_echelon_properties(A, rhs):
         assert all(R[k][pc] == 0 for k in range(rank) if k != i)
     # the form is unique, hence independent of the row order
     assert rat_echelon(A[::-1]) == (R, pivots)
+    # the integer kernel: same pivots and, divided by its pivots, the same
+    # form; its rows are primitive integer rows with a positive pivot
+    IR, ipivots = int_echelon(A)
+    assert ipivots == pivots
+    assert tuple(tuple(Fraction(v, row[pc]) for v in row)
+                 for row, pc in zip(IR, ipivots)) == R
+    for row, pc in zip(IR, ipivots):
+        assert all(type(v) is int for v in row)
+        assert row[pc] > 0 and math.gcd(*row) == 1
+    assert int_echelon(A[::-1]) == (IR, ipivots)
     # right kernel: annihilated by A, independent, of size nc - rank
     kernel = rat_kernel(A)
     assert len(kernel) == nc - rank
@@ -296,8 +326,11 @@ def test_rat_echelon_properties(A, rhs):
     # square systems: solve round trip, or a singular system is refused
     n = min(nr, nc)
     S, b = [row[:n] for row in A[:n]], rhs[:n]
-    if rat_rank(S) == n:
+    expected = oracle_solve(S, b)
+    assert (expected is None) == (rat_rank(S) < n)
+    if expected is not None:
         x = rat_solve(S, b)
+        assert x == expected
         assert [sum(a * v for a, v in zip(row, x)) for row in S] == b
     else:
         with pytest.raises(LinearlyDependent):

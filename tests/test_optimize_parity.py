@@ -29,6 +29,8 @@ COMMANDS = [
     (["hc", "n2m13", "--pipeline", "resolution", "--trivial"], 0),
     (["orbits", "corpus:order-three-square"], 0),
     (["cb", "n2m13", "--pipeline", "both"], 0),
+    (["quotient", "corpus:blowup-quad"], 0),
+    (["validate", "n2m13"], 0),
 ]
 
 

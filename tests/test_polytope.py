@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -99,6 +100,35 @@ def test_hull_matches_hyperplane_oracle_on_random_points(n):
         assert enumerate_halfspace_vertices(
             [f.normal for f in P.facets],
             [f.offset for f in P.facets]) == vertices
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hull_clears_mixed_denominators_once(n):
+    # each point has its own denominator in 1..5, and the common
+    # denominator L of the set exceeds every single point's
+    rng = random.Random(900 + n)
+    checked = 0
+    while checked < 8:
+        pts = []
+        for _ in range(rng.randint(n + 1, n + 5)):
+            d = rng.randint(1, 5)
+            pts.append(tuple(F(rng.randint(-2 * d, 2 * d), d)
+                             for _ in range(n)))
+        own = [math.lcm(*[x.denominator for x in p]) for p in pts]
+        if math.lcm(*own) <= max(own):
+            continue
+        try:
+            P = convex_hull(pts)
+        except DegenerateInput:
+            continue
+        checked += 1
+        vertices, facets = hull_by_hyperplanes(pts)
+        assert list(P.vertices) == vertices, pts
+        assert [(f.normal, f.offset) for f in P.facets] == facets, pts
+        for f in P.facets:
+            assert f.vertex_ids == tuple(
+                i for i, v in enumerate(P.vertices)
+                if sum(a * x for a, x in zip(f.normal, v)) + f.offset == 0)
 
 
 def test_cone_rays_in_one_dimension():

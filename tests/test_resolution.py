@@ -303,6 +303,23 @@ def test_box_elements_needs_independent_rays():
         box_elements(fan, (0, 1))
 
 
+def test_box_elements_certifies_the_smith_transform(monkeypatch):
+    # a corrupted U: adding the first ray's unit row to the generator of
+    # the order-3 factor leaves g*M = first ray (mod 3), not divisible
+    fan = fan_over(L53_TRIVIAL)
+    real = resolution.smith_normal_form
+
+    def corrupted(M):
+        S, U, V = real(M)
+        bad = tuple(U[:-1]) + (tuple(u + (j == 0)
+                                     for j, u in enumerate(U[-1])),)
+        return S, bad, V
+
+    monkeypatch.setattr(resolution, "smith_normal_form", corrupted)
+    with pytest.raises(AssertionError, match="not divisible by 3"):
+        box_elements(fan, (0, 1, 2))
+
+
 def test_box_census_matches_lattice_index():
     from contactbetti.exactlat import lattice_index
     from itertools import combinations
