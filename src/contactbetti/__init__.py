@@ -14,7 +14,6 @@ from .polytope import convex_hull, labelled_polytope
 from .prequant import (
     diagram_from_labelled,
     hc_from_quotient,
-    hc_smooth_base,
     orbifold_cohomology_of_base,
     quotient_polytope,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "diagram_from_labelled",
     "hc_from_quotient",
     "hc_from_resolution",
-    "hc_smooth_base",
     "is_reflexive",
     "labelled_polytope",
     "mean_euler_characteristic",

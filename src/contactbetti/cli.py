@@ -25,7 +25,7 @@ from .contact import (GenericityFailure, ReebVector, ToricDiagram,
 from .corpus import DOCUMENTS, corpus
 from .ehrhart import delta_vector, is_reflexive, quasipolynomial
 from .exactlat import basis_completion, primitive_vector
-from .grading import GradedDimensions, default_window
+from .grading import GradedDimensions, default_window, sum_rows
 from .polytope import (LabelledPolytope, convex_hull, count_points,
                        labelled_polytope, normalized_volume, triangulate_ids)
 from .prequant import (diagram_from_labelled, fundamental_group_order,
@@ -210,8 +210,6 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
         return trivial_triangulation(D)
     # default: vertices only, so the fan over it is always crepant
     P = D.polytope
-    if len(P.vertices) == D.dimension + 1:
-        return trivial_triangulation(D)
     return triangulation_from_cells(D, P.vertices, triangulate_ids(P))
 
 
@@ -456,19 +454,18 @@ def _cmd_hc(args):
         pipeline = "quotient" if D.order == 1 else "resolution"
     if pipeline == "quotient":
         Q = quotient_polytope(D, _direction_for(D, doc_nu, args))
-        table = hc_from_quotient(Q, window)
-        rows = _keyed_rows(hc_quotient_rows(Q, window))
+        rows = hc_quotient_rows(Q, window)
+        table = sum_rows(rows)
     else:
         T = _triangulation_for(D, args)
         validate_triangulation(D, T)
-        sector_rows = hc_sector_rows(D, T, window)
-        table = sum_sector_rows(D, sector_rows)
-        rows = _keyed_rows(sector_rows)
+        rows = hc_sector_rows(D, T, window)
+        table = sum_sector_rows(D, rows)
     report = {
         "m": D.order,
         "pipeline": pipeline,
         "window": _window_json(window),
-        "rows": rows,
+        "rows": _keyed_rows(rows),
         "HC": table.to_rows(),
     }
     return report, OK

@@ -86,3 +86,14 @@ class GradedDimensions:
         from ._jsonio import rat_str
         return [{"degree": rat_str(d), "dim": self.entries[d]}
                 for d in sorted(self.entries)]
+
+
+def sum_rows(rows: Mapping[Fraction, GradedDimensions]) -> GradedDimensions:
+    """Entry-wise sum of keyed rows enumerated over one common window."""
+    total: dict = {}
+    window = None
+    for row in rows.values():
+        window = row.window
+        for d, v in row.entries.items():
+            total[d] = total.get(d, 0) + v
+    return GradedDimensions({d: v for d, v in total.items() if v}, window)

@@ -5,7 +5,10 @@ normalized volumes, polar duals, and labelled (weighted normal) polytopes.
 Halfspaces are stored as (normal a, offset c) meaning <a, x> + c >= 0 with a
 a primitive inward integer normal.  Every conversion between vertices and
 facets, here and for the good cones of ``prequant``, reads the extreme rays
-of a homogenized cone off the one kernel ``cone_rays``.
+of a homogenized cone off the one kernel ``cone_rays``.  Faces, here and
+for those good cones, are the one ``intersection_closure`` of the facets'
+incidence sets; a polytope builds its face lattice only when a pulling
+triangulation of a non-simplex needs it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class Facet:
 class Face:
     dim: int
     vertex_ids: tuple[int, ...]
-    facet_ids: tuple[int, ...]
 
 
 class RationalPolytope:
@@ -181,38 +183,34 @@ def convex_hull(points) -> RationalPolytope:
     return RationalPolytope(n, vertices, tuple(facets))
 
 
+def intersection_closure(k: int, sets) -> set[frozenset[int]]:
+    """The ground set range(k) and every nonempty intersection of the sets.
+
+    Closed under one set at a time: each set cuts every member collected
+    so far.  Applied to the vertex sets of a polytope's facets, or to the
+    ray sets of a cone's facets, these are the faces (Kaibel and Pfetsch,
+    Computing the face lattice of a polytope from its vertex-facet
+    incidences, 2002).
+    """
+    closed = {frozenset(range(k))}
+    for s in sets:
+        s = frozenset(s)
+        closed |= {c & s for c in closed}
+    closed.discard(frozenset())
+    return closed
+
+
 def _build_face_lattice(P: RationalPolytope) -> dict[int, tuple[Face, ...]]:
-    n = P.dimension
-
-    def facet_ids_of(vertex_ids: tuple[int, ...]) -> tuple[int, ...]:
-        vs = set(vertex_ids)
-        return tuple(i for i, f in enumerate(P.facets)
-                     if vs.issubset(f.vertex_ids))
-
-    lattice: dict[int, tuple[Face, ...]] = {
-        n: (Face(n, tuple(range(len(P.vertices))), ()),)
-    }
-    current = {f.vertex_ids for f in P.facets}
-    for d in range(n - 1, -1, -1):
-        faces = tuple(Face(d, vids, facet_ids_of(vids))
-                      for vids in sorted(current))
-        for face in faces:
-            assert affine_dim([P.vertices[i] for i in face.vertex_ids]) == d
-        lattice[d] = faces
-        if d == 0:
-            break
-        nxt = set()
-        for vids in current:
-            vset = set(vids)
-            for f in P.facets:
-                inter = tuple(sorted(vset & set(f.vertex_ids)))
-                if not inter or inter == vids:
-                    continue
-                if affine_dim([P.vertices[i] for i in inter]) == d - 1:
-                    nxt.add(inter)
-        current = nxt
-    assert {f.vertex_ids for f in lattice[0]} == {
-        (i,) for i in range(len(P.vertices))}
+    """Faces by dimension, from n down to 0, each level sorted by ids."""
+    levels = {d: [] for d in range(P.dimension, -1, -1)}
+    for ids in intersection_closure(len(P.vertices),
+                                    [f.vertex_ids for f in P.facets]):
+        vids = tuple(sorted(ids))
+        levels[affine_dim([P.vertices[i] for i in vids])].append(vids)
+    lattice = {d: tuple(Face(d, vids) for vids in sorted(faces))
+               for d, faces in levels.items()}
+    assert [f.vertex_ids for f in lattice[0]] == [
+        (i,) for i in range(len(P.vertices))]
     return lattice
 
 
@@ -380,10 +378,9 @@ def triangulate_ids(P: RationalPolytope, pull_last: bool = False):
 
     Every face is pulled from its lexicographically least vertex (greatest
     when pull_last, which yields a genuinely different triangulation for
-    non-simplex polytopes).
+    non-simplex polytopes).  A simplex is its own single cell, and only
+    a face that is not a simplex reads the face lattice.
     """
-    lattice = P.face_lattice()
-
     def key(i):
         return P.vertices[i]
 
@@ -392,7 +389,7 @@ def triangulate_ids(P: RationalPolytope, pull_last: bool = False):
             return [face.vertex_ids]
         anchor = (max if pull_last else min)(face.vertex_ids, key=key)
         out = []
-        for sub in lattice[face.dim - 1]:
+        for sub in P.face_lattice()[face.dim - 1]:
             if anchor in sub.vertex_ids:
                 continue
             if not set(sub.vertex_ids) <= set(face.vertex_ids):
@@ -401,8 +398,7 @@ def triangulate_ids(P: RationalPolytope, pull_last: bool = False):
                 out.append(tuple(sorted(s + (anchor,))))
         return out
 
-    top = lattice[P.dimension][0]
-    simplices = tri(top)
+    simplices = tri(Face(P.dimension, tuple(range(len(P.vertices)))))
     assert all(len(s) == P.dimension + 1 for s in simplices)
     return simplices
 

@@ -20,10 +20,10 @@ from .contact import NotInterior, ToricDiagram, validate_diagram
 from .exactlat import (LinearlyDependent, basis_completion, det_int,
                        mat_inverse, rat_rank, rat_solve, smith_invariants,
                        transpose, vec_mat)
-from .grading import GradedDimensions, checked_window
+from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
 from .polytope import (LabelledPolytope, cone_rays, convex_hull,
-                       labelled_polytope)
+                       intersection_closure, labelled_polytope)
 from .resolution import NotStrictlyConvex
 
 
@@ -33,10 +33,6 @@ class NotGorenstein(ValueError):
 
 class NotPrimitive(ValueError):
     """The quotient direction is an integer multiple of a shorter vector."""
-
-
-class BaseNotSmooth(ValueError):
-    """An operation restricted to manifold bases met an orbifold one."""
 
 
 # ----------------------------------------------------------------------
@@ -98,15 +94,12 @@ def _cone_skeleton(normals):
         raise NotStrictlyConvex("cone is not full-dimensional")
     zero_sets = [frozenset(j for j in range(d) if _dot(nu[j], ray) == 0)
                  for ray in rays]
-    # faces by their ray sets: the nonempty intersections of rays_on(j)
-    # over the subsets J of facets, closed under one facet at a time
-    member_sets = {frozenset(range(len(rays)))}
-    for j in range(d):
-        on = frozenset(i for i, z in enumerate(zero_sets) if j in z)
-        member_sets |= {S & on for S in member_sets}
-    member_sets.discard(frozenset())
+    # faces by their ray sets: the rays on each facet, closed under
+    # intersection
     faces = []
-    for members in member_sets:
+    for members in intersection_closure(
+            len(rays), [[i for i, z in enumerate(zero_sets) if j in z]
+                        for j in range(d)]):
         tight = frozenset.intersection(*[zero_sets[i] for i in members])
         faces.append(ConeFace(tuple(sorted(tight)),
                               rat_rank([rays[i] for i in members])))
@@ -369,31 +362,7 @@ def hc_from_quotient(Q: QuotientData,
         HC_d += h_i(S)  at  d = 2 i + |S| + 2 r k,   |S| = c_T + 2 r T - 2,
 
     summed over periods T, components S, and windings k >= 0."""
-    lo, hi = _hc_window(Q, window)
-    items = [item for sector in Q.sectors
-             for item in _sector_items(sector, Q.r, hi)]
-    return GradedDimensions.from_items(items, (lo, hi))
-
-
-def hc_smooth_base(Q: QuotientData,
-                   window: Optional[Tuple[Fraction, Fraction]] = None
-                   ) -> GradedDimensions:
-    """Manifold-base specialization, h_i(B) at degrees 2i + 2r k + 2(r-1);
-    checked against the sector formula before returning."""
-    if not Q.smooth:
-        raise BaseNotSmooth("base has an orbifold vertex")
-    lo, hi = _hc_window(Q, window)
-    base_h = next(comp.h for sector in Q.sectors if sector.period == 1
-                  for comp in sector.components if not comp.face)
-    items = []
-    k = 0
-    while 2 * (Q.r - 1) + 2 * Q.r * k <= hi:
-        for i, c in enumerate(base_h):
-            items.append((2 * i + 2 * (Q.r - 1) + 2 * Q.r * k, c))
-        k += 1
-    out = GradedDimensions.from_items(items, (lo, hi))
-    assert out == hc_from_quotient(Q, (lo, hi))
-    return out
+    return sum_rows(hc_quotient_rows(Q, window))
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +370,8 @@ def hc_smooth_base(Q: QuotientData,
 
 
 def fundamental_group_order(D: ToricDiagram) -> int:
-    """gcd of the maximal minors of the lifted vertex matrix."""
-    p = math.gcd(*[det_int(sub) for sub in
-                   itertools.combinations(D.normals, D.dimension + 1)])
+    """Product of the invariant factors of the lifted vertex matrix, which
+    is the gcd of its maximal minors."""
+    p = math.prod(smith_invariants(D.normals))
     assert p >= 1
     return p

@@ -22,7 +22,7 @@ from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import MismatchAt, delta_vector, series_numerator
 from .exactlat import (det_int, lattice_index, primitive_vector,
                        smith_normal_form)
-from .grading import GradedDimensions, checked_window
+from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
 from .polytope import normalized_volume, simplex_normalized_volume
 
@@ -344,15 +344,9 @@ def sum_sector_rows(D: ToricDiagram, rows: Dict[Fraction, GradedDimensions]
     """The table summed over hc_sector_rows' rows, checked degree by degree
     against contact_betti_from_delta; MismatchAt at the first degree where
     they differ."""
-    total: Dict[Fraction, int] = {}
-    win = None
-    for row in rows.values():
-        win = row.window
-        for d, v in row.entries.items():
-            total[d] = total.get(d, 0) + v
-    out = GradedDimensions(total, win)
-    reference = contact_betti_from_delta(D, win)
-    for d in sorted(set(total) | set(reference.entries)):
+    out = sum_rows(rows)
+    reference = contact_betti_from_delta(D, out.window)
+    for d in sorted(set(out.entries) | set(reference.entries)):
         if out.dim(d) != reference.dim(d):
             raise MismatchAt(d / 2,
                              "sector row sum differs from the delta table")

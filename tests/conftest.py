@@ -1,5 +1,6 @@
-"""Shared test helpers: the validated diagram of a corpus document, and a
-brute-force generator for the reflexive polygon classification."""
+"""Shared test helpers: the validated diagram of a corpus document, the
+smooth-base form of the sector table, and a brute-force generator for the
+reflexive polygon classification."""
 import itertools
 import math
 from fractions import Fraction
@@ -7,8 +8,10 @@ from functools import cmp_to_key, lru_cache
 
 from contactbetti.contact import validate_diagram
 from contactbetti.ehrhart import is_reflexive
+from contactbetti.grading import GradedDimensions
 from contactbetti.polytope import convex_hull, labelled_polytope, translate
-from contactbetti.prequant import diagram_from_labelled
+from contactbetti.prequant import (_hc_window, diagram_from_labelled,
+                                   hc_from_quotient)
 
 
 def corpus_diagram(doc):
@@ -18,6 +21,30 @@ def corpus_diagram(doc):
             [tuple(Fraction(c) for c in v) for v in doc["vertices"]]))
     return diagram_from_labelled(
         labelled_polytope(doc["normals"], doc["offsets"]))
+
+
+class BaseNotSmooth(ValueError):
+    """The smooth-base table was asked of an orbifold base."""
+
+
+def hc_smooth_base(Q, window=None):
+    """Manifold-base specialization of the sector table: h_i(B) at degrees
+    2i + 2r k + 2(r-1), checked against the sector formula before
+    returning."""
+    if not Q.smooth:
+        raise BaseNotSmooth("base has an orbifold vertex")
+    lo, hi = _hc_window(Q, window)
+    base_h = next(comp.h for sector in Q.sectors if sector.period == 1
+                  for comp in sector.components if not comp.face)
+    items = []
+    k = 0
+    while 2 * (Q.r - 1) + 2 * Q.r * k <= hi:
+        for i, c in enumerate(base_h):
+            items.append((2 * i + 2 * (Q.r - 1) + 2 * Q.r * k, c))
+        k += 1
+    out = GradedDimensions.from_items(items, (lo, hi))
+    assert out == hc_from_quotient(Q, (lo, hi))
+    return out
 
 
 def _cross(u, v):

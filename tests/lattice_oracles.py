@@ -13,13 +13,19 @@ last coordinate's range is solved from the cleared integer inequalities.
 replaced: every n-subset of the points that spans a hyperplane with all
 points on one side gives a facet.  ``interior_count_by_reciprocity``
 reads interior counts off a counting quasi-polynomial.
+
+``face_lattice_by_levels`` is the level-by-level face enumeration that
+``polytope.intersection_closure`` replaced, and
+``fundamental_group_order_by_minors`` the gcd of all maximal minors that
+the product of Smith invariants replaced.
 """
 import itertools
 import math
 import operator
 from fractions import Fraction
 
-from contactbetti.exactlat import primitive_vector
+from contactbetti.exactlat import det_int, primitive_vector
+from contactbetti.polytope import affine_dim
 
 
 def rat_echelon(rows):
@@ -153,3 +159,34 @@ def interior_count_by_reciprocity(qp, t):
     """Interior count via reciprocity: L_int(t) = (-1)^n L(-t)."""
     assert t >= 1, "interior counts need t >= 1"
     return (-1) ** qp.dimension * qp.evaluate(-t)
+
+
+def face_lattice_by_levels(P):
+    """{d: sorted vertex-id tuples of the d-faces}, keys from n down to 0.
+
+    The facets are the (n-1)-faces; the (d-1)-faces are the intersections
+    of a d-face with a facet whose vertices span dimension d - 1.
+    """
+    n = P.dimension
+    lattice = {n: (tuple(range(len(P.vertices))),)}
+    current = {f.vertex_ids for f in P.facets}
+    for d in range(n - 1, -1, -1):
+        lattice[d] = tuple(sorted(current))
+        for vids in current:
+            assert affine_dim([P.vertices[i] for i in vids]) == d
+        nxt = set()
+        for vids in current:
+            for f in P.facets:
+                inter = tuple(sorted(set(vids) & set(f.vertex_ids)))
+                if inter and inter != vids and affine_dim(
+                        [P.vertices[i] for i in inter]) == d - 1:
+                    nxt.add(inter)
+        current = nxt
+    assert lattice[0] == tuple((i,) for i in range(len(P.vertices)))
+    return lattice
+
+
+def fundamental_group_order_by_minors(D):
+    """gcd of the maximal minors of the lifted vertex matrix."""
+    return math.gcd(*[det_int(sub) for sub in
+                      itertools.combinations(D.normals, D.dimension + 1)])

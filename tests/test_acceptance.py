@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_forced_reflexive_polygons
+from conftest import brute_forced_reflexive_polygons, hc_smooth_base
 from lattice_oracles import interior_count_by_reciprocity
 from contactbetti import cli
 from contactbetti.contact import (
@@ -43,7 +43,6 @@ from contactbetti.prequant import (
     gorenstein_r,
     hc_from_quotient,
     hc_quotient_rows,
-    hc_smooth_base,
     orbifold_cohomology_of_base,
     quotient_polytope,
 )

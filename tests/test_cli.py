@@ -1,16 +1,20 @@
 """Command-line behaviour: documents, golden outputs, exit codes."""
+import argparse
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from contactbetti import cli
+from contactbetti import cli, polytope
 from contactbetti.cli import main
 from contactbetti.corpus import DOCUMENTS, corpus
 from contactbetti.grading import GradedDimensions
+from contactbetti.resolution import trivial_triangulation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
+                     / "ladder.json").read_text())
 
 # argv behind each golden file; regenerate with
 #   contactbetti <argv...> > tests/golden/<name>
@@ -179,6 +183,36 @@ def test_quotient_on_fractional_diagram_has_no_hc_table(capsys):
     rep = json.loads(out)
     assert rep["HC"] is None
     assert [s["T"] for s in rep["sectors"]] == ["1"]
+
+
+@pytest.mark.parametrize("name", ["corpus:lens-triangle", "corpus:lens-skew",
+                                  "corpus:unit-simplex", "n2m13", "n3m5",
+                                  "n4m2"])
+def test_default_triangulation_of_a_simplex_is_the_trivial_one(name):
+    raw = (cli._load_raw(name) if name.startswith("corpus:")
+           else {"kind": "diagram", "vertices": LADDER[name]})
+    D, _ = cli._diagram_of(cli._structured(raw))
+    assert len(D.polytope.vertices) == D.dimension + 1
+    T = cli._triangulation_for(D, argparse.Namespace())
+    assert T == trivial_triangulation(D)
+
+
+def test_simplex_commands_build_no_face_lattice(capsys, monkeypatch,
+                                                tmp_path):
+    built = []
+    init = polytope.RationalPolytope.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(polytope.RationalPolytope, "__init__",
+                        recording_init)
+    path = write_doc(tmp_path, {"kind": "diagram",
+                                "vertices": LADDER["n3m3"]})
+    for argv in (["delta", path], ["cb", path], ["crosscheck", path]):
+        assert run(capsys, argv)[0] == 0
+    assert built and all(P._lattice is None for P in built)
 
 
 def test_table_format_is_a_rendering_of_the_json(capsys):

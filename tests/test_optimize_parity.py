@@ -31,6 +31,8 @@ COMMANDS = [
     (["cb", "n2m13", "--pipeline", "both"], 0),
     (["quotient", "corpus:blowup-quad"], 0),
     (["validate", "n2m13"], 0),
+    (["resolve", "corpus:blowup-quad"], 0),
+    (["validate", "corpus:blowup-quad"], 0),
 ]
 
 

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import corpus_diagram
 from lattice_oracles import (count_points_naive, count_points_row_scan,
-                             hull_by_hyperplanes)
+                             face_lattice_by_levels, hull_by_hyperplanes)
 
+from contactbetti.corpus import corpus
 from contactbetti.polytope import (
     DegenerateInput,
     NotSimple,
@@ -18,6 +20,7 @@ from contactbetti.polytope import (
     UnboundedInput,
     cone_rays,
     convex_hull,
+    intersection_closure,
     count_points,
     dual_polytope,
     enumerate_halfspace_vertices,
@@ -357,8 +360,69 @@ def test_faces_triangle_and_order3():
 
 def test_face_incidence_data():
     P = convex_hull(L53_TRIANGLE)
-    for v in P.face_lattice()[0]:
-        assert len(v.facet_ids) == 2  # a polygon vertex meets two edges
+    for i in range(len(P.vertices)):
+        # a polygon vertex meets two edges
+        assert sum(i in f.vertex_ids for f in P.facets) == 2
+
+
+def test_intersection_closure():
+    assert intersection_closure(3, []) == {frozenset({0, 1, 2})}
+    assert intersection_closure(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) == {
+        frozenset(s) for s in [(0, 1, 2, 3), (0, 1), (1, 2), (2, 3),
+                               (0, 3), (0,), (1,), (2,), (3,)]}
+    # disjoint sets meet in the empty set, which is left out
+    assert intersection_closure(2, [(0,), (1,)]) == {
+        frozenset({0, 1}), frozenset({0}), frozenset({1})}
+
+
+def _cube(n):
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def _cross_polytope(n):
+    return [tuple(s * (i == k) for i in range(n))
+            for k in range(n) for s in (1, -1)]
+
+
+def _seeded_hulls(n, count):
+    rng = random.Random(700 + n)
+    hulls = []
+    while len(hulls) < count:
+        pts = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
+                     for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 6))]
+        try:
+            hulls.append(convex_hull(pts))
+        except DegenerateInput:
+            pass
+    return hulls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_lattice_matches_level_by_level_oracle(n):
+    polytopes = _seeded_hulls(n, 12 if n < 4 else 6)
+    polytopes += [convex_hull(_cube(n)), convex_hull(_cross_polytope(n))]
+    if n == 2:
+        polytopes += [corpus_diagram(doc).polytope
+                      for doc in corpus().values()]
+    for P in polytopes:
+        lattice = P.face_lattice()
+        assert list(lattice) == list(range(n, -1, -1))
+        assert all(f.dim == d for d, faces in lattice.items()
+                   for f in faces)
+        assert {d: tuple(f.vertex_ids for f in faces)
+                for d, faces in lattice.items()} == face_lattice_by_levels(P)
+
+
+def test_simplex_triangulation_builds_no_lattice():
+    for pts in (UNIT_SIMPLEX, [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]):
+        P = convex_hull(pts)
+        assert triangulate_ids(P) == [tuple(range(len(pts)))]
+        assert triangulate_ids(P, pull_last=True) == [tuple(range(len(pts)))]
+        assert P._lattice is None
+    P = convex_hull(FLOP_QUAD)
+    triangulate_ids(P)
+    assert P._lattice is not None
 
 
 def euler_characteristic(P):

@@ -1,11 +1,14 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_diagram
+from conftest import BaseNotSmooth, corpus_diagram, hc_smooth_base
+from lattice_oracles import fundamental_group_order_by_minors
 from contactbetti.contact import (
     NotInterior,
     contact_betti_from_delta,
@@ -16,7 +19,6 @@ from contactbetti.ehrhart import delta_vector
 from contactbetti.exactlat import lattice_index, primitive_vector, rat_rank
 from contactbetti.polytope import convex_hull, cone_rays, labelled_polytope
 from contactbetti.prequant import (
-    BaseNotSmooth,
     ConeFace,
     NotGorenstein,
     NotPrimitive,
@@ -26,7 +28,6 @@ from contactbetti.prequant import (
     gorenstein_r,
     hc_from_quotient,
     hc_quotient_rows,
-    hc_smooth_base,
     is_good_cone,
     orbifold_cohomology_of_base,
     _cone_skeleton,
@@ -451,6 +452,26 @@ def test_fundamental_group_orders():
     for D, p in [(L53, 3), (L53_ALT, 3), (SIMPLEX, 1), (SQUARE, 1),
                  (QUAD, 1), (TEARDROP, 5), (RHOMBUS, 4), (ORDER3, 3)]:
         assert fundamental_group_order(D) == p
+
+
+LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
+                     / "ladder.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name", sorted(corpus()) + sorted(LADDER) + ["parabola-%d" % k
+                                                 for k in (2, 4, 6)])
+def test_fundamental_group_order_is_the_gcd_of_maximal_minors(name):
+    if name in LADDER:
+        D = validate_diagram(convex_hull(
+            [tuple(F(c) for c in v) for v in LADDER[name]]))
+    elif name.startswith("parabola"):
+        k = int(name.split("-")[1])
+        D = validate_diagram(convex_hull(
+            [(i, i * i) for i in range(-k, k + 1)] + [(k, k * k + 1)]))
+    else:
+        D = corpus_diagram(corpus()[name])
+    assert fundamental_group_order(D) == fundamental_group_order_by_minors(D)
 
 
 def test_minimal_chern_numbers():

@@ -632,8 +632,6 @@ def hc_sector_rows_oracle(D, fan, boxes, window=None):
 
 def _default_triangulation(D):
     P = D.polytope
-    if len(P.vertices) == D.dimension + 1:
-        return trivial_triangulation(D)
     return triangulation_from_cells(D, P.vertices, triangulate_ids(P))
 
 
