@@ -20,10 +20,10 @@ from contactbetti.polytope import (
     UnboundedInput,
     cone_rays,
     convex_hull,
-    intersection_closure,
     count_points,
     dual_polytope,
     enumerate_halfspace_vertices,
+    intersection_closure,
     labelled_polytope,
     normalized_volume,
     order,
