@@ -332,6 +332,14 @@ def minimal_discrepancy(D: ToricDiagram) -> Fraction:
     (r = s/m - 1) and cross-checked against two delta-vector identities:
     r = n - top/m for the top nonzero delta index, and 2r = first degree
     with a nonzero graded dimension.
+
+    delta_vector reads its upper entries off the interior counts
+    L°(t), t <= floor(m(n+1)/2) + 1, and the scan reuses those memoized
+    counts.  When the first interior dilate s* is in that range, the
+    top-index identity only restates reciprocity: delta_(m(n+1)-s*) is
+    L°(s*) and every entry above it is 0 by construction.  Reciprocity
+    itself is tested by delta_vector's seam entry and mass identity, by
+    resolution.stapledon_check and by ehrhart.quasipolynomial.
     """
     m, n = D.order, D.dimension
     dv = delta_vector(D.polytope)

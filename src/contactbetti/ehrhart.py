@@ -11,6 +11,14 @@ with non-negative integer coefficients delta_j supported on
 orbifold Poincare series, discrepancy bounds) is read off this vector,
 so this module computes it from exact counts and cross-checks every
 derived identity it exposes.
+
+By Ehrhart-Macdonald reciprocity the interior counts L°(t) of the
+open dilates have the reversed numerator,
+
+    sum_{t>=1} L°(t) z^t = z^(m(n+1)) delta(1/z) / (1 - z^m)^(n+1),
+
+so the lower half of delta comes from closed counts and the upper half
+from interior counts, and no dilate beyond about m(n+1)/2 is counted.
 """
 from __future__ import annotations
 
@@ -109,16 +117,20 @@ class QuasiPolynomial:
         return val.numerator
 
 
-def series_numerator(P: RationalPolytope, upto: int) -> Tuple[int, ...]:
+def series_numerator(P: RationalPolytope, upto: int,
+                     interior: bool = False) -> Tuple[int, ...]:
     """Coefficients of z^j, j < upto, in (1 - z^m)^(n+1) * sum_t L(t) z^t.
 
     The coefficient of z^j is sum_i (-1)^i C(n+1, i) L(j - i*m), which
     reads the counts L(t) for t < upto only.  For j < m(n+1) these are
-    the delta entries; every coefficient from m(n+1) on vanishes.
+    the delta entries; every coefficient from m(n+1) on vanishes.  With
+    ``interior`` the series is sum_{t>=1} L°(t) z^t (L°(0) = 0), whose
+    coefficient of z^j is delta_(m(n+1)-j) by reciprocity.
     """
     n = P.dimension
     m = order(P)
-    counts = [1] + [count_points(P, t) for t in range(1, upto)]
+    counts = [int(not interior)] + [count_points(P, t, interior)
+                                    for t in range(1, upto)]
     entries = []
     for j in range(upto):
         acc = 0
@@ -129,14 +141,28 @@ def series_numerator(P: RationalPolytope, upto: int) -> Tuple[int, ...]:
 
 
 def delta_vector(P: RationalPolytope) -> DeltaVector:
-    """Numerator of the counting series, from exact counts.
+    """Numerator of the counting series, from exact counts of half the
+    dilates.
 
-    delta_j = sum_i (-1)^i C(n+1, i) L(j - i*m) for 0 <= j < m(n+1),
-    i.e. the convolution of the count sequence with (1 - z^m)^(n+1).
+    With top = m(n+1) and h = ceil(top/2), delta_j for j < h is the
+    closed-series coefficient, read off L(t) for t < h.  For h <= j < top
+    it is the coefficient of z^(top-j) in the interior series, read off
+    L°(t) for t <= floor(top/2) + 1.  The last interior dilate gives
+    delta_(h-1) a second time: MismatchAt (grading (h-1)/m) if the two
+    values differ.  The entries must also add up to m^(n+1) times the
+    normalized volume.
     """
     n = P.dimension
     m = order(P)
-    entries = series_numerator(P, m * (n + 1))
+    top = m * (n + 1)
+    h, seam = (top + 1) // 2, top // 2 + 1  # seam = top - (h - 1)
+    lower = series_numerator(P, h)
+    upper = series_numerator(P, seam + 1, interior=True)
+    if upper[seam] != lower[h - 1]:
+        raise MismatchAt(Fraction(h - 1, m),
+                         f"interior series gives delta_{h - 1} = "
+                         f"{upper[seam]}, closed series {lower[h - 1]}")
+    entries = lower + tuple(upper[top - j] for j in range(h, top))
     dv = DeltaVector(entries, m, n)
     # mass check: sum delta_j = m * (normalized volume of mP)
     mass = m ** (n + 1) * normalized_volume(P)
@@ -213,6 +239,8 @@ def is_reflexive(P: RationalPolytope) -> ReflexivityReport:
         dual = dual_polytope(shifted)
         dual_integral = all(c.denominator == 1 for v in dual.vertices
                             for c in v)
-    assert palindromic == dual_integral, "reflexivity criteria disagree"
+    if palindromic != dual_integral:
+        raise AssertionError(f"reflexivity criteria disagree: palindromic "
+                             f"{palindromic}, dual integral {dual_integral}")
     return ReflexivityReport(palindromic, palindromic, dual_integral,
                              None, centre)

@@ -309,10 +309,12 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
     """Per-degree equality dim H^2j_orb == delta_(mj), plus the generating
     series identity multiplied out to a fixed truncation order.
 
-    The series part checks that the coefficients m(n+1) <= j < 2m(n+1)
-    of (1 - z^m)^(n+1) * sum_t L(t) z^t vanish, which reads the counts
-    L(t) only for t < 2m(n+1); the coefficients below m(n+1) are delta
-    itself.  MismatchAt (grading j/m) at the first nonzero one.
+    The series part multiplies out (1 - z^m)^(n+1) * sum_t L(t) z^t from
+    the closed counts L(t), t < 2m(n+1).  Its coefficients below m(n+1)
+    must equal the delta entries, which delta_vector takes above
+    m(n+1)/2 from interior counts, so this checks reciprocity entry by
+    entry; the coefficients m(n+1) <= j < 2m(n+1) must vanish.
+    MismatchAt (grading j/m) at the first j that fails either test.
     """
     F = fan_over(T)
     H = orbifold_poincare(F)
@@ -325,6 +327,10 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
 
     top = m * (n + 1)
     series = series_numerator(D.polytope, 2 * top)
+    for j in range(top):
+        if series[j] != dv[j]:
+            raise MismatchAt(Fraction(j, m), "delta entry differs from the "
+                             "closed-count series")
     for j in range(top, 2 * top):
         if series[j]:
             raise MismatchAt(Fraction(j, m),

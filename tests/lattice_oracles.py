@@ -13,6 +13,9 @@ last coordinate's range is solved from the cleared integer inequalities.
 replaced: every n-subset of the points that spans a hyperplane with all
 points on one side gives a facet.  ``interior_count_by_reciprocity``
 reads interior counts off a counting quasi-polynomial.
+``delta_by_closed_counts`` is the delta vector as the convolution of all
+closed counts L(t), t < m(n+1), which the half-closed, half-interior
+reciprocity form replaced.
 
 ``face_lattice_by_levels`` is the level-by-level face enumeration that
 ``polytope.intersection_closure`` replaced, and
@@ -25,7 +28,7 @@ import operator
 from fractions import Fraction
 
 from contactbetti.exactlat import det_int, primitive_vector
-from contactbetti.polytope import affine_dim
+from contactbetti.polytope import affine_dim, count_points, order
 
 
 def rat_echelon(rows):
@@ -159,6 +162,15 @@ def interior_count_by_reciprocity(qp, t):
     """Interior count via reciprocity: L_int(t) = (-1)^n L(-t)."""
     assert t >= 1, "interior counts need t >= 1"
     return (-1) ** qp.dimension * qp.evaluate(-t)
+
+
+def delta_by_closed_counts(P):
+    """delta_j = sum_i (-1)^i C(n+1, i) L(j - i*m), 0 <= j < m(n+1)."""
+    n, m = P.dimension, order(P)
+    counts = [1] + [count_points(P, t) for t in range(1, m * (n + 1))]
+    return tuple(sum((-1) ** i * math.comb(n + 1, i) * counts[j - i * m]
+                     for i in range(min(j // m, n + 1) + 1))
+                 for j in range(m * (n + 1)))
 
 
 def face_lattice_by_levels(P):

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_oracles import interior_count_by_reciprocity
+from conftest import corpus_diagram
+from lattice_oracles import (delta_by_closed_counts,
+                             interior_count_by_reciprocity)
 
 from contactbetti import ehrhart
+from contactbetti.corpus import corpus
 from contactbetti.ehrhart import (
     DeltaVector,
     MismatchAt,
@@ -33,6 +38,8 @@ ORDER3 = convex_hull([(F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)),
                       (F(2, 3), F(2, 3)), (F(2, 3), F(1, 3))])
 SIMPLEX2 = convex_hull([(0, 0), (1, 0), (0, 1)])
 SRC = Path(__file__).resolve().parent.parent / "src"
+LADDER = json.loads(
+    (SRC.parent / "perfbench" / "ladder.json").read_text())
 
 
 def general_binomial(a, k):
@@ -101,6 +108,101 @@ def test_delta_rejects_bad_entries():
         DeltaVector((1, -1, 0), 1, 2)
     with pytest.raises(ValueError):
         DeltaVector((1, 0), 1, 2)
+
+
+# ------------------------------------------------- delta by reciprocity
+
+
+def _seeded_hulls(n, count):
+    """Vertex lists of full-dimensional hulls with one denominator
+    d in 1..3 each, so orders 1-3 and both parities of m(n+1) for even n."""
+    rng = random.Random(1300 + n)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        pts = [tuple(F(rng.randint(-2, 2), d) for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 4))]
+        try:
+            convex_hull(pts)
+        except DegenerateInput:
+            continue
+        out.append(pts)
+    return out
+
+
+def _oracle_cases():
+    cases = [("corpus:" + name, doc) for name, doc in corpus().items()]
+    cases += [(name, {"kind": "diagram", "vertices": verts})
+              for name, verts in LADDER.items()]
+    for n in (1, 2, 3, 4):
+        cases += [(f"hull-n{n}-{i}", {"kind": "diagram", "vertices": pts})
+                  for i, pts in enumerate(_seeded_hulls(n, 10 if n < 4
+                                                        else 6))]
+    return cases
+
+
+def test_delta_matches_closed_count_convolution():
+    parities = set()
+    for name, doc in _oracle_cases():
+        P = corpus_diagram(doc).polytope if name.startswith("corpus:") \
+            else convex_hull(doc["vertices"])
+        top = order(P) * (P.dimension + 1)
+        parities.add(top % 2)
+        fresh = convex_hull(P.vertices)  # no shared count memo
+        assert delta_vector(P).entries == delta_by_closed_counts(fresh), name
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("name", ["n2m13", "n3m8", "n4m3"])
+def test_delta_reads_half_the_dilates(name):
+    P = convex_hull(LADDER[name])
+    delta_vector(P)
+    top = order(P) * (P.dimension + 1)
+    h = (top + 1) // 2
+    closed = {t for t, interior in P._counts if not interior}
+    inner = {t for t, interior in P._counts if interior}
+    assert closed == set(range(1, h))
+    assert inner == set(range(1, top // 2 + 2))
+
+
+@pytest.mark.parametrize("vertices", [L53.vertices, ORDER3.vertices,
+                                      SIMPLEX2.vertices, LADDER["n2m13"],
+                                      LADDER["n4m2"]],
+                         ids=["l53", "order3", "simplex", "n2m13", "n4m2"])
+def test_delta_seam_is_checked(vertices):
+    # the last interior dilate gives delta_(h-1) a second time
+    P = convex_hull(vertices)
+    top = order(P) * (P.dimension + 1)
+    h = (top + 1) // 2
+    s = top // 2 + 1
+    P._counts[s, True] = count_points(P, s, interior=True) + 1
+    with pytest.raises(MismatchAt, match="interior series gives") as info:
+        delta_vector(P)
+    assert info.value.j == F(h - 1, order(P))
+
+
+SEAM_RUN = """
+from contactbetti.ehrhart import MismatchAt, delta_vector
+from contactbetti.polytope import convex_hull
+P = convex_hull([("1/2", 0), (0, "1/2"), ("-1/2", "-1/2")])
+P._counts[4, True] = 5
+try:
+    delta_vector(P)
+except MismatchAt as exc:
+    print(exc.j)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_delta_seam_raises_under_optimize(flags):
+    # m = 2, n = 2: top = 6, h = 3, seam dilate 4, grading (h-1)/m = 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", SEAM_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 # ---------------------------------------------------------------- branches
@@ -226,6 +328,12 @@ def test_not_integral():
 def test_reflexive_quad_criteria_agree():
     rep = is_reflexive(convex_hull([(0, 0), (1, 0), (0, 1), (2, 2)]))
     assert rep.palindromic == rep.dual_integral == rep.reflexive
+
+
+def test_reflexivity_disagreement_is_raised(monkeypatch):
+    monkeypatch.setattr(DeltaVector, "is_palindromic", lambda self: False)
+    with pytest.raises(AssertionError, match="criteria disagree"):
+        is_reflexive(L53)
 
 
 def test_palindromicity_classifies_the_sixteen_reflexive_polygons():

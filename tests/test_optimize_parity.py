@@ -33,6 +33,9 @@ COMMANDS = [
     (["validate", "n2m13"], 0),
     (["resolve", "corpus:blowup-quad"], 0),
     (["validate", "corpus:blowup-quad"], 0),
+    (["delta", "corpus:lens-triangle"], 0),
+    (["delta", "n2m13"], 0),
+    (["cb", "corpus:order-three-square", "--pipeline", "delta"], 0),
 ]
 
 

@@ -451,6 +451,18 @@ def test_stapledon_series_reads_each_count():
     assert info.value.j == F(t, D.order)
 
 
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_stapledon_checks_each_delta_entry(t):
+    # delta_vector reads no closed count from h = ceil(m(n+1)/2) = 3 on,
+    # so a wrong L(t), 3 <= t < 6, shows only in the closed-count series
+    D = validate_diagram(convex_hull(
+        [(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))]))
+    D.polytope._counts[(t, False)] = count_points(D.polytope, t) + 1
+    with pytest.raises(MismatchAt, match="closed-count series") as info:
+        stapledon_check(D, trivial_triangulation(D))
+    assert info.value.j == F(t, D.order)
+
+
 def test_stapledon_delta_field():
     rep = stapledon_check(L53, L53_STAR)
     assert rep.delta == (1, 1, 1)
