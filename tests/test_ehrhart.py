@@ -131,23 +131,20 @@ def _seeded_hulls(n, count):
 
 
 def _oracle_cases():
-    cases = [("corpus:" + name, doc) for name, doc in corpus().items()]
-    cases += [(name, {"kind": "diagram", "vertices": verts})
-              for name, verts in LADDER.items()]
+    """(name, polytope): the corpus, the ladder rows and seeded hulls."""
+    cases = [("corpus:" + name, corpus_diagram(doc).polytope)
+             for name, doc in corpus().items()]
+    cases += [(name, convex_hull(verts)) for name, verts in LADDER.items()]
     for n in (1, 2, 3, 4):
-        cases += [(f"hull-n{n}-{i}", {"kind": "diagram", "vertices": pts})
-                  for i, pts in enumerate(_seeded_hulls(n, 10 if n < 4
-                                                        else 6))]
+        cases += [(f"hull-n{n}-{i}", convex_hull(pts)) for i, pts in
+                  enumerate(_seeded_hulls(n, 10 if n < 4 else 6))]
     return cases
 
 
 def test_delta_matches_closed_count_convolution():
     parities = set()
-    for name, doc in _oracle_cases():
-        P = corpus_diagram(doc).polytope if name.startswith("corpus:") \
-            else convex_hull(doc["vertices"])
-        top = order(P) * (P.dimension + 1)
-        parities.add(top % 2)
+    for name, P in _oracle_cases():
+        parities.add(order(P) * (P.dimension + 1) % 2)
         fresh = convex_hull(P.vertices)  # no shared count memo
         assert delta_vector(P).entries == delta_by_closed_counts(fresh), name
     assert parities == {0, 1}
