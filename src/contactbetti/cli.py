@@ -5,8 +5,18 @@ Parses diagram and labelled-polytope documents (files or built-in
 emits deterministic reports as JSON or as a plain-text rendering of the
 same JSON.
 
-Exit codes: 0 success, 2 cross-check mismatch, 64 parse error,
-65 validation error, 66 genericity failure.
+Options come from one table, ``_COMMANDS``: each command's help line and
+its long options (``_Option``: flag, ``type=`` callable, choices,
+default, metavar, help text, mutually exclusive group).  ``_read_argv``
+reads a known command's plain argv straight from the table: one input,
+then exact long options as ``--opt value``, ``--opt=value`` or a bare
+flag.  Any other argv goes to argparse, which ``_build_parser`` builds
+from the same table; argparse is the only writer of help and usage
+errors.
+
+Exit codes: 0 success, 2 cross-check mismatch, 64 parse error (usage,
+malformed document or option value), 65 validation error, 66 genericity
+failure.
 """
 from __future__ import annotations
 
@@ -15,7 +25,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ._jsonio import dumps, parse_point, point_json, rat_str
 from .contact import (GenericityFailure, ReebVector, ToricDiagram,
@@ -205,6 +216,9 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
                                 "0..%d" % (len(points) - 1))
         return triangulation_from_cells(D, points, cells)
     if getattr(args, "star", None) is not None:
+        if len(args.star) != D.dimension:
+            raise DocumentError(
+                "--star needs %d comma-separated rationals" % D.dimension)
         return star_triangulation(D, args.star)
     if getattr(args, "trivial", False):
         return trivial_triangulation(D)
@@ -218,11 +232,16 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
 
 
 def _rat_arg(s: str) -> Fraction:
-    return Fraction(s)
+    # argparse turns only ValueError and TypeError into a usage error
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            "zero denominator in %r" % s) from None
 
 
 def _rat_point_arg(s: str) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in s.split(","))
+    return tuple(_rat_arg(t) for t in s.split(","))
 
 
 def _int_point_arg(s: str) -> Tuple[int, ...]:
@@ -233,7 +252,7 @@ def _window_arg(s: str) -> Tuple[Fraction, Fraction]:
     lo, sep, hi = s.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError("window must be given as lo:hi")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _rat_arg(lo), _rat_arg(hi)
     if lo > hi:
         raise argparse.ArgumentTypeError("window lo must not exceed hi")
     return lo, hi
@@ -556,100 +575,95 @@ def render_table(report: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# argument parser
+# options: one table, read by argparse and by _read_argv
+
+
+class _Option(NamedTuple):
+    """One long option of a command: argparse's keywords for it and its
+    mutually exclusive group, if any.  The dest is the flag without its
+    dashes; a ``bare`` option takes no value and stores True."""
+
+    flag: str
+    type: Optional[Callable[[str], object]] = None  # None: the string
+    choices: Optional[Tuple[str, ...]] = None
+    default: object = None
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+    group: Optional[str] = None
+    bare: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+
+_INPUT_HELP = "document path, or corpus:<name> for a built-in"
+_FORMAT = _Option("--format", choices=("json", "table"), default="json")
+# --reeb is a rational base point of the Reeb field for cb and orbits, and
+# an integral quotient direction for quotient, hc and crosscheck
+_RAT_REEB = _Option("--reeb", _rat_point_arg, metavar="P/Q,...",
+                    help="interior base point of the Reeb field")
+_PERTURB = _Option("--perturb", _rat_arg, default=Fraction(1, 101),
+                   metavar="P/Q", help="perturbation parameter")
+_INT_REEB = _Option("--reeb", _int_point_arg, metavar="W1,...,R",
+                    help="integral quotient direction")
+_WINDOW = _Option("--window", _window_arg, metavar="LO:HI",
+                  help="degree window (rationals)")
+_TRIANGULATION = (
+    _Option("--triangulation", metavar="FILE",
+            help="JSON file with extra points and cells",
+            group="triangulation"),
+    _Option("--star", _rat_point_arg, metavar="P/Q,...",
+            help="star-triangulate at this interior point",
+            group="triangulation"),
+    _Option("--trivial", default=False, bare=True,
+            help="use the diagram itself as single cell",
+            group="triangulation"),
+)
+
+# command -> (help line, options after the input), in the order the help
+# lists them
+_COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
+    "validate": ("check a document and report its data", (_FORMAT,)),
+    "ehrhart": ("counting quasi-polynomial branches", (_FORMAT,)),
+    "delta": ("numerator vector of the counting series", (_FORMAT,)),
+    "cb": ("graded orbit counts by degree",
+           (_FORMAT, _RAT_REEB, _PERTURB, _WINDOW,
+            _Option("--pipeline", choices=("delta", "direct", "both"),
+                    default="both"))),
+    "orbits": ("closed-orbit family data",
+               (_FORMAT, _RAT_REEB, _PERTURB,
+                _Option("--iterates", _positive_int_arg, default=6,
+                        metavar="N", help="degrees of the first N iterates"))),
+    "resolve": ("triangulate and check the induced fan",
+                (_FORMAT,) + _TRIANGULATION),
+    "orbifold": ("graded sector cohomology of the fan",
+                 (_FORMAT,) + _TRIANGULATION),
+    "quotient": ("quotient base and twisted sectors",
+                 (_FORMAT, _INT_REEB, _WINDOW)),
+    "hc": ("graded table with per-sector rows",
+           (_FORMAT,
+            _INT_REEB._replace(
+                help="integral quotient direction (quotient pipeline)"),
+            _WINDOW) + _TRIANGULATION + (
+            _Option("--pipeline", choices=("quotient", "resolution"),
+                    help="default: quotient when integral, else resolution"),
+           )),
+    "crosscheck": ("run all applicable pipelines and compare",
+                   (_FORMAT, _INT_REEB, _WINDOW) + _TRIANGULATION),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # no option starts with "-<digit>", so such arguments are values:
-        # negative rationals and windows such as -2/3 and -1:4
+        # negative rationals and windows such as -2/3 and -1:4 (the test
+        # _is_value makes with string methods)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
-
-
-def _add_common(sub):
-    sub.add_argument("input",
-                     help="document path, or corpus:<name> for a built-in")
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-
-
-def _add_reeb_field(sub):
-    sub.add_argument("--reeb", type=_rat_point_arg, metavar="P/Q,...",
-                     help="interior base point of the Reeb field")
-    sub.add_argument("--perturb", type=_rat_arg, default=Fraction(1, 101),
-                     metavar="P/Q", help="perturbation parameter")
-
-
-def _add_window(sub):
-    sub.add_argument("--window", type=_window_arg, metavar="LO:HI",
-                     help="degree window (rationals)")
-
-
-def _add_triangulation(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--triangulation", metavar="FILE",
-                       help="JSON file with extra points and cells")
-    group.add_argument("--star", type=_rat_point_arg, metavar="P/Q,...",
-                       help="star-triangulate at this interior point")
-    group.add_argument("--trivial", action="store_true",
-                       help="use the diagram itself as single cell")
-
-
-def _add_int_reeb(sub, help_text="integral quotient direction"):
-    sub.add_argument("--reeb", type=_int_point_arg, metavar="W1,...,R",
-                     help=help_text)
-
-
-def _cb_options(sub):
-    _add_reeb_field(sub)
-    _add_window(sub)
-    sub.add_argument("--pipeline", choices=("delta", "direct", "both"),
-                     default="both")
-
-
-def _orbits_options(sub):
-    _add_reeb_field(sub)
-    sub.add_argument("--iterates", type=_positive_int_arg, default=6,
-                     metavar="N", help="degrees of the first N iterates")
-
-
-def _quotient_options(sub):
-    _add_int_reeb(sub)
-    _add_window(sub)
-
-
-def _hc_options(sub):
-    _add_int_reeb(sub, "integral quotient direction (quotient pipeline)")
-    _add_window(sub)
-    _add_triangulation(sub)
-    sub.add_argument("--pipeline", choices=("quotient", "resolution"),
-                     help="default: quotient when integral, else resolution")
-
-
-def _crosscheck_options(sub):
-    _add_int_reeb(sub)
-    _add_window(sub)
-    _add_triangulation(sub)
-
-
-# command -> (help line, options added after input and --format), in the
-# order the help lists them
-_COMMANDS = {
-    "validate": ("check a document and report its data", None),
-    "ehrhart": ("counting quasi-polynomial branches", None),
-    "delta": ("numerator vector of the counting series", None),
-    "cb": ("graded orbit counts by degree", _cb_options),
-    "orbits": ("closed-orbit family data", _orbits_options),
-    "resolve": ("triangulate and check the induced fan", _add_triangulation),
-    "orbifold": ("graded sector cohomology of the fan", _add_triangulation),
-    "quotient": ("quotient base and twisted sectors", _quotient_options),
-    "hc": ("graded table with per-sector rows", _hc_options),
-    "crosscheck": ("run all applicable pipelines and compare",
-                   _crosscheck_options),
-}
 
 
 def _build_parser(command: Optional[str] = None) -> _Parser:
@@ -666,10 +680,86 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     for name in _COMMANDS if command is None else (command,):
         help_text, options = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if options:
-            options(sub)
+        sub.add_argument("input", help=_INPUT_HELP)
+        groups = {}
+        for opt in options:
+            target = sub
+            if opt.group is not None:
+                if opt.group not in groups:
+                    groups[opt.group] = sub.add_mutually_exclusive_group()
+                target = groups[opt.group]
+            if opt.bare:
+                target.add_argument(opt.flag, action="store_true",
+                                    help=opt.help)
+            else:
+                target.add_argument(opt.flag, type=opt.type,
+                                    choices=opt.choices, default=opt.default,
+                                    metavar=opt.metavar, help=opt.help)
     return parser
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads ``token`` as a value: it does not start with
+    "-", or it starts like a negative number ("-<digit>", "-.<digit>")."""
+    if not token.startswith("-"):
+        return True
+    return token[1:2].isdecimal() or (token[1:2] == "."
+                                      and token[2:3].isdecimal())
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse makes of a known command's plain argv.
+
+    Plain means: one input that does not start with "-", and otherwise
+    exact long options of the command's table, as ``--opt value``,
+    ``--opt=value`` or a bare flag, whose values convert and pass their
+    choices, with at most one option of each mutually exclusive group.
+    Anything else (help, abbreviations, "--", unknown options, bad
+    values, conflicts) gives None: argparse reads it and writes the help
+    or the usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {opt.flag: opt for opt in _COMMANDS[argv[0]][1]}
+    values = {opt.dest: opt.default for opt in options.values()}
+    inputs = []
+    groups: Dict[str, set] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            inputs.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        opt = options.get(flag)
+        if opt is None:
+            return None
+        if opt.bare:
+            if eq:
+                return None
+            values[opt.dest] = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    return None
+            if not _is_value(value):
+                return None
+            if opt.type is not None:
+                try:
+                    value = opt.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if opt.choices is not None and value not in opt.choices:
+                return None
+            values[opt.dest] = value
+        if opt.group is not None:
+            given = groups.setdefault(opt.group, set())
+            given.add(flag)
+            if len(given) > 1:
+                return None
+    if len(inputs) != 1:
+        return None
+    return argparse.Namespace(command=argv[0], input=inputs[0], **values)
 
 
 def _fail(code: int, message: str) -> int:
@@ -679,13 +769,15 @@ def _fail(code: int, message: str) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only a known command gets its own parser; --help, a missing or an
-    # unknown command need the full one
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else PARSE_ERROR
+    args = _read_argv(argv)
+    if args is None:
+        # only a known command gets its own parser; --help, a missing or an
+        # unknown command need the full one
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            args = _build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else PARSE_ERROR
     try:
         report, code = _HANDLERS[args.command](args)
     except DocumentError as exc:

@@ -150,8 +150,10 @@ def delta_vector(P: RationalPolytope) -> DeltaVector:
     L°(t) for t <= floor(top/2) + 1.  The last interior dilate gives
     delta_(h-1) a second time: MismatchAt (grading (h-1)/m) if the two
     values differ.  The entries must also add up to m^(n+1) times the
-    normalized volume.
+    normalized volume.  The checked vector is memoized on P.
     """
+    if P._delta is not None:
+        return P._delta
     n = P.dimension
     m = order(P)
     top = m * (n + 1)
@@ -169,6 +171,7 @@ def delta_vector(P: RationalPolytope) -> DeltaVector:
     if sum(entries) != mass:
         raise AssertionError(f"delta entries add up to {sum(entries)}, "
                              f"not m^(n+1) * volume = {mass}")
+    P._delta = dv
     return dv
 
 

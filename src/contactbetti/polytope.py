@@ -63,6 +63,7 @@ class RationalPolytope:
         self.facets = facets
         self._lattice: dict[int, tuple[Face, ...]] | None = None
         self._counts: dict[tuple[int, bool], int] = {}
+        self._delta = None  # ehrhart.delta_vector, once checked
 
     def __repr__(self):
         return "RationalPolytope(dim=%d, vertices=%s)" % (

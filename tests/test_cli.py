@@ -5,6 +5,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactbetti import cli, polytope
 from contactbetti.cli import main
@@ -244,6 +246,22 @@ def test_parse_errors_exit_64(capsys, tmp_path):
     assert run(capsys, ["cb", "corpus:lens-triangle", "--window", "3"])[0] == 64
     assert run(capsys, ["quotient", "corpus:lens-triangle",
                         "--reeb", "1,2"])[0] == 64
+    # a zero denominator in an option value is a usage error too
+    for argv in (["cb", "corpus:lens-triangle", "--window", "1/0:3"],
+                 ["cb", "corpus:lens-triangle", "--perturb", "1/0"],
+                 ["cb", "corpus:lens-triangle", "--reeb", "1/0,0"],
+                 ["resolve", "corpus:lens-triangle", "--star", "0,1/0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == ""
+        assert "zero denominator in '1/0'" in err
+
+
+@pytest.mark.parametrize("star", ["0", "0,0,0"])
+def test_star_of_the_wrong_length_exits_64(capsys, star):
+    code, out, err = run(capsys, ["resolve", "corpus:lens-triangle",
+                                  "--star", star])
+    assert code == 64 and out == ""
+    assert "--star needs 2 comma-separated rationals" in err
 
 
 def test_structural_document_errors_exit_64(capsys, tmp_path):
@@ -425,3 +443,98 @@ def test_one_command_parser_reads_like_the_full_parser(capsys, monkeypatch,
     else:
         pytest.fail("argv %s parsed" % argv)
     assert run(capsys, argv) == full
+
+
+# ---------------------------------------------------------------- reader
+
+
+def test_parser_argv_falls_back_to_argparse():
+    assert [argv for argv in PARSER_ARGV if cli._read_argv(argv)] == []
+
+
+def _agrees_with_argparse(argv):
+    """The reader reads argv, as the full argparse parser does."""
+    args = cli._read_argv(argv)
+    assert args is not None, argv
+    assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+# values that convert, per option type; None stands for the string
+# itself, which argparse takes as "-x" only in the --opt=value form
+SAMPLE_VALUES = {cli._rat_point_arg: ["-1/7,1/5", "1/3,2"],
+                 cli._int_point_arg: ["1,2,4", "-1,0,3"],
+                 cli._rat_arg: ["-1/97", "1/89"],
+                 cli._window_arg: ["-2/3:8", "0:12"],
+                 cli._positive_int_arg: ["3", "1"],
+                 None: ["tri.json", "x=y", "-1", "-x"]}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_reader_reads_every_option_in_both_forms(command):
+    for opt in cli._COMMANDS[command][1]:
+        if opt.bare:
+            _agrees_with_argparse([command, "x", opt.flag])
+            continue
+        value = (opt.choices[-1] if opt.choices
+                 else SAMPLE_VALUES[opt.type][0])
+        _agrees_with_argparse([command, "x", opt.flag, value])
+        _agrees_with_argparse([command, opt.flag + "=" + value, "x"])
+
+
+@pytest.mark.parametrize("workload", ["delta-series", "orbits-corpus"])
+def test_reader_reads_every_workload_argv(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent
+                                    / "perfbench"))
+    from workloads import WORKLOADS, Ladder
+    for op in WORKLOADS[workload](Ladder(1, str(tmp_path))):
+        _agrees_with_argparse(op.argv)
+
+
+FLAGS = sorted({opt.flag for _, options in cli._COMMANDS.values()
+                for opt in options})
+JUNK_FLAGS = ["-h", "--help", "--", "--pipe", "--form", "--st", "--tri",
+              "--bogus", "-x", "-", "--reeb-x"]
+VALUES = ["json", "table", "xml", "delta", "direct", "both", "quotient",
+          "resolution", "1/7,1/5", "1,2,4", "1,1,3", "0,0", "0,1/0", "0",
+          "-1", "3", "1/97", "-1/3", "1/0", "-1:4", "0:8", "-2/3:8", "5:1",
+          "1/0:3", "-.5", "-x", "x=y", "", "-", "tri.json", "1,2"]
+JUNK = st.one_of(
+    st.sampled_from(FLAGS + JUNK_FLAGS + VALUES),
+    st.builds("{}={}".format, st.sampled_from(FLAGS + JUNK_FLAGS),
+              st.sampled_from(VALUES)))
+
+
+def _option_tokens(opt):
+    """The option with a value of its type or any value, in either form;
+    a bare option alone or with a value."""
+    if opt.bare:
+        return st.sampled_from([[opt.flag]] * 3 + [[opt.flag + "=x"]])
+    own = list(opt.choices or SAMPLE_VALUES[opt.type])
+    value = st.one_of(*[st.sampled_from(own)] * 5, st.sampled_from(VALUES))
+    return st.tuples(value, st.booleans()).map(
+        lambda v: [opt.flag + "=" + v[0]] if v[1] else [opt.flag, v[0]])
+
+
+def _argv_of(command):
+    known = cli._COMMANDS.get(command, ("", ()))[1]
+    token = st.one_of(JUNK.map(lambda t: [t]),
+                      *[_option_tokens(opt) for opt in known] * 4)
+    inputs = st.one_of(
+        *[st.just(["corpus:lens-skew"])] * 3,
+        st.lists(st.sampled_from(["x", "-1", "a=b", ""]), max_size=2))
+    return st.builds(
+        lambda before, given, after: ([command] + sum(before, []) + given
+                                      + sum(after, [])),
+        st.lists(token, max_size=2), inputs, st.lists(token, max_size=3))
+
+
+ARGV = st.one_of(*[_argv_of(command)
+                   for command in list(cli._COMMANDS) + ["bogus", "-h"]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=ARGV)
+def test_reader_agrees_with_argparse_when_it_reads(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))

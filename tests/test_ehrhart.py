@@ -98,7 +98,23 @@ def test_delta_mass_identity_is_checked(monkeypatch):
     monkeypatch.setattr(ehrhart, "normalized_volume", lambda P: real(P) + 1)
     with pytest.raises(AssertionError,
                        match="delta entries add up to 3, not .* = 4"):
-        delta_vector(L53)
+        delta_vector(convex_hull(L53.vertices))  # not memoized yet
+
+
+def test_delta_vector_is_memoized(monkeypatch):
+    # the seam and mass checks run on the first call only; a second call
+    # reads no count, builds no series and takes no volume
+    P = convex_hull(LADDER["n2m13"])
+    first = delta_vector(P)
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("delta vector recomputed")
+
+    for name in ("count_points", "series_numerator", "normalized_volume"):
+        monkeypatch.setattr(ehrhart, name, recompute)
+    assert delta_vector(P) is first
+    with pytest.raises(AssertionError, match="recomputed"):
+        delta_vector(convex_hull(LADDER["n2m13"]))
 
 
 def test_delta_rejects_bad_entries():

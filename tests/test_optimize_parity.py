@@ -36,6 +36,16 @@ COMMANDS = [
     (["delta", "corpus:lens-triangle"], 0),
     (["delta", "n2m13"], 0),
     (["cb", "corpus:order-three-square", "--pipeline", "delta"], 0),
+    (["cb", "corpus:lens-triangle", "--window", "-1:4", "--format", "table"],
+     0),
+    (["orbits", "corpus:lens-skew", "--iterates", "3", "--perturb", "1/97"],
+     0),
+    (["cb", "corpus:lens-triangle", "--window", "1/0:3"], 64),
+    (["cb", "corpus:lens-triangle", "--perturb", "1/0"], 64),
+    (["cb", "corpus:lens-triangle", "--reeb", "1/0,0"], 64),
+    (["resolve", "corpus:lens-triangle", "--star", "0,1/0"], 64),
+    (["resolve", "corpus:lens-triangle", "--star", "0"], 64),
+    (["resolve", "corpus:lens-triangle", "--star", "0,0,0"], 64),
 ]
 
 
