@@ -449,7 +449,8 @@ def test_one_command_parser_reads_like_the_full_parser(capsys, monkeypatch,
 
 
 def test_parser_argv_falls_back_to_argparse():
-    assert [argv for argv in PARSER_ARGV if cli._read_argv(argv)] == []
+    assert [argv for argv in PARSER_ARGV
+            if cli._read_argv(argv) is not None] == []
 
 
 def _agrees_with_argparse(argv):
