@@ -17,11 +17,16 @@ def rat_str(x: Rat) -> str:
 
 
 def parse_rat(s: Union[str, int]) -> Fraction:
+    """An integer, or a string ``p``, ``p/q`` or plain decimal such as
+    ``-.5``.  Exponents (``1e5``) are refused: their digits, and so the
+    cost of every later step, would grow with the exponent's value."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise TypeError("coordinate must be an integer or a string, got %r"
                         % (s,))
     if isinstance(s, int):
         return Fraction(s)
+    if "e" in s or "E" in s:
+        raise ValueError("exponent not accepted in %r" % s)
     return Fraction(s.strip())
 
 

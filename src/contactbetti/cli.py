@@ -35,13 +35,13 @@ from .contact import (GenericityFailure, ReebVector, ToricDiagram,
                       orbit_data, orbit_degree, validate_diagram)
 from .corpus import DOCUMENTS, corpus
 from .ehrhart import delta_vector, is_reflexive, quasipolynomial
-from .exactlat import basis_completion, primitive_vector
+from .exactlat import primitive_vector
 from .grading import GradedDimensions, default_window, sum_rows
 from .polytope import (LabelledPolytope, convex_hull, count_points,
                        labelled_polytope, normalized_volume, triangulate_ids)
-from .prequant import (diagram_from_labelled, fundamental_group_order,
-                       gorenstein_r, hc_from_quotient, hc_quotient_rows,
-                       is_good_cone, orbifold_cohomology_of_base,
+from .prequant import (fundamental_group_order, gorenstein_r,
+                       hc_from_quotient, hc_quotient_rows, is_good_cone,
+                       orbifold_cohomology_of_base, prequantization,
                        quotient_polytope)
 from .resolution import (Triangulation, fan_over, hc_from_resolution,
                          hc_sector_rows, orbifold_poincare, stapledon_check,
@@ -135,19 +135,6 @@ def _labelled_of(doc: dict) -> LabelledPolytope:
     return labelled_polytope(doc["normals"], doc["offsets"])
 
 
-def _derived_direction(delta: LabelledPolytope) -> Tuple[int, ...]:
-    """Quotient direction whose quotient reproduces the labelled base.
-
-    In the basis used by diagram_from_labelled the direction is the last
-    column of the change-of-basis matrix [completion; (w, r)].
-    """
-    found = gorenstein_r(delta)
-    assert found is not None
-    r, w = found
-    A = basis_completion([w + (r,)])
-    return tuple(row[-1] for row in A) + (r,)
-
-
 def _diagram_of(doc: dict) -> Tuple[ToricDiagram, Optional[Tuple[int, ...]]]:
     """Validated diagram plus the document's quotient direction, if any.
 
@@ -156,8 +143,7 @@ def _diagram_of(doc: dict) -> Tuple[ToricDiagram, Optional[Tuple[int, ...]]]:
     """
     if doc["kind"] == "diagram":
         return validate_diagram(convex_hull(doc["points"])), doc["reeb"]
-    delta = _labelled_of(doc)
-    return diagram_from_labelled(delta), _derived_direction(delta)
+    return prequantization(_labelled_of(doc))
 
 
 def _fallback_direction(D: ToricDiagram) -> Tuple[int, ...]:
@@ -232,7 +218,10 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
 
 
 def _rat_arg(s: str) -> Fraction:
-    # argparse turns only ValueError and TypeError into a usage error
+    # argparse turns only ValueError and TypeError into a usage error; an
+    # exponent would make the value's digits grow with its size
+    if "e" in s or "E" in s:
+        raise argparse.ArgumentTypeError("exponent not accepted in %r" % s)
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -472,6 +461,12 @@ def _cmd_hc(args):
     if pipeline is None:
         pipeline = "quotient" if D.order == 1 else "resolution"
     if pipeline == "quotient":
+        given = [flag for flag in ("triangulation", "star", "trivial")
+                 if getattr(args, flag)]
+        if given:
+            raise DocumentError(
+                "--%s applies to the resolution pipeline only "
+                "(--pipeline resolution)" % given[0])
         Q = quotient_polytope(D, _direction_for(D, doc_nu, args))
         rows = hc_quotient_rows(Q, window)
         table = sum_rows(rows)

@@ -20,16 +20,17 @@ package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .ehrhart import delta_vector
 from .exactlat import (
     Jet,
-    basis_completion,
+    Mat,
     mat_inverse,
     smith_invariants,
+    unimodular_frame,
     vec_mat,
 )
 from .grading import GradedDimensions, checked_window
@@ -69,6 +70,9 @@ class ToricDiagram:
     order: int
     normals: Tuple[Tuple[int, ...], ...]        # (m*v, m) per vertex
     facet_vertex_ids: Tuple[Tuple[int, ...], ...]
+    # facet id -> unimodular_frame of its normals, built on first use
+    _frames: Dict[int, Tuple[Mat, Mat]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -76,6 +80,15 @@ class ToricDiagram:
 
     def facet_normals(self, facet_id: int) -> Tuple[Tuple[int, ...], ...]:
         return tuple(self.normals[i] for i in self.facet_vertex_ids[facet_id])
+
+    def facet_frame(self, facet_id: int) -> Tuple[Mat, Mat]:
+        """(eta, inverse of [facet normals; eta]) with eta the canonical
+        completion, one ``unimodular_frame`` per facet for every Reeb
+        vector."""
+        if facet_id not in self._frames:
+            self._frames[facet_id] = unimodular_frame(
+                self.facet_normals(facet_id))
+        return self._frames[facet_id]
 
 
 def validate_diagram(P: RationalPolytope) -> ToricDiagram:
@@ -168,18 +181,27 @@ def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
     basis (facet normals, eta) are two products with the one inverse of
     that basis: the value part of (m*v, m) and the slope part of (m*d, 0).
     ``eta`` may be supplied explicitly (any completion of the facet
-    normals to a lattice basis); by default the canonical completion is
-    used.  The sign of eta is flipped if needed so that b > 0 in the
-    lexicographic (value, slope) order.
+    normals to a lattice basis), and the basis is then inverted here; by
+    default the canonical completion and its inverse come from the
+    facet's memoized frame (``ToricDiagram.facet_frame``).  The sign of
+    eta is flipped if needed so that b > 0 in the lexicographic
+    (value, slope) order.
     """
     _check_interior(D, reeb)
-    m, n = D.order, D.dimension
-    facet_normals = [list(v) for v in D.facet_normals(facet_id)]
-    if eta is None:
-        eta = basis_completion(facet_normals)[0]
-    eta = tuple(int(c) for c in eta)
+    return _orbit_family(D, facet_id, reeb, eta)
 
-    Binv = mat_inverse(facet_normals + [list(eta)])
+
+def _orbit_family(D: ToricDiagram, facet_id: int, reeb: ReebVector,
+                  eta: Optional[Sequence[int]] = None) -> OrbitFamily:
+    """orbit_data for a Reeb vector already checked to be interior."""
+    m, n = D.order, D.dimension
+    facet_normals = D.facet_normals(facet_id)
+    if eta is None:
+        (eta,), Binv = D.facet_frame(facet_id)
+    else:
+        eta = tuple(int(c) for c in eta)
+        Binv = mat_inverse(facet_normals + (eta,))
+
     nu_value = [m * x for x in reeb.base] + [m]
     nu_slope = [m * x for x in reeb.direction] + [0]
     value, slope = vec_mat(nu_value, Binv), vec_mat(nu_slope, Binv)
@@ -282,8 +304,9 @@ def contact_betti_direct(D: ToricDiagram, reeb: Optional[ReebVector] = None,
     m = D.order
     lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
     counts: dict = {}
+    _check_interior(D, reeb)
     for fid in range(len(D.facet_vertex_ids)):
-        family = orbit_data(D, fid, reeb)
+        family = _orbit_family(D, fid, reeb)
         if family.diverges:
             continue
         terms = _floor_terms(family)

@@ -243,28 +243,41 @@ def lattice_index(vectors) -> int:
     return math.prod(inv)
 
 
-def basis_completion(vectors) -> Mat:
-    """Rows extending the given independent rows to a Z-basis of Z^d.
+def unimodular_frame(vectors) -> tuple[Mat, Mat]:
+    """(completion, inverse): rows extending the given independent rows to
+    a Z-basis of Z^d, and the inverse of the stacked basis.
 
-    The stacked matrix [vectors; completion] has determinant +-1.  The
-    choice is the canonical one read off the Hermite transform of the
-    transposed system, so repeated calls agree.
+    One Hermite form W * M^T = H of the transposed k x d system decides:
+    the rows extend to a basis exactly when H = [I_k; 0], since the gcd of
+    the k x k minors of M^T is that of H, the product of its pivots.  Then
+    M^T is the first k columns of W^-1, the completion is the transpose of
+    its other columns (the canonical choice, so repeated calls agree), the
+    basis B = [M; completion] is (W^-1)^T and its inverse is W^T.  Smith
+    invariants are computed only to report a failure.
     """
     M = intmat(vectors)
     k, d = len(M), len(M[0])
     if k > d:
         raise LinearlyDependent("more vectors than ambient dimension")
-    inv = smith_invariants(M)
-    if len(inv) < k:
-        raise LinearlyDependent("vectors are linearly dependent")
-    if any(x != 1 for x in inv):
+    H, W = hermite_normal_form(transpose(M))
+    if H != tuple(row[:k] for row in identity(d)):
+        inv = smith_invariants(M)
+        if len(inv) < k:
+            raise LinearlyDependent("vectors are linearly dependent")
         raise NotUnimodularSystem(inv)
-    _, W = hermite_normal_form(transpose(M))
     Winv = mat_inverse(W)
     completion = tuple(tuple(Winv[i][j] for i in range(d))
                        for j in range(k, d))
-    assert abs(det_int(M + completion)) == 1
-    return completion
+    inverse = transpose(W)
+    if mat_mul(M + completion, inverse) != identity(d):
+        raise AssertionError("Hermite transform does not invert the basis")
+    return completion, inverse
+
+
+def basis_completion(vectors) -> Mat:
+    """Rows extending the given independent rows to a Z-basis of Z^d:
+    [vectors; completion] has determinant +-1 (see unimodular_frame)."""
+    return unimodular_frame(vectors)[0]
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ class RationalPolytope:
         self.facets = facets
         self._lattice: dict[int, tuple[Face, ...]] | None = None
         self._counts: dict[tuple[int, bool], int] = {}
+        self._cleared = None  # _clear, on the first count or box
         self._delta = None  # ehrhart.delta_vector, once checked
 
     def __repr__(self):
@@ -226,13 +227,30 @@ def translate(P: RationalPolytope, shift) -> RationalPolytope:
                         for v in P.vertices])
 
 
+def _clear(P: RationalPolytope):
+    """P's counting data as integers, computed on the first call and kept
+    on P.
+
+    Returns (m, lo, hi, rows): m the order of P; lo[i] and hi[i] the least
+    and greatest coordinate i of the vertices times m; and per facet
+    <a, x> + c >= 0 the row (d*a, d*c), d the denominator of c.  tP then
+    has the coordinate box [t*lo/m, t*hi/m] and the facets
+    <d*a, x> + t*d*c >= 0, so every dilate reuses these integers.
+    """
+    if P._cleared is None:
+        m = order(P)
+        cleared = [clear_row(v, m) for v in P.vertices]
+        rows = [(tuple(f.offset.denominator * a for a in f.normal),
+                 f.offset.numerator) for f in P.facets]
+        P._cleared = (m, [min(col) for col in zip(*cleared)],
+                      [max(col) for col in zip(*cleared)], rows)
+    return P._cleared
+
+
 def _coordinate_box(P: RationalPolytope, t: int):
-    lo, hi = [], []
-    for i in range(P.dimension):
-        vals = [t * v[i] for v in P.vertices]
-        lo.append(math.ceil(min(vals)))
-        hi.append(math.floor(max(vals)))
-    return lo, hi
+    """Least and greatest integers of each coordinate over tP."""
+    m, lo, hi, _ = _clear(P)
+    return [-(-t * x // m) for x in lo], [t * x // m for x in hi]
 
 
 def _least_line(lines, x: int, last: int):
@@ -260,8 +278,10 @@ def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     """Number of points of (1/t)Z^n in P, equivalently Z^n points of t*P.
 
     Each facet <a, p> + t*c >= 0 is cleared to the integer inequality
-    A.p + C >= 0 (A = d*a, C = d*t*c, d the denominator of c); between
-    integers, the strict form A.p + C > 0 is A.p + C - 1 >= 0.
+    A.p + t*C >= 0 (A = d*a, C = d*c, d the denominator of c); between
+    integers, the strict form A.p + t*C > 0 is A.p + t*C - 1 >= 0.  The
+    rows (A, C) and the vertex box are cleared once per polytope
+    (``_clear``), so a dilate creates no Fraction.
 
     Slice kernel: the first n-2 coordinates run over the integer bounding
     box, and in each slice the last two coordinates (x, y) satisfy
@@ -281,8 +301,8 @@ def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     key = (t, interior)
     if key in P._counts:
         return P._counts[key]
-    rows = [([f.offset.denominator * a for a in f.normal],
-             t * f.offset.numerator - int(interior)) for f in P.facets]
+    strict = int(interior)
+    rows = [(A, t * c - strict) for A, c in _clear(P)[3]]
     if P.dimension == 1:
         first = max(-(c // a) for (a,), c in rows if a > 0)
         last = min(c // -a for (a,), c in rows if a < 0)
@@ -350,17 +370,12 @@ def enumerate_lattice_points(P: RationalPolytope, t: int,
     """Sorted list of lattice points of tP (strict facet test if interior)."""
     assert t >= 1
     n = P.dimension
-    scaled = [(f.normal, t * f.offset) for f in P.facets]
+    strict = int(interior)
+    rows = [(A, t * c - strict) for A, c in _clear(P)[3]]
     lo, hi = _coordinate_box(P, t)
     found = []
     for pt in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)]):
-        ok = True
-        for normal, offset in scaled:
-            val = sum(a * x for a, x in zip(normal, pt)) + offset
-            if val < 0 or (interior and val == 0):
-                ok = False
-                break
-        if ok:
+        if all(sum(map(operator.mul, A, pt)) + c >= 0 for A, c in rows):
             found.append(pt)
     return sorted(found)
 

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
 from .exactlat import (LinearlyDependent, basis_completion, det_int,
-                       mat_inverse, rat_rank, rat_solve, smith_invariants,
-                       transpose, vec_mat)
+                       rat_rank, rat_solve, smith_invariants, transpose,
+                       unimodular_frame, vec_mat)
 from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
 from .polytope import (LabelledPolytope, cone_rays, convex_hull,
@@ -164,11 +164,15 @@ def gorenstein_r(delta: LabelledPolytope):
     return r, tuple(int(x) for x in sol[:-1])
 
 
-def diagram_from_labelled(delta: LabelledPolytope) -> ToricDiagram:
-    """Integral diagram of the prequantization of the labelled base.
+def prequantization(delta: LabelledPolytope
+                    ) -> Tuple[ToricDiagram, Tuple[int, ...]]:
+    """Integral diagram of the prequantization of the labelled base, and
+    the quotient direction that takes it back to that base.
 
-    Completes the Gorenstein functional to a lattice basis and maps each
-    lifted facet row to (v~_j, 1); the diagram is the hull of the v~_j.
+    Completes the Gorenstein functional (w, r) to a lattice basis and maps
+    each lifted facet row to (v~_j, 1); the diagram is the hull of the
+    v~_j.  In the new basis the direction is the last column of the
+    change-of-basis matrix [completion; (w, r)].
     """
     found = gorenstein_r(delta)
     if found is None:
@@ -180,7 +184,12 @@ def diagram_from_labelled(delta: LabelledPolytope) -> ToricDiagram:
     images = [tuple(_dot(a, row) for a in A) for row in rows]
     P = convex_hull(images)
     assert len(P.vertices) == len(images), "a facet row failed to survive"
-    return validate_diagram(P)
+    return validate_diagram(P), tuple(row[-1] for row in A) + (r,)
+
+
+def diagram_from_labelled(delta: LabelledPolytope) -> ToricDiagram:
+    """The diagram of ``prequantization``."""
+    return prequantization(delta)[0]
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +259,7 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
     for face in C.faces:
         J = face.tight
         if J:
-            sub = [list(C.normals[j]) for j in J]
-            B = sub + [list(row) for row in basis_completion(sub)]
-            y = vec_mat(nu, mat_inverse(B))
+            y = vec_mat(nu, unimodular_frame([C.normals[j] for j in J])[1])
             g = math.gcd(*[abs(x) for x in y[len(J):]])
             assert g >= 1, "direction lies in a face span"
         else:
@@ -276,8 +283,9 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
 def quotient_polytope(D: ToricDiagram, nu, transform=None) -> QuotientData:
     """Labelled base of the quotient of D along nu = (w, r), plus sectors.
 
-    The lattice map G with G nu = e_(n+1) is read off a basis completion
-    unless a caller-supplied unimodular ``transform`` with the same
+    The lattice map G with G nu = e_(n+1) is the Hermite transform W of
+    nu (W nu = e_1, see ``unimodular_frame``) with its rows rotated by
+    one, unless a caller-supplied unimodular ``transform`` with the same
     property is given; the base is basis-independent either way.
     """
     nu = tuple(int(x) for x in nu)
@@ -293,8 +301,8 @@ def quotient_polytope(D: ToricDiagram, nu, transform=None) -> QuotientData:
         raise NotInterior("direction %s does not point into the diagram"
                           % (nu,))
     if transform is None:
-        cols = list(basis_completion([nu])) + [nu]
-        G = mat_inverse(transpose(cols))
+        W = transpose(unimodular_frame([nu])[1])
+        G = W[1:] + W[:1]
     else:
         G = tuple(tuple(int(x) for x in row) for row in transform)
         assert abs(det_int(G)) == 1, "transform must be unimodular"

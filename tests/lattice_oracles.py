@@ -21,13 +21,21 @@ reciprocity form replaced.
 ``polytope.intersection_closure`` replaced, and
 ``fundamental_group_order_by_minors`` the gcd of all maximal minors that
 the product of Smith invariants replaced.
+
+``basis_completion_by_smith`` is the completion that
+``exactlat.unimodular_frame`` replaced: a Smith form decides saturation,
+then a Hermite form of the transpose and an inverse of its transform give
+the completion.
 """
 import itertools
 import math
 import operator
 from fractions import Fraction
 
-from contactbetti.exactlat import det_int, primitive_vector
+from contactbetti.exactlat import (LinearlyDependent, NotUnimodularSystem,
+                                  det_int, hermite_normal_form, intmat,
+                                  mat_inverse, primitive_vector,
+                                  smith_invariants, transpose)
 from contactbetti.polytope import affine_dim, count_points, order
 
 
@@ -202,3 +210,22 @@ def fundamental_group_order_by_minors(D):
     """gcd of the maximal minors of the lifted vertex matrix."""
     return math.gcd(*[det_int(sub) for sub in
                       itertools.combinations(D.normals, D.dimension + 1)])
+
+
+def basis_completion_by_smith(vectors):
+    """Rows extending independent, saturated rows to a Z-basis of Z^d."""
+    M = intmat(vectors)
+    k, d = len(M), len(M[0])
+    if k > d:
+        raise LinearlyDependent("more vectors than ambient dimension")
+    inv = smith_invariants(M)
+    if len(inv) < k:
+        raise LinearlyDependent("vectors are linearly dependent")
+    if any(x != 1 for x in inv):
+        raise NotUnimodularSystem(inv)
+    _, W = hermite_normal_form(transpose(M))
+    Winv = mat_inverse(W)
+    completion = tuple(tuple(Winv[i][j] for i in range(d))
+                       for j in range(k, d))
+    assert abs(det_int(M + completion)) == 1
+    return completion

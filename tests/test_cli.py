@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactbetti import cli, polytope
+from contactbetti._jsonio import parse_rat
 from contactbetti.cli import main
 from contactbetti.corpus import DOCUMENTS, corpus
 from contactbetti.grading import GradedDimensions
@@ -262,6 +264,57 @@ def test_star_of_the_wrong_length_exits_64(capsys, star):
                                   "--star", star])
     assert code == 64 and out == ""
     assert "--star needs 2 comma-separated rationals" in err
+
+
+@pytest.mark.parametrize("pipeline", [[], ["--pipeline", "quotient"]],
+                         ids=["default", "explicit"])
+@pytest.mark.parametrize("option", [["--star", "5,5"],
+                                    ["--triangulation", "absent.json"],
+                                    ["--trivial"]],
+                         ids=["star", "triangulation", "trivial"])
+def test_hc_quotient_pipeline_rejects_triangulation_options(
+        capsys, tmp_path, option, pipeline):
+    option = [str(tmp_path / a) if a.endswith(".json") else a
+              for a in option]
+    code, out, err = run(capsys, ["hc", "corpus:lens-triangle"] + option
+                         + pipeline)
+    assert code == 64 and out == ""
+    assert ("%s applies to the resolution pipeline only" % option[0]
+            in err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cb", "corpus:lens-triangle", "--perturb", "1e200000",
+     "--pipeline", "direct"],
+    ["cb", "corpus:lens-triangle", "--reeb", "1E-3,0"],
+    ["cb", "corpus:lens-triangle", "--window", "0:1e3"],
+    ["resolve", "corpus:lens-triangle", "--star", "1e-1,0"],
+], ids=["perturb", "reeb", "window", "star"])
+def test_exponent_in_an_option_value_exits_64(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 64 and out == ""
+    assert "exponent not accepted" in err
+
+
+def test_exponent_in_a_document_exits_64(capsys, tmp_path):
+    vertex = write_doc(tmp_path, {"kind": "diagram",
+                                  "vertices": [["1e5", "0"], ["0", "1"],
+                                               ["-1", "-1"]]}, "v.json")
+    cells = write_doc(tmp_path, {"points": [["0", "1E-1"]],
+                                 "cells": [[0, 1, 3]]}, "t.json")
+    for argv in (["validate", vertex],
+                 ["resolve", "corpus:lens-triangle", "--triangulation",
+                  cells]):
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == ""
+        assert "exponent not accepted" in err
+
+
+def test_integers_fractions_and_plain_decimals_still_parse():
+    for text, value in (("3", F(3)), (" -2/6 ", F(-1, 3)), ("-.5", F(-1, 2)),
+                        ("1.25", F(5, 4))):
+        assert parse_rat(text) == value
+        assert cli._rat_arg(text.strip()) == value
 
 
 def test_structural_document_errors_exit_64(capsys, tmp_path):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracles import basis_completion_by_smith
 
-from contactbetti import contact
+from contactbetti import contact, exactlat
 from contactbetti.contact import (
     FacetNotUnimodular,
     GenericityFailure,
@@ -408,6 +409,48 @@ def test_cb_window_restriction():
 def test_cb_rejects_window_below_minus_two():
     with pytest.raises(ValueError):
         contact_betti_from_delta(L53, (F(-3), F(4)))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_facet_frames_are_built_once_for_every_reeb_vector(monkeypatch):
+    # a fresh diagram: the module-level ones hold frames from other tests
+    D = validate_diagram(convex_hull(ORDER3.polytope.vertices))
+    hermite = _count_calls(monkeypatch, exactlat, "hermite_normal_form")
+    smith = _count_calls(monkeypatch, exactlat, "smith_normal_form")
+    checks = _count_calls(monkeypatch, contact, "_check_interior")
+    tables = [contact_betti_direct(D, ReebVector.default_for(D, eps))
+              for eps in (F(1, 101), F(1, 97))]
+    assert tables[0] == tables[1]
+    assert len(hermite) == len(D.facet_vertex_ids)
+    assert smith == []
+    assert len(checks) == 2  # once per Reeb vector, not once per facet
+    for fid in range(len(D.facet_vertex_ids)):
+        (eta,), _ = D.facet_frame(fid)
+        assert (eta,) == basis_completion_by_smith(D.facet_normals(fid))
+    assert len(hermite) == len(D.facet_vertex_ids)
+
+
+def test_explicit_eta_inverts_its_own_basis(monkeypatch):
+    # given the canonical eta, the explicit path builds no frame and
+    # finds the same family as the memoized one
+    D = validate_diagram(convex_hull(ORDER3.polytope.vertices))
+    reeb = worked_reeb()
+    hermite = _count_calls(monkeypatch, exactlat, "hermite_normal_form")
+    explicit = [orbit_data(D, fid, reeb, eta=basis_completion_by_smith(
+        D.facet_normals(fid))[0]) for fid in range(len(D.facet_vertex_ids))]
+    assert hermite == [] and D._frames == {}
+    assert explicit == [orbit_data(D, fid, reeb)
+                        for fid in range(len(D.facet_vertex_ids))]
 
 
 def test_eta_independence():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_oracles import rat_echelon, rat_kernel
+from lattice_oracles import basis_completion_by_smith, rat_echelon, rat_kernel
 
 from contactbetti.exactlat import (
     Jet,
@@ -26,6 +26,7 @@ from contactbetti.exactlat import (
     smith_invariants,
     smith_normal_form,
     transpose,
+    unimodular_frame,
     vec_mat,
 )
 
@@ -217,6 +218,89 @@ def test_basis_completion_property(rows):
         return
     completion = basis_completion(M)
     assert abs(det_int(M + completion)) == 1
+
+
+def _raised(fn, rows):
+    """fn(rows), or the type and invariants of the error it raised."""
+    try:
+        return fn(rows)
+    except (LinearlyDependent, NotUnimodularSystem) as exc:
+        return exc.__class__, getattr(exc, "invariants", None)
+
+
+def _check_frame_against_oracle(rows):
+    """Whether the rows extend to a basis, after checking the frame."""
+    got = _raised(unimodular_frame, rows)
+    want = _raised(basis_completion_by_smith, rows)
+    if len(want) == 2 and isinstance(want[0], type):  # the oracle raised
+        assert got == want
+        return False
+    completion, inverse = got
+    assert completion == want
+    assert mat_mul(intmat(rows) + completion, inverse) == identity(
+        len(rows[0]))
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                                min_size=d, max_size=d),
+                       min_size=1, max_size=d + 1)))
+def test_unimodular_frame_matches_smith_oracle(rows):
+    _check_frame_against_oracle(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda d: st.tuples(
+        st.integers(min_value=1, max_value=d),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=d - 1),
+                           st.integers(min_value=0, max_value=d - 1),
+                           st.integers(min_value=-3, max_value=3)),
+                 max_size=12),
+        st.just(d))))
+def test_unimodular_frame_completes_rows_of_unimodular_matrices(drawn):
+    # rows of a product of elementary matrices always extend to a basis
+    k, ops, d = drawn
+    U = [list(row) for row in identity(d)]
+    for i, j, q in ops:
+        if i != j:
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    assert _check_frame_against_oracle(U[:k])
+
+
+def test_unimodular_frame_failures_carry_the_smith_invariants():
+    with pytest.raises(NotUnimodularSystem) as err:
+        unimodular_frame(((2, 0, 0), (0, 1, 0)))
+    assert err.value.invariants == (1, 2)
+    with pytest.raises(NotUnimodularSystem) as err:
+        unimodular_frame(((1, 1, 3), (1, 2, 3), (2, 2, 3)))
+    assert err.value.invariants == (1, 1, 3)
+    for rows in (((1, 2, 3), (2, 4, 6)), ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(LinearlyDependent):
+            unimodular_frame(rows)
+
+
+def test_unimodular_frame_takes_one_hermite_form_and_no_smith_form(
+        monkeypatch):
+    from contactbetti import exactlat
+    calls = []
+
+    def counted(name):
+        real = getattr(exactlat, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(exactlat, name, wrapper)
+
+    counted("hermite_normal_form")
+    counted("smith_normal_form")
+    completion, inverse = unimodular_frame(((1, 2, 3), (2, 2, 3)))
+    assert calls == ["hermite_normal_form"]
+    assert completion == basis_completion_by_smith(((1, 2, 3), (2, 2, 3)))
+    assert basis_completion(((1, 2, 3), (2, 2, 3))) == completion
 
 
 # ---------------------------------------------------------------- index

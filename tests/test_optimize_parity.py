@@ -15,6 +15,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LADDER = json.loads((ROOT / "perfbench" / "ladder.json").read_text())
 
+# placeholder argv entries -> the diagram documents written for them
+DOCUMENTS = {"n2m13": LADDER["n2m13"],
+             "exponent-vertex": [["1e5", "0"], ["0", "1"], ["-1", "-1"]]}
+
 # (argv, exit code of the plain run); "n2m13" is the ladder document
 COMMANDS = [
     (["hc", "corpus:order-three-square", "--pipeline", "resolution",
@@ -46,6 +50,16 @@ COMMANDS = [
     (["resolve", "corpus:lens-triangle", "--star", "0,1/0"], 64),
     (["resolve", "corpus:lens-triangle", "--star", "0"], 64),
     (["resolve", "corpus:lens-triangle", "--star", "0,0,0"], 64),
+    (["crosscheck", "corpus:blowup-quad", "--format", "table"], 0),
+    (["quotient", "corpus:lens-skew"], 0),
+    (["orbits", "corpus:lens-skew"], 0),
+    (["hc", "corpus:lens-triangle", "--star", "5,5"], 64),
+    (["hc", "corpus:lens-triangle", "--triangulation", "absent.json"], 64),
+    (["hc", "corpus:lens-triangle", "--pipeline", "quotient", "--trivial"],
+     64),
+    (["cb", "corpus:lens-triangle", "--perturb", "1e200000",
+      "--pipeline", "direct"], 64),
+    (["validate", "exponent-vertex"], 64),
 ]
 
 
@@ -62,10 +76,11 @@ def _run(flags, argv):
 @pytest.mark.parametrize("argv,code", COMMANDS,
                          ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_optimized_run_matches_plain_run(tmp_path, argv, code):
-    doc = tmp_path / "n2m13.json"
-    doc.write_text(json.dumps({"kind": "diagram",
-                               "vertices": LADDER["n2m13"]}))
-    argv = [str(doc) if a == "n2m13" else a for a in argv]
+    for name, vertices in DOCUMENTS.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(
+            {"kind": "diagram", "vertices": vertices}))
+    argv = [str(tmp_path / (a + ".json")) if a in DOCUMENTS else a
+            for a in argv]
     plain = _run([], argv)
     assert plain[0] == code
     assert _run(["-O"], argv) == plain

@@ -1,7 +1,9 @@
+import fractions
 import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import corpus_diagram
-from lattice_oracles import (count_points_naive, count_points_row_scan,
+from lattice_oracles import (_coordinate_box as fraction_box,
+                             count_points_naive, count_points_row_scan,
                              face_lattice_by_levels, hull_by_hyperplanes)
 
+from contactbetti import polytope
 from contactbetti.corpus import corpus
 from contactbetti.polytope import (
     DegenerateInput,
@@ -294,6 +298,72 @@ def test_row_scan_matches_naive_in_higher_dimensions(n):
                 for interior in (False, True):
                     assert (count_points(P, t, interior)
                             == count_points_naive(P, t, interior)), (P, t)
+
+
+def rational_points(n, bound):
+    """n+1 to n+3 points with coordinates p/q, q <= 4, |p/q| <= bound."""
+    coord = st.integers(min_value=1, max_value=4).flatmap(
+        lambda q: st.integers(min_value=-math.floor(bound * q),
+                              max_value=math.floor(bound * q)).map(
+            lambda p: F(p, q)))
+    return st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                    max_size=n + 3)
+
+
+# the bound keeps the row scan's box of 12P small in 4-D
+@pytest.mark.parametrize("n,bound", [(2, 2), (3, 1), (4, F(1, 2))])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cleared_counts_match_the_row_scan(n, bound, data):
+    # negative and non-integral vertices: the cleared box takes floors and
+    # ceilings of negative multiples of 1/m
+    try:
+        P = convex_hull(data.draw(rational_points(n, bound)))
+    except DegenerateInput:
+        return
+    t = data.draw(st.integers(min_value=1, max_value=12))
+    assert polytope._coordinate_box(P, t) == fraction_box(P, t)
+    for interior in (False, True):
+        assert (count_points(P, t, interior)
+                == count_points_row_scan(P, t, interior)), (P, t, interior)
+
+
+def _fraction_calls(fn):
+    """fn(), and the number of calls it made into the fractions module."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename == fractions.__file__):
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def test_counting_clears_each_polytope_once(monkeypatch):
+    P = convex_hull([(F(-2, 3), F(-1, 2), 0), (F(5, 3), 0, F(-1, 4)),
+                     (0, F(7, 6), F(1, 2)), (F(-1, 3), F(1, 2), F(5, 4))])
+    cleared = []
+    real = polytope.clear_row
+    monkeypatch.setattr(polytope, "clear_row", lambda row, scale=0: (
+        cleared.append(row), real(row, scale))[1])
+    count_points(P, 1)
+    assert len(cleared) == len(P.vertices)
+
+    def dilates():
+        return ([count_points(P, t, interior) for t in range(2, 9)
+                 for interior in (False, True)],
+                [polytope._coordinate_box(P, t) for t in range(1, 9)])
+    (counts, boxes), made = _fraction_calls(dilates)
+    assert made == 0  # no Fraction after the first count
+    assert len(cleared) == len(P.vertices)
+    assert counts == [count_points_naive(P, t, interior)
+                      for t in range(2, 9) for interior in (False, True)]
+    assert boxes == [fraction_box(P, t) for t in range(1, 9)]
 
 
 # ---------------------------------------------------------------- volume
