@@ -7,9 +7,11 @@ interior point and perturbation direction determines a Reeb vector whose
 closed orbits come in one family per facet.  The perturbed Reeb vector
 is linear in the infinitesimal, so each family is two rational solves
 against one inverse of the facet basis, a value part and a slope part
-(first-order jets); the Conley-Zehnder index of every iterate is then
-an exact integer computation (one ``divmod``-style floor per coefficient,
-the jet slope deciding exact ties).
+(first-order jets).  A diagram builds that basis and its inverse once
+per facet, on first use, for every Reeb vector.  The Conley-Zehnder
+index of every iterate is then an exact integer computation (one
+``divmod``-style floor per coefficient, the jet slope deciding exact
+ties).
 
 Two independent pipelines produce the graded dimension table cb:
 ``contact_betti_direct`` enumerates orbit degrees facet by facet, and

@@ -4,9 +4,12 @@ elimination, floor sums, jets.
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
 anywhere.  Rank, solves and inverses over Q run on one fraction-free
-elimination (``int_echelon``) on integer rows.  A first-order jet (value + slope*eps for an infinitesimal
-eps > 0) is a record of its two parts; a perturbation linear in eps is
-carried through a linear solve as two solves, one per part.
+elimination (``int_echelon``) on integer rows.  Basis completion and the
+inverse of the completed basis come from one Hermite form
+(``unimodular_frame``).  A first-order jet (value + slope*eps for an
+infinitesimal eps > 0) is a record of its two parts; a perturbation
+linear in eps is carried through a linear solve as two solves, one per
+part.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ facets, here and for the good cones of ``prequant``, reads the extreme rays
 of a homogenized cone off the one kernel ``cone_rays``.  Faces, here and
 for those good cones, are the one ``intersection_closure`` of the facets'
 incidence sets; a polytope builds its face lattice only when a pulling
-triangulation of a non-simplex needs it.
+triangulation of a non-simplex needs it.  Lattice point counts read
+integer facet rows and a vertex box cleared once per polytope.
 """
 
 from __future__ import annotations

@@ -27,6 +27,19 @@ class BaseNotSmooth(ValueError):
     """The smooth-base table was asked of an orbifold base."""
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of the argument
+    tuples of its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def hc_smooth_base(Q, window=None):
     """Manifold-base specialization of the sector table: h_i(B) at degrees
     2i + 2r k + 2(r-1), checked against the sector formula before

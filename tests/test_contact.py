@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import count_calls
 from lattice_oracles import basis_completion_by_smith
 
 from contactbetti import contact, exactlat
@@ -411,23 +412,12 @@ def test_cb_rejects_window_below_minus_two():
         contact_betti_from_delta(L53, (F(-3), F(4)))
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def test_facet_frames_are_built_once_for_every_reeb_vector(monkeypatch):
     # a fresh diagram: the module-level ones hold frames from other tests
     D = validate_diagram(convex_hull(ORDER3.polytope.vertices))
-    hermite = _count_calls(monkeypatch, exactlat, "hermite_normal_form")
-    smith = _count_calls(monkeypatch, exactlat, "smith_normal_form")
-    checks = _count_calls(monkeypatch, contact, "_check_interior")
+    hermite = count_calls(monkeypatch, exactlat, "hermite_normal_form")
+    smith = count_calls(monkeypatch, exactlat, "smith_normal_form")
+    checks = count_calls(monkeypatch, contact, "_check_interior")
     tables = [contact_betti_direct(D, ReebVector.default_for(D, eps))
               for eps in (F(1, 101), F(1, 97))]
     assert tables[0] == tables[1]
@@ -445,7 +435,7 @@ def test_explicit_eta_inverts_its_own_basis(monkeypatch):
     # finds the same family as the memoized one
     D = validate_diagram(convex_hull(ORDER3.polytope.vertices))
     reeb = worked_reeb()
-    hermite = _count_calls(monkeypatch, exactlat, "hermite_normal_form")
+    hermite = count_calls(monkeypatch, exactlat, "hermite_normal_form")
     explicit = [orbit_data(D, fid, reeb, eta=basis_completion_by_smith(
         D.facet_normals(fid))[0]) for fid in range(len(D.facet_vertex_ids))]
     assert hermite == [] and D._frames == {}

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import count_calls
 from lattice_oracles import basis_completion_by_smith, rat_echelon, rat_kernel
 
+from contactbetti import exactlat
 from contactbetti.exactlat import (
     Jet,
     LinearlyDependent,
@@ -284,21 +286,10 @@ def test_unimodular_frame_failures_carry_the_smith_invariants():
 
 def test_unimodular_frame_takes_one_hermite_form_and_no_smith_form(
         monkeypatch):
-    from contactbetti import exactlat
-    calls = []
-
-    def counted(name):
-        real = getattr(exactlat, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(exactlat, name, wrapper)
-
-    counted("hermite_normal_form")
-    counted("smith_normal_form")
+    hermite = count_calls(monkeypatch, exactlat, "hermite_normal_form")
+    smith = count_calls(monkeypatch, exactlat, "smith_normal_form")
     completion, inverse = unimodular_frame(((1, 2, 3), (2, 2, 3)))
-    assert calls == ["hermite_normal_form"]
+    assert len(hermite) == 1 and smith == []
     assert completion == basis_completion_by_smith(((1, 2, 3), (2, 2, 3)))
     assert basis_completion(((1, 2, 3), (2, 2, 3))) == completion
 

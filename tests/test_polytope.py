@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import corpus_diagram
+from conftest import corpus_diagram, count_calls
 from lattice_oracles import (_coordinate_box as fraction_box,
                              count_points_naive, count_points_row_scan,
                              face_lattice_by_levels, hull_by_hyperplanes)
@@ -347,10 +347,7 @@ def _fraction_calls(fn):
 def test_counting_clears_each_polytope_once(monkeypatch):
     P = convex_hull([(F(-2, 3), F(-1, 2), 0), (F(5, 3), 0, F(-1, 4)),
                      (0, F(7, 6), F(1, 2)), (F(-1, 3), F(1, 2), F(5, 4))])
-    cleared = []
-    real = polytope.clear_row
-    monkeypatch.setattr(polytope, "clear_row", lambda row, scale=0: (
-        cleared.append(row), real(row, scale))[1])
+    cleared = count_calls(monkeypatch, polytope, "clear_row")
     count_points(P, 1)
     assert len(cleared) == len(P.vertices)
 
