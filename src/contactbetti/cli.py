@@ -471,6 +471,9 @@ def _cmd_hc(args):
         rows = hc_quotient_rows(Q, window)
         table = sum_rows(rows)
     else:
+        if args.reeb is not None:
+            raise DocumentError("--reeb applies to the quotient pipeline "
+                                "only (--pipeline quotient)")
         T = _triangulation_for(D, args)
         validate_triangulation(D, T)
         rows = hc_sector_rows(D, T, window)
@@ -488,6 +491,10 @@ def _cmd_hc(args):
 def _cmd_crosscheck(args):
     doc = _document(args)
     D, doc_nu = _diagram_of(doc)
+    if D.order != 1 and args.reeb is not None:
+        raise DocumentError("--reeb applies to the quotient check only, "
+                            "which runs for order m = 1 (here m = %d)"
+                            % D.order)
     window = _window_for(D, args)
     reference = contact_betti_from_delta(D, window)
     checks = []
@@ -645,7 +652,11 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
                     help="default: quotient when integral, else resolution"),
            )),
     "crosscheck": ("run all applicable pipelines and compare",
-                   (_FORMAT, _INT_REEB, _WINDOW) + _TRIANGULATION),
+                   (_FORMAT,
+                    _INT_REEB._replace(
+                        help="integral quotient direction (quotient check, "
+                             "order 1 only)"),
+                    _WINDOW) + _TRIANGULATION),
 }
 
 

@@ -3,8 +3,11 @@ elimination, floor sums, jets.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
-anywhere.  Rank, solves and inverses over Q run on one fraction-free
-elimination (``int_echelon``) on integer rows.  Basis completion and the
+anywhere.  Integer normal forms run on one Hermite elimination
+(``_hermite``): the Hermite form is one pass of it and the Smith form
+alternates passes on the rows and the columns.  Rank, solves and inverses
+over Q run on one fraction-free elimination (``int_echelon``) on integer
+rows.  Basis completion and the
 inverse of the completed basis come from one Hermite form
 (``unimodular_frame``).  A first-order jet (value + slope*eps for an
 infinitesimal eps > 0) is a record of its two parts; a perturbation
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from fractions import Fraction
 
 Vec = tuple[int, ...]
@@ -43,7 +47,7 @@ def intmat(rows) -> Mat:
 
 
 def identity(k: int) -> Mat:
-    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k))
 
 
 def transpose(M) -> Mat:
@@ -52,8 +56,7 @@ def transpose(M) -> Mat:
 
 def mat_mul(A, B) -> Mat:
     cols = list(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                 for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def vec_mat(v, M):
@@ -87,144 +90,107 @@ def det_int(M) -> int:
     return sign * A[-1][-1]
 
 
+def _hermite(rows, ncols: int) -> None:
+    """Row-style Hermite form of the first ``ncols`` columns, in place.
+
+    ``rows`` is a list of integer lists; the columns past ``ncols``
+    follow every row operation, so rows [M | I] end as [H | U] with
+    U*M = H.  Pivots are positive, entries below a pivot are zero,
+    entries above it are reduced into [0, pivot), and zero rows sink to
+    the bottom.
+    """
+    nr = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        for i in range(r + 1, nr):
+            # euclidean elimination in column c between rows r and i
+            while rows[i][c]:
+                if rows[r][c]:
+                    q = rows[r][c] // rows[i][c]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        if prow[c] == 0:
+            continue
+        if prow[c] < 0:
+            prow = rows[r] = [-x for x in prow]
+        for i in range(r):
+            q = rows[i][c] // prow[c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+        r += 1
+
+
+def _hermite_pass(A, T) -> tuple[list, list]:
+    """Hermite form of the rows of A, and W*T for its transform W."""
+    k = len(A[0])
+    rows = [list(a) + list(t) for a, t in zip(A, T)]
+    _hermite(rows, k)
+    return [row[:k] for row in rows], [row[k:] for row in rows]
+
+
 def hermite_normal_form(M) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form with transform.
 
-    Returns (H, U) with U unimodular and U*M = H.  Pivots are positive,
-    entries below a pivot are zero, entries above are reduced into
-    [0, pivot), and zero rows sink to the bottom.
+    Returns (H, U) with U unimodular and U*M = H: ``_hermite`` on the
+    rows [M | I].
     """
-    A = [list(r) for r in intmat(M)]
-    nr, nc = len(A), len(A[0])
-    U = [list(r) for r in identity(nr)]
-    r = 0
-    for c in range(nc):
-        for i in range(r + 1, nr):
-            # euclidean elimination in column c between rows r and i
-            while A[i][c]:
-                if A[r][c]:
-                    q = A[r][c] // A[i][c]
-                    for t in range(nc):
-                        A[r][t] -= q * A[i][t]
-                    for t in range(nr):
-                        U[r][t] -= q * U[i][t]
-                A[r], A[i] = A[i], A[r]
-                U[r], U[i] = U[i], U[r]
-        if A[r][c] == 0:
-            continue
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
-        piv = A[r][c]
-        for i in range(r):
-            q = A[i][c] // piv
-            if q:
-                for t in range(nc):
-                    A[i][t] -= q * A[r][t]
-                for t in range(nr):
-                    U[i][t] -= q * U[r][t]
-        r += 1
-        if r == nr:
-            break
-    H = tuple(tuple(row) for row in A)
-    Ut = tuple(tuple(row) for row in U)
-    assert mat_mul(Ut, intmat(M)) == H
-    assert abs(det_int(Ut)) == 1
-    return H, Ut
+    M = intmat(M)
+    H, U = _hermite_pass(M, identity(len(M)))
+    H = tuple(map(tuple, H))
+    U = tuple(map(tuple, U))
+    if mat_mul(U, M) != H or abs(det_int(U)) != 1:
+        raise AssertionError("Hermite transform is not a unimodular U "
+                             "with U*M = H")
+    return H, U
 
 
 def smith_normal_form(M) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with transforms: U*M*V = S.
 
     S is diagonal with non-negative entries forming a divisibility chain
-    d1 | d2 | ...; U and V are unimodular.
+    d1 | d2 | ...; U and V are unimodular.  Row Hermite passes on
+    [A | U] alternate with passes on [A^T | V^T] until A is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979, build the Smith form
+    from Hermite steps, which keeps entries from growing as pivoting
+    eliminations can).  While some d_i (i < j) does not divide d_j,
+    column j is added to column i and the passes resume; the next row
+    pass puts gcd(d_i, d_j) < d_i there.  The loop ends only on a
+    diagonal divisibility chain; the transforms are checked after it.
     """
-    A = [list(r) for r in intmat(M)]
-    nr, nc = len(A), len(A[0])
-    U = [list(r) for r in identity(nr)]
-    V = [list(r) for r in identity(nc)]
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        for t in range(nc):
-            A[i][t] -= q * A[j][t]
-        for t in range(nr):
-            U[i][t] -= q * U[j][t]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for t in range(nr):
-            A[t][i] -= q * A[t][j]
-        for t in range(nc):
-            V[t][i] -= q * V[t][j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for t in range(nr):
-            A[t][i], A[t][j] = A[t][j], A[t][i]
-        for t in range(nc):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
-
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if A[i][j] and (best is None
-                                or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    M = intmat(M)
+    nr, nc = len(M), len(M[0])
+    A, U, Vt = M, identity(nr), [list(row) for row in identity(nc)]
+    while True:
+        A, U = _hermite_pass(A, U)
+        if not _is_diagonal(A):
+            At, Vt = _hermite_pass(transpose(A), Vt)
+            A = [list(col) for col in zip(*At)]
+            if not _is_diagonal(A):
+                continue
+        d = [A[i][i] for i in range(min(nr, nc))]
+        bad = next(((i, j) for j in range(len(d)) for i in range(j)
+                    if d[i] and d[j] % d[i]), None)
+        if bad is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_sub(i, t, q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_sub(j, t, q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the remaining block by the pivot
-                found = False
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if A[i][j] % A[t][t]:
-                            row_sub(t, i, -1)
-                            dirty = found = True
-                            break
-                    if found:
-                        break
-        if A[t][t] < 0:
-            for j in range(nc):
-                A[t][j] = -A[t][j]
-            for j in range(nr):
-                U[t][j] = -U[t][j]
-        t += 1
+        i, j = bad
+        A[j][i] = d[j]  # column j of the diagonal A added to column i
+        Vt[i] = [a + b for a, b in zip(Vt[i], Vt[j])]
+    S = tuple(map(tuple, A))
+    U = tuple(map(tuple, U))
+    V = transpose(Vt)
+    if (mat_mul(mat_mul(U, M), V) != S or abs(det_int(U)) != 1
+            or abs(det_int(V)) != 1):
+        raise AssertionError("Smith transforms are not unimodular U, V "
+                             "with U*M*V = S")
+    return S, U, V
 
-    S = tuple(tuple(row) for row in A)
-    Ut = tuple(tuple(row) for row in U)
-    Vt = tuple(tuple(row) for row in V)
-    assert mat_mul(mat_mul(Ut, intmat(M)), Vt) == S
-    assert abs(det_int(Ut)) == 1 and abs(det_int(Vt)) == 1
-    diag = [S[i][i] for i in range(min(nr, nc))]
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] == 0 or (diag[i] != 0 and diag[i + 1] % diag[i] == 0)
-    assert all(S[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
-    return S, Ut, Vt
+
+def _is_diagonal(A) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:])
+                   for i, row in enumerate(A))
 
 
 def smith_invariants(M) -> tuple[int, ...]:
@@ -232,18 +198,6 @@ def smith_invariants(M) -> tuple[int, ...]:
     S, _, _ = smith_normal_form(M)
     diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     return tuple(d for d in diag if d != 0)
-
-
-def lattice_index(vectors) -> int:
-    """Index of the Z-span of the vectors inside its saturation.
-
-    Equals the product of Smith invariants; |det| for square systems.
-    """
-    M = intmat(vectors)
-    inv = smith_invariants(M)
-    if len(inv) < len(M):
-        raise LinearlyDependent("vectors are linearly dependent")
-    return math.prod(inv)
 
 
 def unimodular_frame(vectors) -> tuple[Mat, Mat]:
@@ -275,12 +229,6 @@ def unimodular_frame(vectors) -> tuple[Mat, Mat]:
     if mat_mul(M + completion, inverse) != identity(d):
         raise AssertionError("Hermite transform does not invert the basis")
     return completion, inverse
-
-
-def basis_completion(vectors) -> Mat:
-    """Rows extending the given independent rows to a Z-basis of Z^d:
-    [vectors; completion] has determinant +-1 (see unimodular_frame)."""
-    return unimodular_frame(vectors)[0]
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
-from .exactlat import (LinearlyDependent, basis_completion, det_int,
-                       rat_rank, rat_solve, smith_invariants, transpose,
-                       unimodular_frame, vec_mat)
+from .exactlat import (LinearlyDependent, det_int, rat_rank, rat_solve,
+                       smith_invariants, transpose, unimodular_frame,
+                       vec_mat)
 from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
 from .polytope import (LabelledPolytope, cone_rays, convex_hull,
@@ -178,7 +178,7 @@ def prequantization(delta: LabelledPolytope
     if found is None:
         raise NotGorenstein("labelled polytope has no integral period")
     r, w = found
-    A = basis_completion([w + (r,)])
+    A = unimodular_frame([w + (r,)])[0]
     rows = [tuple(v) + (b,) for v, b in
             zip(delta.weighted_normals, delta.offsets)]
     images = [tuple(_dot(a, row) for a in A) for row in rows]

@@ -20,8 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import MismatchAt, delta_vector, series_numerator
-from .exactlat import (det_int, lattice_index, primitive_vector,
-                       smith_normal_form)
+from .exactlat import det_int, primitive_vector, smith_normal_form
 from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
 from .polytope import normalized_volume, simplex_normalized_volume
@@ -151,9 +150,8 @@ def validate_triangulation(D: ToricDiagram,
                 *[tight[i] for i in key]):
             raise NotCovering(f"interior facet {key} bounds only one cell")
 
-    unimod = all(
-        lattice_index([_lift(T.points[i], m) for i in cell]) == 1
-        for cell in T.cells)
+    # the lifted cell (m*p, m) has |det| = m^(n+1) * normalized volume
+    unimod = all(m ** (n + 1) * vol == 1 for vol in vols)
     return TriangulationReport(unimod, tuple(vols))
 
 
@@ -291,11 +289,9 @@ def orbifold_poincare(F: Fan) -> GradedDimensions:
 
 def normalized_volume_of_fan_base(F: Fan) -> Fraction:
     """Sum of the cells' normalized volumes, via lifted determinant."""
-    total = Fraction(0)
-    for cone in F.max_cones:
-        idx = lattice_index([list(F.rays[i]) for i in cone])
-        total += Fraction(idx, F.order ** (F.dimension + 1))
-    return total
+    total = sum(abs(det_int([F.rays[i] for i in cone]))
+                for cone in F.max_cones)
+    return Fraction(total, F.order ** (F.dimension + 1))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Shared test helpers: the validated diagram of a corpus document, the
-smooth-base form of the sector table, and a brute-force generator for the
-reflexive polygon classification."""
+smooth-base form of the sector table, a wall-clock limit, and a
+brute-force generator for the reflexive polygon classification."""
+import contextlib
 import itertools
 import math
+import signal
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
@@ -38,6 +40,22 @@ def count_calls(monkeypatch, module, name):
         return real(*args, **kwargs)
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed, so a computation that blows up fails its test instead
+    of stalling the suite (SIGALRM: main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def hc_smooth_base(Q, window=None):

@@ -22,6 +22,10 @@ reciprocity form replaced.
 ``fundamental_group_order_by_minors`` the gcd of all maximal minors that
 the product of Smith invariants replaced.
 
+``lattice_index`` is the product of Smith invariants that
+``resolution`` read cell unimodularity and cone volumes from before it
+took determinants.
+
 ``basis_completion_by_smith`` is the completion that
 ``exactlat.unimodular_frame`` replaced: a Smith form decides saturation,
 then a Hermite form of the transpose and an inverse of its transform give
@@ -229,3 +233,15 @@ def basis_completion_by_smith(vectors):
                        for j in range(k, d))
     assert abs(det_int(M + completion)) == 1
     return completion
+
+
+def lattice_index(vectors):
+    """Index of the Z-span of the vectors inside its saturation.
+
+    Equals the product of Smith invariants; |det| for square systems.
+    """
+    M = intmat(vectors)
+    inv = smith_invariants(M)
+    if len(inv) < len(M):
+        raise LinearlyDependent("vectors are linearly dependent")
+    return math.prod(inv)

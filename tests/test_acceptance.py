@@ -29,7 +29,7 @@ from contactbetti.contact import (
 )
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector, quasipolynomial
-from contactbetti.exactlat import basis_completion
+from contactbetti.exactlat import unimodular_frame
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polytope import (
     convex_hull,
@@ -89,7 +89,7 @@ def quotient_of(doc):
     # the direction is the last column of the basis completing (w, r)
     delta = labelled_polytope(doc["normals"], doc["offsets"])
     r, w = gorenstein_r(delta)
-    lift = basis_completion([tuple(w) + (r,)])
+    lift = unimodular_frame([tuple(w) + (r,)])[0]
     nu = tuple(row[-1] for row in lift) + (r,)
     return quotient_polytope(diagram_from_labelled(delta), nu)
 

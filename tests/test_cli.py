@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import time_limit
 
 from contactbetti import cli, polytope
 from contactbetti._jsonio import parse_rat
@@ -281,6 +282,35 @@ def test_hc_quotient_pipeline_rejects_triangulation_options(
     assert code == 64 and out == ""
     assert ("%s applies to the resolution pipeline only" % option[0]
             in err)
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["hc", "corpus:lens-triangle", "--pipeline", "resolution",
+      "--reeb", "5,5,5"], "the quotient pipeline only"),
+    (["hc", "corpus:order-three-square", "--reeb", "9,9,9"],
+     "the quotient pipeline only"),
+    (["crosscheck", "corpus:order-three-square", "--reeb", "9,9,9"],
+     "the quotient check only, which runs for order m = 1"),
+], ids=["hc-resolution", "hc-default-resolution", "crosscheck-order-3"])
+def test_reeb_without_a_quotient_exits_64(capsys, argv, where):
+    code, out, err = run(capsys, argv)
+    assert code == 64 and out == ""
+    assert "--reeb applies to %s" % where in err
+
+
+def test_validate_order_19_simplex_within_seconds(capsys, tmp_path):
+    # the Smith form behind fundamental_group_order once ran for minutes
+    # on this simplex; the order is confirmed by a Bareiss determinant
+    vertices = [v.split(",") for v in (
+        "7/19,21/19,30/19,34/19", "16/19,-10/19,32/19,-23/19",
+        "-7/19,-38/19,29/19,-39/19", "9/19,-23/19,-10/19,21/19",
+        "-33/19,-39/19,-39/19,-13/19")]
+    doc = write_doc(tmp_path, {"kind": "diagram", "vertices": vertices})
+    with time_limit(5):
+        code, out, _ = run(capsys, ["validate", doc])
+    report = json.loads(out)
+    assert code == 0 and report["m"] == 19
+    assert report["fundamental_group_order"] == 66881767
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,25 +1,25 @@
 import math
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import count_calls
-from lattice_oracles import basis_completion_by_smith, rat_echelon, rat_kernel
+from conftest import count_calls, time_limit
+from lattice_oracles import (basis_completion_by_smith, lattice_index,
+                             rat_echelon, rat_kernel)
 
 from contactbetti import exactlat
 from contactbetti.exactlat import (
     Jet,
     LinearlyDependent,
     NotUnimodularSystem,
-    basis_completion,
     det_int,
     floor_sum,
     hermite_normal_form,
     identity,
     int_echelon,
     intmat,
-    lattice_index,
     mat_inverse,
     mat_mul,
     primitive_vector,
@@ -35,12 +35,18 @@ from contactbetti.exactlat import (
 small_ints = st.integers(min_value=-9, max_value=9)
 
 
-def int_matrices(max_dim=4):
+def int_matrices(max_dim=4, entries=small_ints):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda nr: st.integers(min_value=1, max_value=max_dim).flatmap(
             lambda nc: st.lists(
-                st.lists(small_ints, min_size=nc, max_size=nc),
+                st.lists(entries, min_size=nc, max_size=nc),
                 min_size=nr, max_size=nr)))
+
+
+# dense matrices up to 6 x 6 with entries +-100: pivoting eliminations
+# blow their entries up there, so these tests carry a deadline and a
+# time limit on each normal form
+dense_matrices = int_matrices(6, st.integers(min_value=-100, max_value=100))
 
 
 def naive_det(M):
@@ -128,14 +134,65 @@ def test_hnf_two_rows():
     assert H == hermite_normal_form(H)[0]
 
 
-@settings(max_examples=200)
-@given(int_matrices())
+@settings(max_examples=200, deadline=timedelta(seconds=1))
+@given(int_matrices() | dense_matrices)
 def test_hnf_properties(rows):
     M = intmat(rows)
-    H, U = hermite_normal_form(M)
+    with time_limit(5):
+        H, U = hermite_normal_form(M)
     assert mat_mul(U, M) == H
     assert abs(det_int(U)) == 1
     assert is_row_hnf(H)
+
+
+# (M, H, U) and one frame, pinned from the Hermite elimination as it ran
+# before the Smith form was built on it
+GOLDEN_HERMITE = [
+    (((4, -6, 9, 1), (7, 3, -2, 5), (-8, 0, 6, 11)),
+     ((1, 3, 21, 49), (0, 6, 25, 65), (0, 0, 74, 143)),
+     ((1, 3, 3), (1, 4, 4), (4, 8, 9))),
+    (((3, 1, 2), (6, 2, 4), (-5, 7, 0), (1, -1, 1)),
+     ((1, 1, 6), (0, 2, 5), (0, 0, 11), (0, 0, 0)),
+     ((0, 0, 1, 6), (0, 0, 1, 5), (-1, 0, 2, 13), (-2, 1, 0, 0))),
+    (((-12, 18), (30, -45)),
+     ((6, -9), (0, 0)),
+     ((2, 1), (-5, -2))),
+]
+
+
+@pytest.mark.parametrize("M,H,U", GOLDEN_HERMITE)
+def test_hnf_golden(M, H, U):
+    assert hermite_normal_form(M) == (H, U)
+
+
+def test_unimodular_frame_golden():
+    assert unimodular_frame(((3, 5, -2, 7), (1, 4, 6, -3))) == (
+        ((-7, -13, 1, 0), (0, 0, 0, 1)),
+        ((82, 21, 38, -511), (-43, -11, -20, 268), (15, 4, 7, -93),
+         (0, 0, 0, 1)))
+
+
+def _corrupt_transforms(monkeypatch):
+    """Make ``_hermite`` add 1 to the first transform entry it returns."""
+    real = exactlat._hermite
+
+    def corrupted(rows, ncols):
+        real(rows, ncols)
+        rows[0][ncols] += 1
+
+    monkeypatch.setattr(exactlat, "_hermite", corrupted)
+
+
+def test_hermite_certificate_is_an_explicit_raise(monkeypatch):
+    _corrupt_transforms(monkeypatch)
+    with pytest.raises(AssertionError, match="Hermite transform"):
+        hermite_normal_form(((2, 3), (4, 5)))
+
+
+def test_smith_certificate_is_an_explicit_raise(monkeypatch):
+    _corrupt_transforms(monkeypatch)
+    with pytest.raises(AssertionError, match="Smith transforms"):
+        smith_normal_form(((2, 3), (4, 5)))
 
 
 # ---------------------------------------------------------------- smith
@@ -153,11 +210,29 @@ def test_smith_lens_cone():
     assert smith_invariants(((1, 0, 1), (0, 1, 1), (-1, -1, 1))) == (1, 1, 3)
 
 
-@settings(max_examples=150)
-@given(int_matrices())
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(int_matrices() | dense_matrices)
 def test_smith_matches_minor_gcds(rows):
     M = intmat(rows)
-    S, U, V = smith_normal_form(M)
+    with time_limit(5):
+        S, U, V = smith_normal_form(M)
+    assert mat_mul(mat_mul(U, M), V) == S
+    assert abs(det_int(U)) == 1 and abs(det_int(V)) == 1
+    inv = minor_gcd_invariants(M)
+    assert S == tuple(tuple(inv[i] if i == j and i < len(inv) else 0
+                            for j in range(len(M[0])))
+                      for i in range(len(M)))
+    assert smith_invariants(M) == inv
+
+
+def test_smith_of_a_matrix_the_pivoting_elimination_stalled_on():
+    # a 5 x 5 matrix with entries <= 30 on which eliminating by the
+    # least pivot, row and column at a time, took 28 s
+    M = ((26, -21, -7, -9, -14), (22, -13, 0, 20, -21),
+         (17, -23, -14, -14, 23), (-29, 10, -14, -6, -20),
+         (10, 20, -15, 14, -14))
+    with time_limit(5):
+        S, U, V = smith_normal_form(M)
     assert mat_mul(mat_mul(U, M), V) == S
     assert smith_invariants(M) == minor_gcd_invariants(M)
 
@@ -181,33 +256,33 @@ def test_det_of_the_empty_matrix_is_one():
 
 
 def test_complete_unit_vectors():
-    assert basis_completion(((1, 0, 0), (0, 1, 0)))[0] == (0, 0, 1)
+    assert unimodular_frame(((1, 0, 0), (0, 1, 0)))[0] == ((0, 0, 1),)
 
 
 def test_complete_two_in_three():
     vs = ((1, 0, 1), (0, 1, 1))
-    eta = basis_completion(vs)[0]
+    eta = unimodular_frame(vs)[0][0]
     assert abs(det_int(vs + (eta,))) == 1
 
 
 def test_complete_order3_facet():
     # facet normals of an order-3 diagram; eta = (0, 1, 1) is one valid answer
     vs = ((1, 2, 3), (2, 2, 3))
-    eta = basis_completion(vs)[0]
+    eta = unimodular_frame(vs)[0][0]
     assert abs(det_int(vs + (eta,))) == 1
     # deterministic
-    assert eta == basis_completion(vs)[0]
+    assert eta == unimodular_frame(vs)[0][0]
 
 
 def test_complete_rejects_non_saturated():
     with pytest.raises(NotUnimodularSystem) as err:
-        basis_completion(((2, 0, 0), (0, 1, 0)))
+        unimodular_frame(((2, 0, 0), (0, 1, 0)))
     assert 2 in err.value.invariants
 
 
 def test_complete_rejects_dependent():
     with pytest.raises(LinearlyDependent):
-        basis_completion(((1, 2, 3), (2, 4, 6)))
+        unimodular_frame(((1, 2, 3), (2, 4, 6)))
 
 
 @settings(max_examples=150)
@@ -218,7 +293,7 @@ def test_basis_completion_property(rows):
     inv = smith_invariants(M)
     if len(inv) < len(M) or any(x != 1 for x in inv):
         return
-    completion = basis_completion(M)
+    completion = unimodular_frame(M)[0]
     assert abs(det_int(M + completion)) == 1
 
 
@@ -291,7 +366,6 @@ def test_unimodular_frame_takes_one_hermite_form_and_no_smith_form(
     completion, inverse = unimodular_frame(((1, 2, 3), (2, 2, 3)))
     assert len(hermite) == 1 and smith == []
     assert completion == basis_completion_by_smith(((1, 2, 3), (2, 2, 3)))
-    assert basis_completion(((1, 2, 3), (2, 2, 3))) == completion
 
 
 # ---------------------------------------------------------------- index

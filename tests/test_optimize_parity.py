@@ -17,7 +17,13 @@ LADDER = json.loads((ROOT / "perfbench" / "ladder.json").read_text())
 
 # placeholder argv entries -> the diagram documents written for them
 DOCUMENTS = {"n2m13": LADDER["n2m13"],
-             "exponent-vertex": [["1e5", "0"], ["0", "1"], ["-1", "-1"]]}
+             "exponent-vertex": [["1e5", "0"], ["0", "1"], ["-1", "-1"]],
+             "order-19-simplex": [
+                 ["7/19", "21/19", "30/19", "34/19"],
+                 ["16/19", "-10/19", "32/19", "-23/19"],
+                 ["-7/19", "-38/19", "29/19", "-39/19"],
+                 ["9/19", "-23/19", "-10/19", "21/19"],
+                 ["-33/19", "-39/19", "-39/19", "-13/19"]]}
 
 # (argv, exit code of the plain run); "n2m13" is the ladder document
 COMMANDS = [
@@ -60,6 +66,10 @@ COMMANDS = [
     (["cb", "corpus:lens-triangle", "--perturb", "1e200000",
       "--pipeline", "direct"], 64),
     (["validate", "exponent-vertex"], 64),
+    (["validate", "order-19-simplex"], 0),
+    (["hc", "corpus:lens-triangle", "--pipeline", "resolution",
+      "--reeb", "5,5,5"], 64),
+    (["crosscheck", "corpus:order-three-square", "--reeb", "9,9,9"], 64),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BaseNotSmooth, corpus_diagram, hc_smooth_base
-from lattice_oracles import fundamental_group_order_by_minors
+from lattice_oracles import fundamental_group_order_by_minors, lattice_index
 from contactbetti.contact import (
     NotInterior,
     contact_betti_from_delta,
@@ -16,7 +16,7 @@ from contactbetti.contact import (
 )
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector
-from contactbetti.exactlat import lattice_index, primitive_vector, rat_rank
+from contactbetti.exactlat import primitive_vector, rat_rank
 from contactbetti.polytope import convex_hull, cone_rays, labelled_polytope
 from contactbetti.prequant import (
     ConeFace,

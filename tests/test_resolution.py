@@ -321,7 +321,7 @@ def test_box_elements_certifies_the_smith_transform(monkeypatch):
 
 
 def test_box_census_matches_lattice_index():
-    from contactbetti.exactlat import lattice_index
+    from lattice_oracles import lattice_index
     from itertools import combinations
     for tri in (L53_TRIVIAL, L53_STAR, DIAG_A, DIAG_B, QUAD_FLOP):
         fan = fan_over(tri)
