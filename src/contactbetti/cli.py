@@ -359,8 +359,8 @@ def _cmd_cb(args):
     if args.pipeline in ("delta", "both"):
         tables["delta"] = contact_betti_from_delta(D, window)
     if args.pipeline in ("direct", "both"):
-        tables["direct"] = contact_betti_direct(D, _reeb_field(D, args),
-                                                window)
+        (tables["direct"],) = contact_betti_direct(
+            D, (_reeb_field(D, args),), window)
     shown = tables.get("delta", tables.get("direct"))
     report = {
         "m": D.order,
@@ -497,11 +497,11 @@ def _cmd_crosscheck(args):
                             % D.order)
     window = _window_for(D, args)
     reference = contact_betti_from_delta(D, window)
-    checks = []
-    for eps in CROSSCHECK_PERTURBATIONS:
-        table = contact_betti_direct(D, ReebVector.default_for(D, eps),
-                                     window)
-        checks.append(("direct-" + rat_str(eps), table == reference))
+    tables = contact_betti_direct(
+        D, tuple(ReebVector.default_for(D, eps)
+                 for eps in CROSSCHECK_PERTURBATIONS), window)
+    checks = [("direct-" + rat_str(eps), table == reference)
+              for eps, table in zip(CROSSCHECK_PERTURBATIONS, tables)]
     T = _triangulation_for(D, args)
     validate_triangulation(D, T)
     stapledon_check(D, T)

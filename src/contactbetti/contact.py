@@ -5,31 +5,45 @@ R^n whose facet vertex systems are unimodular after lifting each vertex
 v to the integer normal (m*v, m), m the order of D.  A choice of
 interior point and perturbation direction determines a Reeb vector whose
 closed orbits come in one family per facet.  The perturbed Reeb vector
-is linear in the infinitesimal, so each family is two rational solves
-against one inverse of the facet basis, a value part and a slope part
-(first-order jets).  A diagram builds that basis and its inverse once
-per facet, on first use, for every Reeb vector.  The Conley-Zehnder
-index of every iterate is then an exact integer computation (one
-``divmod``-style floor per coefficient, the jet slope deciding exact
-ties).
+is linear in the infinitesimal, so each family is two integer products
+with one inverse of the facet basis, a value part and a slope part
+(first-order jets), each lifted vector cleared to integers first.  A
+diagram builds that basis and its inverse once per facet, on first use,
+for every Reeb vector.  The Conley-Zehnder index of every iterate is
+then an exact integer computation (one floor per coefficient, the jet
+slope deciding exact ties).
 
 Two independent pipelines produce the graded dimension table cb:
 ``contact_betti_direct`` enumerates orbit degrees facet by facet, and
 ``contact_betti_from_delta`` reads the same table off the delta vector
 of D.  Their agreement on every input is the central cross-check of the
 package.
+
+``contact_betti_direct`` is one fused pass for a tuple of Reeb vectors
+that share a base point (``crosscheck`` passes its three perturbations,
+``cb`` one vector).  Per facet the value part is solved once for all of
+them and each slope part is one more integer product; the floor data,
+eta, k and the iterate bound are common.  The floors are taken once per
+iterate for all the vectors, and a vector's own slope signs act only at
+exact hits, where N b_j / b is an integer: a negative slope subtracts 1
+there, and a zero slope, including an identically zero coefficient jet,
+raises GenericityFailure.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import add, floordiv, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ehrhart import delta_vector
 from .exactlat import (
     Jet,
     Mat,
+    clear_row,
     mat_inverse,
     smith_invariants,
     unimodular_frame,
@@ -175,63 +189,78 @@ class OrbitFamily:
         return self.b.value == 0
 
 
+def _lifted(point, m: int, last: int) -> Tuple[Tuple[int, ...], int]:
+    """The lifted vector (m * point, m * last) cleared to integers: (L
+    times it, L) with L the least common denominator of the point."""
+    scale = math.lcm(*[x.denominator for x in point])
+    return (tuple(m * c for c in clear_row(point, scale))
+            + (m * last * scale,), scale)
+
+
+def _coordinates(D: ToricDiagram, facet_id: int, basis: Mat, Binv: Mat,
+                 what: str, nu: Tuple[int, ...], scale: int
+                 ) -> Tuple[int, ...]:
+    """Integer coordinates x = nu * Binv of a cleared lifted vector nu
+    (``_lifted``, scale L) in the basis (facet normals nu_j, eta).
+
+    The defining identities are checked as integer identities.  Every
+    nu_j ends in m and eta in k, so m * sum_j x_j + x_n * k must be the
+    last entry of nu: m * L for the value part, whose coefficients sum to
+    1, and 0 for the slope part, whose coefficients sum to 0.  And
+    sum_j x_j nu_j + x_n eta must rebuild nu.
+    """
+    m, n = D.order, D.dimension
+    x = vec_mat(nu, Binv)
+    got = m * sum(x[:n]) + x[n] * basis[n][n]
+    if got != nu[n]:
+        raise AssertionError(
+            f"facet {facet_id}: {what} coefficients sum to "
+            f"{Fraction(got, m * scale)}, not {Fraction(nu[n], m * scale)}")
+    recon = tuple(sum(c * row[i] for c, row in zip(x, basis))
+                  for i in range(n + 1))
+    if recon != nu:
+        raise AssertionError(
+            f"facet {facet_id}: {what} part reconstructs "
+            f"({', '.join(str(Fraction(c, scale)) for c in recon)}), not "
+            f"({', '.join(str(Fraction(c, scale)) for c in nu)})")
+    return x
+
+
 def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
                eta: Optional[Sequence[int]] = None) -> OrbitFamily:
     """Solve for the orbit family coefficients on one facet.
 
     The lifted Reeb vector is linear in eps, so its coordinates in the
-    basis (facet normals, eta) are two products with the one inverse of
-    that basis: the value part of (m*v, m) and the slope part of (m*d, 0).
-    ``eta`` may be supplied explicitly (any completion of the facet
-    normals to a lattice basis), and the basis is then inverted here; by
-    default the canonical completion and its inverse come from the
-    facet's memoized frame (``ToricDiagram.facet_frame``).  The sign of
-    eta is flipped if needed so that b > 0 in the lexicographic
-    (value, slope) order.
+    basis (facet normals, eta) are two integer products with the one
+    inverse of that basis (``_coordinates``): the value part of (m*v, m)
+    and the slope part of (m*d, 0), each cleared to integers.  ``eta``
+    may be supplied explicitly (any completion of the facet normals to a
+    lattice basis), and the basis is then inverted here; by default the
+    canonical completion and its inverse come from the facet's memoized
+    frame (``ToricDiagram.facet_frame``).  The sign of eta is flipped if
+    needed so that b > 0 in the lexicographic (value, slope) order.
     """
     _check_interior(D, reeb)
-    return _orbit_family(D, facet_id, reeb, eta)
-
-
-def _orbit_family(D: ToricDiagram, facet_id: int, reeb: ReebVector,
-                  eta: Optional[Sequence[int]] = None) -> OrbitFamily:
-    """orbit_data for a Reeb vector already checked to be interior."""
     m, n = D.order, D.dimension
-    facet_normals = D.facet_normals(facet_id)
     if eta is None:
         (eta,), Binv = D.facet_frame(facet_id)
     else:
         eta = tuple(int(c) for c in eta)
-        Binv = mat_inverse(facet_normals + (eta,))
-
-    nu_value = [m * x for x in reeb.base] + [m]
-    nu_slope = [m * x for x in reeb.direction] + [0]
-    value, slope = vec_mat(nu_value, Binv), vec_mat(nu_slope, Binv)
-    b = Jet(value[n], slope[n])
-    if b == Jet(0, 0):
+        Binv = mat_inverse(D.facet_normals(facet_id) + (eta,))
+    basis = D.facet_normals(facet_id) + (eta,)
+    nu, scale = _lifted(reeb.base, m, 1)
+    x = _coordinates(D, facet_id, basis, Binv, "value", nu, scale)
+    nu, slope_scale = _lifted(reeb.direction, m, 0)
+    y = _coordinates(D, facet_id, basis, Binv, "slope", nu, slope_scale)
+    if x[n] == 0 == y[n]:
         raise GenericityFailure(0, facet_id)
-    sign = -1 if b < Jet(0, 0) else 1
-    eta, k = tuple(sign * c for c in eta), sign * eta[-1]
-
-    # defining identities, checked on each part
-    for what, nu, coeffs, total in (("value", nu_value, value, 1),
-                                    ("slope", nu_slope, slope, 0)):
-        bj, bn = coeffs[:n], sign * coeffs[n]
-        got = sum(bj) + bn * Fraction(k, m)
-        if got != total:
-            raise AssertionError(
-                f"facet {facet_id}: {what} coefficients sum to {got}, "
-                f"not {total}")
-        recon = [sum(c * fn[i] for c, fn in zip(bj, facet_normals))
-                 + bn * eta[i] for i in range(n + 1)]
-        if recon != nu:
-            raise AssertionError(
-                f"facet {facet_id}: {what} part reconstructs "
-                f"({', '.join(map(str, recon))}), not "
-                f"({', '.join(map(str, nu))})")
-    b_coeffs = tuple(Jet(v, s) for v, s in zip(value[:n], slope[:n]))
-    return OrbitFamily(facet_id, m, eta, k, b_coeffs,
-                       Jet(sign * value[n], sign * slope[n]))
+    sign = 1 if (x[n], y[n]) > (0, 0) else -1
+    b_coeffs = tuple(Jet(Fraction(v, scale), Fraction(s, slope_scale))
+                     for v, s in zip(x[:n], y[:n]))
+    return OrbitFamily(facet_id, m, tuple(sign * c for c in eta),
+                       sign * eta[n], b_coeffs,
+                       Jet(Fraction(sign * x[n], scale),
+                           Fraction(sign * y[n], slope_scale)))
 
 
 def _floor_terms(family: OrbitFamily) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -284,40 +313,137 @@ def orbit_degree(family: OrbitFamily, N: int) -> Fraction:
                     family.order)
 
 
-def _iterate_bound(family: OrbitFamily, d_max: Fraction) -> int:
-    # deg(gamma^N) > 2 (N / b_value - 1), so iterates beyond this bound
-    # exceed d_max; +1 margin keeps the boundary case inside
-    return math.ceil(family.b.value * (d_max / 2 + 1)) + 1
+def _floor_histogram(m: int, k: int, terms, bound: int) -> Counter:
+    """Counter of m * sum_j floor((N p_j - o_j) / q_j) + N k over the
+    iterates N = 1 .. bound, for terms (p_j, q_j, o_j).
 
-
-def contact_betti_direct(D: ToricDiagram, reeb: Optional[ReebVector] = None,
-                         window: Optional[Tuple[Fraction, Fraction]] = None,
-                         ) -> GradedDimensions:
-    """Histogram of orbit degrees over all facets and iterates.
-
-    Facets containing the base point itself are skipped: their families'
-    degrees exceed any finite window.  The per-facet iterate bound makes
-    the returned window complete.  Degrees are counted by the integer
-    m * degree and become rationals only once per distinct degree.
+    The iterates run as ranges through ``map``, with no Python-level step
+    per iterate; N * p_j runs as range(p_j, ..., p_j), and p_j = 0 (so
+    q_j = 1) floors to the constant -o_j.
     """
-    if reeb is None:
-        reeb = ReebVector.default_for(D)
-    d_min, d_max = checked_window(window, D.order, D.dimension)
-    m = D.order
-    lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
-    counts: dict = {}
-    _check_interior(D, reeb)
-    for fid in range(len(D.facet_vertex_ids)):
-        family = _orbit_family(D, fid, reeb)
-        if family.diverges:
+    total = map(mul, range(1, bound + 1), repeat(k))
+    for p, q, o in terms:
+        if p:
+            floors = map(floordiv, range(p - o, p * (bound + 1) - o, p),
+                         repeat(q))
+        else:
+            floors = repeat(-o, bound)
+        total = map(add, total, map(mul, floors, repeat(m)))
+    return Counter(total)
+
+
+def _family_histograms(m: int, n: int, eta_n: int, x, ys, reach
+                       ) -> List[Counter]:
+    """Per Reeb vector, the Counter of m * deg(gamma^N) over one facet's
+    iterates N = 1 .. bound.
+
+    x is the facet's integer value part (x[n] != 0, so the family does not
+    diverge) and ys holds one slope part per vector, all cleared by
+    ``_lifted``.  Every vector's family has the same eta and k (the sign of
+    x[n] fixes b > 0), the same floor data b_j / b = p_j / q_j in lowest
+    terms and the same iterate bound ceil(b (d_max/2 + 1)) + 1, where
+    b (d_max/2 + 1) = |x[n]| * reach[0] / reach[1].  Only the slope
+    signs differ: the sign of b_j.slope * b - b_j * b.slope is the sign of
+    sgn(x[n]) * (y_j x[n] - x_j y[n]).  A sign decides a floor only at an
+    exact hit, N p_j / q_j an integer, i.e. N a multiple of q_j; there a
+    negative slope subtracts 1, and a zero slope raises GenericityFailure
+    at the first hit N of any vector (then the least j).  An identically
+    zero jet (p_j = 0, zero slope) hits at N = 1.
+
+    The floors are taken once per iterate for all the vectors, with the
+    first vector's signs (``_floor_histogram``).  Another vector moves
+    only the iterates where one of its signs differs from the first
+    vector's, all of them exact hits: each moves by m times the change of
+    its floors.
+    """
+    sign = 1 if x[n] > 0 else -1
+    bv, k = sign * x[n], sign * eta_n
+    bound = -(-bv * reach[0] // reach[1]) + 1
+    terms, signs = [], [[] for _ in ys]
+    for j in range(n):
+        g = math.gcd(x[j], bv)
+        terms.append((x[j] // g, bv // g))
+        for out, y in zip(signs, ys):
+            t = sign * (y[j] * x[n] - x[j] * y[n])
+            out.append((t > 0) - (t < 0))
+    bad = [(q, j) for j, (p, q) in enumerate(terms)
+           if q <= bound and any(s[j] == 0 for s in signs)]
+    if bad:
+        raise GenericityFailure(*min(bad))
+    offsets = [tuple(int(s < 0) for s in row) for row in signs]
+    shared = [(p, q, o) for (p, q), o in zip(terms, offsets[0])]
+    histogram = _floor_histogram(m, k, shared, bound)
+    out = []
+    for own in offsets:
+        moves: Counter = Counter()  # iterate -> change of its floors
+        for (p, q, o), o_own in zip(shared, own):
+            if o_own != o:
+                for N in range(q, bound + 1, q):
+                    moves[N] += o - o_own
+        if not any(moves.values()):
+            out.append(histogram)
             continue
-        terms = _floor_terms(family)
-        for N in range(1, _iterate_bound(family, d_max) + 1):
-            md = _scaled_degree(family, terms, N)
-            if lo <= md <= hi:
-                counts[md] = counts.get(md, 0) + 1
-    return GradedDimensions.from_items(
-        [(Fraction(md, m), c) for md, c in counts.items()], (d_min, d_max))
+        moved = Counter(histogram)
+        for N, change in moves.items():
+            if change:
+                key = m * sum((N * p - o) // q for p, q, o in shared) + N * k
+                moved[key] -= 1
+                moved[key + m * change] += 1
+        out.append(moved)
+    return out
+
+
+def contact_betti_direct(D: ToricDiagram,
+                         reebs: Optional[Sequence[ReebVector]] = None,
+                         window: Optional[Tuple[Fraction, Fraction]] = None,
+                         ) -> Tuple[GradedDimensions, ...]:
+    """Histograms of orbit degrees over all facets and iterates, one per
+    Reeb vector; the vectors share one base point (default: the one
+    vector ``ReebVector.default_for(D)``).
+
+    One pass serves all the vectors.  The base point is cleared once; per
+    facet its value part is one integer product with the facet frame's
+    inverse, and each vector's slope part one more (``_coordinates``).
+    Facets containing the base point are skipped: their families' degrees
+    exceed any finite window.  The floors are then taken once per iterate
+    for all the vectors (``_family_histograms``), and the per-facet
+    iterate bound makes the returned window complete.  Degrees are
+    counted by the integer m * degree and become rationals only once per
+    distinct degree.
+    """
+    if reebs is None:
+        reebs = (ReebVector.default_for(D),)
+    if any(reeb.base != reebs[0].base for reeb in reebs):
+        raise ValueError("the Reeb vectors must share one base point")
+    d_min, d_max = checked_window(window, D.order, D.dimension)
+    m, n = D.order, D.dimension
+    lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
+    for reeb in reebs:
+        _check_interior(D, reeb)
+    nu, scale = _lifted(reebs[0].base, m, 1)
+    slopes = [_lifted(reeb.direction, m, 0) for reeb in reebs]
+    # b (d_max/2 + 1) = |x_n| (d_max + 2) / (2 * scale), as two integers
+    reach = (d_max.numerator + 2 * d_max.denominator,
+             2 * d_max.denominator * scale)
+    shift = m * (2 * n - 2)  # m * degree = 2 * key + shift
+    tallies = [Counter() for _ in reebs]
+    for fid in range(len(D.facet_vertex_ids)):
+        (eta,), Binv = D.facet_frame(fid)
+        basis = D.facet_normals(fid) + (eta,)
+        x = _coordinates(D, fid, basis, Binv, "value", nu, scale)
+        ys = [_coordinates(D, fid, basis, Binv, "slope", s, s_scale)
+              for s, s_scale in slopes]
+        if x[n] == 0:  # b = 0 + slope * eps: the family diverges
+            if any(y[n] == 0 for y in ys):
+                raise GenericityFailure(0, fid)
+            continue
+        for tally, histogram in zip(
+                tallies, _family_histograms(m, n, eta[n], x, ys, reach)):
+            for key, c in histogram.items():
+                tally[2 * key + shift] += c
+    return tuple(GradedDimensions.from_items(
+        [(Fraction(md, m), c) for md, c in tally.items()
+         if c and lo <= md <= hi], (d_min, d_max)) for tally in tallies)
 
 
 def contact_betti_from_delta(D: ToricDiagram,

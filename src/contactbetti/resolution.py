@@ -8,15 +8,23 @@ their fans, counts box elements by age cone by cone, and assembles the
 orbifold Poincare series and the graded dimension table it induces.  It
 does not certify that the filling is projective (a strictly convex
 support function): the cohomology it reads off needs only the fan.
+
+A triangulation keeps its fan (``fan_over``) and a fan its census of box
+elements by age (``_age_h``), both built on first use, so the orbifold
+series of ``stapledon_check`` and the sector rows of
+``hc_from_resolution`` read one census of one fan.  Both still compare
+that box route against the counting route.  ``box_elements`` steps a
+cone's points, one generator addition and one wrap test per coordinate.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import MismatchAt, delta_vector, series_numerator
@@ -57,6 +65,9 @@ class Triangulation:
     points: Tuple[Tuple[Fraction, ...], ...]
     cells: Tuple[Tuple[int, ...], ...]
     order: int
+    # fan_over(self), built on first use
+    _fan: Optional["Fan"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -167,6 +178,9 @@ class Fan:
     crepant: bool
     order: int
     dimension: int  # n: the fan lives in R^(n+1)
+    # _age_h(self), built on first use
+    _census: Optional[Dict[int, Tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def cones(self) -> List[Tuple[int, ...]]:
         """All cones (as sorted ray index tuples), zero cone included."""
@@ -179,6 +193,9 @@ class Fan:
 
 
 def fan_over(T: Triangulation) -> Fan:
+    """The fan over T x {1}, built once per triangulation."""
+    if T._fan is not None:
+        return T._fan
     m = T.order
     rays = []
     crepant = True
@@ -188,8 +205,10 @@ def fan_over(T: Triangulation) -> Fan:
         if list(prim) != lift:
             crepant = False
         rays.append(tuple(prim))
-    return Fan(tuple(rays), tuple(tuple(sorted(c)) for c in T.cells),
-               crepant, m, T.dimension)
+    fan = Fan(tuple(rays), tuple(tuple(sorted(c)) for c in T.cells),
+              crepant, m, T.dimension)
+    object.__setattr__(T, "_fan", fan)
+    return fan
 
 
 # ------------------------------------------------------------------
@@ -208,6 +227,12 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[int]:
     g_i = (L/d_i) U_i.  Since L*c*M = sum t_i (g_i M) mod L, checking
     once that L divides every g_i M certifies that every box point is
     a lattice point.
+
+    The points are stepped, not multiplied out (``_stepped``): each
+    generator with d_i > 1 adds g_i, reduced mod L, d_i times to every
+    point built from the generators before it, with one wrap test per
+    coordinate.  A generator with d_i = 1 is 0 mod L and adds nothing.
+    Ages are checked integral once per distinct sum of coordinates.
     """
     k = len(cone)
     if k == 0:
@@ -227,17 +252,27 @@ def box_elements(F: Fan, cone: Sequence[int]) -> List[int]:
             raise AssertionError(
                 f"cone {tuple(cone)}: Smith generator {tuple(g)} maps to "
                 f"{tuple(image)}, not divisible by {L}")
-    cols = list(zip(*gens))
-    ages = []
-    for t in itertools.product(*[range(d) for d in dets]):
-        c = [sum(ti * g for ti, g in zip(t, col)) % L for col in cols]
-        if 0 in c:
-            continue
-        s, rest = divmod(m * sum(c), L)
+    points: Iterator[List[int]] = iter([[0] * k])
+    for g, d in zip(gens, dets):
+        if d > 1:
+            points = _stepped(points, [x % L for x in g], d, L)
+    totals = [sum(c) for c in points if 0 not in c]
+    ages = {}
+    for total in sorted(set(totals)):
+        ages[total], rest = divmod(m * total, L)
         if rest:
-            raise MismatchAt(Fraction(sum(c), L), "non-integral age m * psi")
-        ages.append(s)
-    return ages
+            raise MismatchAt(Fraction(total, L), "non-integral age m * psi")
+    return list(map(ages.__getitem__, totals))
+
+
+def _stepped(points: Iterator[List[int]], g: List[int], d: int,
+             L: int) -> Iterator[List[int]]:
+    """c, c + g, ..., c + (d - 1) g mod L for every point c, with g
+    reduced mod L: one add and one wrap test per coordinate and step."""
+    for c in points:
+        for _ in range(d):
+            yield c
+            c = [x - L if x >= L else x for x in map(add, c, g)]
 
 
 def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
@@ -249,12 +284,16 @@ def h_polynomial(F: Fan, cone: Sequence[int]) -> Tuple[int, ...]:
                                   if tau <= frozenset(sigma)])
 
 
-def _age_h(F: Fan) -> Dict[int, List[int]]:
+def _age_h(F: Fan) -> Dict[int, Tuple[int, ...]]:
     """The fan's box elements summed by age: {s: sum of h_tau over the
     elements of age s = m * psi}, tau the element's cone, in ascending s.
 
     Each h_tau is padded to the n + 2 coefficients of h of the zero cone.
+    The census is taken once per fan, so ``orbifold_poincare`` and
+    ``hc_sector_rows`` on one fan read the same one.
     """
+    if F._census is not None:
+        return F._census
     census: Dict[int, List[int]] = {}
     for cone in F.cones():
         ages = box_elements(F, cone)
@@ -265,7 +304,9 @@ def _age_h(F: Fan) -> Dict[int, List[int]]:
             acc = census.setdefault(s, [0] * (F.dimension + 2))
             for e, coeff in enumerate(h):
                 acc[e] += mult * coeff
-    return dict(sorted(census.items()))
+    object.__setattr__(F, "_census", {s: tuple(h)
+                                      for s, h in sorted(census.items())})
+    return F._census
 
 
 def orbifold_poincare(F: Fan) -> GradedDimensions:

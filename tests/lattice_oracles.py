@@ -26,6 +26,13 @@ the product of Smith invariants replaced.
 ``resolution`` read cell unimodularity and cone volumes from before it
 took determinants.
 
+``contact_betti_by_passes`` is the direct orbit count that the fused
+``contact.contact_betti_direct`` replaced: one pass per Reeb vector, a
+``Fraction`` solve per facet (``orbit_family_by_fractions``) and one
+``contact._scaled_degree`` call per iterate.  ``box_ages_by_products``
+is the box census that ``resolution.box_elements`` steps: every element
+multiplied out of the Smith generators and reduced mod L.
+
 ``basis_completion_by_smith`` is the completion that
 ``exactlat.unimodular_frame`` replaced: a Smith form decides saturation,
 then a Hermite form of the transpose and an inverse of its transform give
@@ -36,10 +43,16 @@ import math
 import operator
 from fractions import Fraction
 
-from contactbetti.exactlat import (LinearlyDependent, NotUnimodularSystem,
-                                  det_int, hermite_normal_form, intmat,
-                                  mat_inverse, primitive_vector,
-                                  smith_invariants, transpose)
+from contactbetti.contact import (GenericityFailure, OrbitFamily,
+                                  _check_interior, _floor_terms,
+                                  _scaled_degree)
+from contactbetti.ehrhart import MismatchAt
+from contactbetti.exactlat import (Jet, LinearlyDependent,
+                                  NotUnimodularSystem, det_int,
+                                  hermite_normal_form, intmat, mat_inverse,
+                                  primitive_vector, smith_invariants,
+                                  smith_normal_form, transpose, vec_mat)
+from contactbetti.grading import GradedDimensions, checked_window
 from contactbetti.polytope import affine_dim, count_points, order
 
 
@@ -245,3 +258,64 @@ def lattice_index(vectors):
     if len(inv) < len(M):
         raise LinearlyDependent("vectors are linearly dependent")
     return math.prod(inv)
+
+
+def orbit_family_by_fractions(D, facet_id, reeb):
+    """One facet's orbit family from two rational products with the
+    inverse of the facet basis (canonical eta), b > 0 as a jet."""
+    m, n = D.order, D.dimension
+    (eta,), Binv = D.facet_frame(facet_id)
+    value = vec_mat([m * x for x in reeb.base] + [m], Binv)
+    slope = vec_mat([m * x for x in reeb.direction] + [0], Binv)
+    b = Jet(value[n], slope[n])
+    if b == Jet(0, 0):
+        raise GenericityFailure(0, facet_id)
+    sign = -1 if b < Jet(0, 0) else 1
+    return OrbitFamily(facet_id, m, tuple(sign * c for c in eta),
+                       sign * eta[-1],
+                       tuple(Jet(v, s) for v, s in zip(value[:n], slope[:n])),
+                       Jet(sign * value[n], sign * slope[n]))
+
+
+def contact_betti_by_passes(D, reeb, window=None):
+    """The graded table of one Reeb vector, one iterate at a time."""
+    d_min, d_max = checked_window(window, D.order, D.dimension)
+    m = D.order
+    lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
+    _check_interior(D, reeb)
+    counts = {}
+    for fid in range(len(D.facet_vertex_ids)):
+        family = orbit_family_by_fractions(D, fid, reeb)
+        if family.diverges:
+            continue
+        terms = _floor_terms(family)
+        bound = math.ceil(family.b.value * (d_max / 2 + 1)) + 1
+        for N in range(1, bound + 1):
+            md = _scaled_degree(family, terms, N)
+            if lo <= md <= hi:
+                counts[md] = counts.get(md, 0) + 1
+    return GradedDimensions.from_items(
+        [(Fraction(md, m), c) for md, c in counts.items()], (d_min, d_max))
+
+
+def box_ages_by_products(fan, cone):
+    """Ages m * psi of a cone's box elements, each element multiplied out
+    as sum t_i g_i mod L over all t in the product of the ranges d_i."""
+    k = len(cone)
+    if k == 0:
+        return [0]
+    M = [list(fan.rays[i]) for i in sorted(cone)]
+    S, U, _ = smith_normal_form(M)
+    dets = [S[i][i] for i in range(k)]
+    L = dets[-1]
+    cols = list(zip(*[[L // d * u for u in row] for d, row in zip(dets, U)]))
+    ages = []
+    for t in itertools.product(*[range(d) for d in dets]):
+        c = [sum(ti * g for ti, g in zip(t, col)) % L for col in cols]
+        if 0 in c:
+            continue
+        s, rest = divmod(fan.order * sum(c), L)
+        if rest:
+            raise MismatchAt(Fraction(sum(c), L), "non-integral age m * psi")
+        ages.append(s)
+    return ages

@@ -129,9 +129,9 @@ def test_direct_and_series_pipelines_agree():
     for name, doc in corpus().items():
         D = diagram_of(doc)
         reference = contact_betti_from_delta(D)
-        for perturb in (F(1, 101), F(1, 97), F(1, 89)):
-            reeb = ReebVector.default_for(D, perturb)
-            assert contact_betti_direct(D, reeb) == reference, name
+        reebs = tuple(ReebVector.default_for(D, perturb)
+                      for perturb in (F(1, 101), F(1, 97), F(1, 89)))
+        assert contact_betti_direct(D, reebs) == (reference,) * 3, name
 
 
 @criterion(4, "orbit degrees for a Reeb vector based at a square vertex")
@@ -261,7 +261,7 @@ def test_property_sweep_over_corpus():
                        for i in range(n))
         moved = tuple((3 * centre[i] + verts[0][i]) / 4 for i in range(n))
         other = ReebVector(moved, tuple(F(1, 103) ** i for i in range(n)))
-        assert contact_betti_direct(D, other) == cb, name
+        assert contact_betti_direct(D, (other,)) == (cb,), name
         # completion-choice invariance of orbit degrees
         reeb = ReebVector.default_for(D)
         for fid in range(len(D.facet_vertex_ids)):
@@ -288,7 +288,7 @@ def test_rejections_and_exit_codes():
     # base chosen so a jet collapses to (integer, 0) at the first iterate
     with pytest.raises(GenericityFailure):
         contact_betti_direct(
-            ORDER3, ReebVector((F(1, 2), F(1, 2)), (F(1), F(1))))
+            ORDER3, (ReebVector((F(1, 2), F(1, 2)), (F(1), F(1))),))
 
     def run(argv):
         sink = io.StringIO()

@@ -484,6 +484,16 @@ def test_degenerate_reeb_configuration_exits_66(capsys):
     assert code == 66 and "iterate N=1" in err
 
 
+@pytest.mark.parametrize("pipeline", ["direct", "both"])
+def test_identically_zero_coefficient_exits_66(capsys, pipeline):
+    # perturbation 0 leaves two of the lens triangle's families with a
+    # coefficient jet that is identically zero
+    code, out, err = run(capsys, ["cb", "corpus:lens-triangle",
+                                  "--perturb", "0", "--pipeline", pipeline])
+    assert (code, out) == (66, "")
+    assert "iterate N=1 in coefficient 0" in err
+
+
 def test_crosscheck_mismatch_exits_2(capsys, monkeypatch):
     # force one pipeline to lie; the report must flag it and exit 2
     wrong = GradedDimensions({}, (0, 10))

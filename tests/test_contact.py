@@ -1,12 +1,19 @@
+import fractions
+import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import count_calls
-from lattice_oracles import basis_completion_by_smith
+from conftest import corpus_diagram, count_calls
+from lattice_oracles import (basis_completion_by_smith,
+                             contact_betti_by_passes,
+                             orbit_family_by_fractions)
 
 from contactbetti import contact, exactlat
 from contactbetti.contact import (
@@ -24,6 +31,7 @@ from contactbetti.contact import (
     orbit_degree,
     validate_diagram,
 )
+from contactbetti.corpus import corpus
 from contactbetti.exactlat import Jet, smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polytope import convex_hull, normalized_volume
@@ -348,7 +356,8 @@ def test_cb_l53():
     expect = {F(0): 1, F(2): 2}
     expect.update({F(2 * j): 3 for j in range(2, 6)})
     assert got == expect
-    assert cb_dict(contact_betti_direct(L53)) == expect
+    (direct,) = contact_betti_direct(L53)
+    assert cb_dict(direct) == expect
 
 
 def test_cb_order3():
@@ -364,7 +373,7 @@ def test_cb_order3():
 
 
 def test_cb_pipelines_agree_worked_reeb():
-    got = contact_betti_direct(ORDER3, worked_reeb())
+    (got,) = contact_betti_direct(ORDER3, (worked_reeb(),))
     assert got == contact_betti_from_delta(ORDER3)
 
 
@@ -374,7 +383,7 @@ def test_cb_pipelines_agree_on_ladder_n3m3():
         [(1, -1, F(-1, 3)), (F(1, 3), F(2, 3), 0),
          (F(2, 3), F(2, 3), F(1, 3)), (1, F(2, 3), F(1, 3))]))
     assert (D.order, D.dimension) == (3, 3)
-    direct = contact_betti_direct(D)
+    (direct,) = contact_betti_direct(D)
     assert direct == contact_betti_from_delta(D)
     assert sum(direct.entries.values()) > 0
 
@@ -396,12 +405,13 @@ def test_cb_pipelines_agree_multiple_reebs():
     for D, choices in reebs.items():
         want = contact_betti_from_delta(D)
         for reeb in choices:
-            assert contact_betti_direct(D, reeb) == want
+            reebs = None if reeb is None else (reeb,)
+            assert contact_betti_direct(D, reebs) == (want,)
 
 
 def test_cb_window_restriction():
     window = (F(-2, 3), F(4))
-    a = contact_betti_direct(ORDER3, worked_reeb(), window)
+    (a,) = contact_betti_direct(ORDER3, (worked_reeb(),), window)
     b = contact_betti_from_delta(ORDER3, window)
     assert a == b
     assert max(a.degrees()) <= 4
@@ -418,8 +428,8 @@ def test_facet_frames_are_built_once_for_every_reeb_vector(monkeypatch):
     hermite = count_calls(monkeypatch, exactlat, "hermite_normal_form")
     smith = count_calls(monkeypatch, exactlat, "smith_normal_form")
     checks = count_calls(monkeypatch, contact, "_check_interior")
-    tables = [contact_betti_direct(D, ReebVector.default_for(D, eps))
-              for eps in (F(1, 101), F(1, 97))]
+    tables = contact_betti_direct(D, tuple(ReebVector.default_for(D, eps)
+                                           for eps in (F(1, 101), F(1, 97))))
     assert tables[0] == tables[1]
     assert len(hermite) == len(D.facet_vertex_ids)
     assert smith == []
@@ -481,6 +491,186 @@ def test_boundary_values():
         assert cb.dim(0) == count_points(D.polytope, m, interior=True)
         assert (cb.dim(2 * (n - 1))
                 == m ** n * normalized_volume(D.polytope) - 1)
+
+
+# ---------------------------------------------------------------- fused pass
+
+LADDER = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                     / "ladder.json").read_text())
+
+
+def ladder_diagram(name):
+    return validate_diagram(convex_hull(
+        [tuple(F(c) for c in v) for v in LADDER[name]]))
+
+
+def fused_diagrams():
+    named = [(name, corpus_diagram(doc)) for name, doc in corpus().items()]
+    return named + [(name, ladder_diagram(name))
+                    for name in ("n2m8", "n2m13", "n3m3", "n3m5", "n4m2")]
+
+
+def test_fused_pass_matches_one_pass_per_vector():
+    rng = random.Random(1701)
+    for name, D in fused_diagrams():
+        for _ in range(2):
+            eps = [F(rng.choice((-1, 1)) * rng.randint(1, 12),
+                     rng.randint(13, 400)) for _ in range(3)]
+            reebs = tuple(ReebVector.default_for(D, e) for e in eps)
+            want = tuple(contact_betti_by_passes(D, reeb) for reeb in reebs)
+            assert contact_betti_direct(D, reebs) == want, (name, eps)
+            assert want == (contact_betti_from_delta(D),) * 3, (name, eps)
+
+
+def test_family_histograms_match_each_vector_facet_by_facet():
+    # every vector's table equals the delta table, so a vector that took
+    # another's degrees would still pass; its own facets' degrees do not
+    rng = random.Random(1705)
+    moved = 0
+    for name, D in fused_diagrams():
+        m, n = D.order, D.dimension
+        d_max = default_window(m, n)[1]
+        eps = [F(rng.choice((-1, 1)) * rng.randint(1, 12),
+                 rng.randint(13, 400)) for _ in range(3)]
+        reebs = tuple(ReebVector.default_for(D, e) for e in eps)
+        nu, scale = contact._lifted(reebs[0].base, m, 1)
+        reach = (d_max.numerator + 2 * d_max.denominator,
+                 2 * d_max.denominator * scale)
+        for fid in range(len(D.facet_vertex_ids)):
+            (eta,), Binv = D.facet_frame(fid)
+            basis = D.facet_normals(fid) + (eta,)
+            x = contact._coordinates(D, fid, basis, Binv, "value", nu, scale)
+            if x[n] == 0:
+                continue
+            ys = [contact._coordinates(D, fid, basis, Binv, "slope",
+                                       *contact._lifted(r.direction, m, 0))
+                  for r in reebs]
+            got = contact._family_histograms(m, n, eta[n], x, ys, reach)
+            tables = []
+            for reeb, histogram in zip(reebs, got):
+                fam = orbit_family_by_fractions(D, fid, reeb)
+                terms = contact._floor_terms(fam)
+                bound = math.ceil(fam.b.value * (d_max / 2 + 1)) + 1
+                want = Counter(contact._scaled_degree(fam, terms, N)
+                               for N in range(1, bound + 1))
+                tables.append({2 * key + m * (2 * n - 2): c
+                               for key, c in histogram.items() if c})
+                assert tables[-1] == want, (name, eps, fid)
+            moved += any(t != tables[0] for t in tables)
+    assert moved >= 5
+
+
+def _one_pass(D, reeb):
+    """The oracle's table, or the name of what it raises; an identically
+    zero coefficient jet of a family that does not diverge is a
+    GenericityFailure for the count, though the oracle skips it."""
+    try:
+        table = contact_betti_by_passes(D, reeb)
+    except (NotInterior, GenericityFailure) as exc:
+        return type(exc).__name__
+    for fid in range(len(D.facet_vertex_ids)):
+        fam = orbit_family_by_fractions(D, fid, reeb)
+        if not fam.diverges and Jet(0, 0) in fam.b_coeffs:
+            return "GenericityFailure"
+    return table
+
+
+def _fused(D, reebs):
+    try:
+        return contact_betti_direct(D, reebs)
+    except (NotInterior, GenericityFailure) as exc:
+        return type(exc).__name__
+
+
+def test_fused_pass_raises_whenever_one_pass_would():
+    # small integer directions from small-denominator base points often
+    # land a coefficient exactly on an integer with zero slope
+    rng = random.Random(1702)
+    seen = Counter()
+    for D in (L53, ORDER3, SIMPLEX2, corpus_diagram(corpus()["lens-skew"])):
+        n, verts = D.dimension, D.polytope.vertices
+        for _ in range(60):
+            weights = [rng.randint(0, 3) for _ in verts]
+            if not any(weights):
+                continue
+            base = tuple(sum(w * v[i] for w, v in zip(weights, verts))
+                         / sum(weights) for i in range(n))
+            reebs = tuple(ReebVector(base, tuple(
+                F(rng.randint(-2, 2)) for _ in range(n))) for _ in range(3))
+            outcomes = [_one_pass(D, reeb) for reeb in reebs]
+            if "NotInterior" in outcomes:
+                want = "NotInterior"
+            elif "GenericityFailure" in outcomes:
+                want = "GenericityFailure"
+            else:
+                want = tuple(outcomes)
+            got = _fused(D, reebs)
+            assert got == want, (D, reebs)
+            seen[want if isinstance(want, str) else "tables"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_fused_failure_names_the_first_bad_iterate_of_any_vector():
+    # the diagonal direction makes b_1/b identically 1 on the far facet
+    # (a zero slope at N = 1); the other two vectors are generic
+    base = (F(1, 2), F(1, 2))
+    reebs = (ReebVector(base, (F(1), F(1, 3))),
+             ReebVector(base, (F(1), F(1))),
+             ReebVector(base, (F(1), F(2, 7))))
+    with pytest.raises(GenericityFailure) as exc:
+        contact_betti_direct(ORDER3, reebs)
+    assert exc.value.N == 1
+    with pytest.raises(ValueError, match="share one base point"):
+        contact_betti_direct(ORDER3, (worked_reeb(), reebs[0]))
+
+
+def test_identically_zero_coefficient_is_a_genericity_failure():
+    # perturbation 0: the lens triangle's centroid direction (1, 0) gives
+    # facets 0 and 1 a coefficient jet Jet(0, 0)
+    D = corpus_diagram(corpus()["lens-triangle"])
+    reeb = ReebVector.default_for(D, F(0))
+    assert [Jet(0, 0) in orbit_data(D, fid, reeb).b_coeffs
+            for fid in range(3)] == [True, True, False]
+    with pytest.raises(GenericityFailure) as exc:
+        contact_betti_direct(D, (reeb,))
+    assert (exc.value.N, exc.value.j) == (1, 0)
+
+
+def _fraction_callers(fn):
+    """fn(), and per function of ``contact`` the calls into the fractions
+    module made below it (its innermost frame of ``contact``)."""
+    callers = Counter()
+
+    def hook(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename == fractions.__file__):
+            caller = frame.f_back
+            while (caller is not None
+                   and caller.f_code.co_filename != contact.__file__):
+                caller = caller.f_back
+            callers[caller.f_code.co_name if caller else None] += 1
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, callers
+
+
+def test_fused_solve_and_iterate_loop_create_no_fraction():
+    D = ladder_diagram("n2m13")
+    D.facet_frame(0)
+    reebs = tuple(ReebVector.default_for(D, e)
+                  for e in (F(1, 101), F(1, 97), F(1, 89)))
+    tables, callers = _fraction_callers(
+        lambda: contact_betti_direct(D, reebs))
+    assert tables == (contact_betti_from_delta(D),) * 3
+    assert callers  # the window, the base point and the output degrees
+    for name in ("_coordinates", "_family_histograms", "_floor_histogram"):
+        assert callers[name] == 0, callers
+    # orbit_data shares the integer solve and makes its Jets after it
+    _, jets = _fraction_callers(lambda: orbit_data(D, 0, reebs[0]))
+    assert jets["orbit_data"] > 0 and jets["_coordinates"] == 0, jets
 
 
 # ---------------------------------------------------------------- scalars

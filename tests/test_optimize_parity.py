@@ -70,6 +70,9 @@ COMMANDS = [
     (["hc", "corpus:lens-triangle", "--pipeline", "resolution",
       "--reeb", "5,5,5"], 64),
     (["crosscheck", "corpus:order-three-square", "--reeb", "9,9,9"], 64),
+    (["crosscheck", "n2m13"], 0),
+    (["cb", "corpus:lens-triangle", "--perturb", "0", "--pipeline", "direct"],
+     66),
 ]
 
 

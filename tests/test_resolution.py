@@ -3,8 +3,10 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_diagram
-from contactbetti import resolution
+from conftest import corpus_diagram, count_calls
+from lattice_oracles import box_ages_by_products
+from contactbetti import cli, resolution
 from contactbetti.contact import contact_betti_from_delta, validate_diagram
-from contactbetti.exactlat import smith_normal_form
+from contactbetti.exactlat import smith_invariants, smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
@@ -556,6 +559,65 @@ def test_non_integral_age_is_a_mismatch(monkeypatch):
         with pytest.raises(MismatchAt) as info:
             compute()
         assert info.value.j in (F(2, 3), F(4, 3))
+
+
+def _box_outcome(ages_of, fan, cone):
+    try:
+        return Counter(ages_of(fan, cone))
+    except MismatchAt:
+        return "MismatchAt"
+
+
+def test_stepped_ages_match_products():
+    # random independent rays of height h in a fan of order m: the ages
+    # m * psi are integral exactly when the heights allow it
+    rng = random.Random(1704)
+    seen = Counter()
+    while sum(seen.values()) < 200:
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        h, m = rng.randint(1, 5), rng.randint(1, 5)
+        if k > n + 1:
+            continue
+        rays = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) + (h,)
+                     for _ in range(k))
+        if len(smith_invariants(rays)) < k:
+            continue
+        fan = Fan(rays, (tuple(range(k)),), True, m, n)
+        cone = tuple(range(k))
+        want = _box_outcome(box_ages_by_products, fan, cone)
+        assert _box_outcome(box_elements, fan, cone) == want, (rays, m)
+        seen[want == "MismatchAt"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "corpus:order-three-square"],
+    ["crosscheck", "corpus:lens-triangle"],
+    ["crosscheck", "corpus:blowup-quad", "--format", "table"],
+    ["hc", "corpus:order-three-square"],
+    ["hc", "corpus:lens-triangle", "--pipeline", "resolution", "--trivial"],
+    ["resolve", "corpus:blowup-quad"],
+    ["orbifold", "corpus:projective-plane-triple"],
+], ids=" ".join)
+def test_one_census_per_command(capsys, monkeypatch, argv):
+    # stapledon_check and hc_sector_rows read one census of one fan:
+    # every cone of the fan is enumerated once
+    calls = count_calls(monkeypatch, resolution, "box_elements")
+    assert cli.main(argv) == 0
+    fans = {id(fan) for fan, _ in calls}
+    assert len(fans) == 1
+    fan = calls[0][0]
+    assert sorted(cone for _, cone in calls) == sorted(fan.cones())
+
+
+def test_fan_and_census_are_memoized():
+    tri = trivial_triangulation(corpus_diagram(corpus()["lens-triangle"]))
+    fan = fan_over(tri)
+    assert fan_over(tri) is fan
+    assert resolution._age_h(fan) is resolution._age_h(fan)
+    # the memo fields take no part in equality or the repr
+    assert fan == dataclasses.replace(fan) and "_census" not in repr(fan)
+    assert tri == Triangulation(tri.points, tri.cells, tri.order)
 
 
 # The mass identity of orbifold_poincare against a patched base volume:
