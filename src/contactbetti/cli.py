@@ -168,15 +168,15 @@ def _direction_for(D: ToricDiagram, doc_nu, args) -> Tuple[int, ...]:
 
 
 def _reeb_field(D: ToricDiagram, args) -> ReebVector:
-    perturb = getattr(args, "perturb", Fraction(1, 101))
+    reeb = ReebVector.default_for(
+        D, getattr(args, "perturb", Fraction(1, 101)))
     base = getattr(args, "reeb", None)
     if base is None:
-        return ReebVector.default_for(D, perturb)
+        return reeb
     if len(base) != D.dimension:
         raise DocumentError(
             "--reeb needs %d comma-separated rationals" % D.dimension)
-    direction = tuple(perturb ** i for i in range(D.dimension))
-    return ReebVector(tuple(Fraction(x) for x in base), direction)
+    return ReebVector(tuple(Fraction(x) for x in base), reeb.direction)
 
 
 def _window_for(D: ToricDiagram, args) -> Tuple[Fraction, Fraction]:
@@ -347,7 +347,7 @@ def _cmd_delta(args):
         "delta": list(dv.entries),
         "top_index": dv.top_index,
         "normalized_volume": rat_str(normalized_volume(D.polytope)),
-        "reflexive": is_reflexive(D.polytope).reflexive,
+        "reflexive": is_reflexive(D.polytope),
     }
     return report, OK
 
@@ -389,8 +389,8 @@ def _cmd_orbits(args):
             "facet": fid,
             "eta": list(fam.eta),
             "k": fam.k,
-            "b": rat_str(fam.b.value),
-            "b_slope": rat_str(fam.b.slope),
+            "b": rat_str(fam.b),
+            "b_slope": rat_str(fam.b_slope),
             "diverges": fam.diverges,
             "degrees": degrees,
         })

@@ -22,12 +22,17 @@ package.
 ``contact_betti_direct`` is one fused pass for a tuple of Reeb vectors
 that share a base point (``crosscheck`` passes its three perturbations,
 ``cb`` one vector).  Per facet the value part is solved once for all of
-them and each slope part is one more integer product; the floor data,
-eta, k and the iterate bound are common.  The floors are taken once per
-iterate for all the vectors, and a vector's own slope signs act only at
-exact hits, where N b_j / b is an integer: a negative slope subtracts 1
-there, and a zero slope, including an identically zero coefficient jet,
-raises GenericityFailure.
+them and each slope part is one more integer product (``_facet_solve``);
+the ratios b_j / b, eta, k and the iterate bound are common, and
+``_floor_data`` gives the ratios with each vector's slope signs.  The
+floors are taken once per iterate for all the vectors, and a vector's own
+slope signs act only at exact hits, where N b_j / b is an integer: a
+negative slope subtracts 1 there, and a zero slope, including an
+identically zero coefficient jet, raises GenericityFailure.
+
+``orbits`` and ``cb`` read one floor data: ``orbit_data`` solves a
+family by the same ``_facet_solve`` and ``_floor_data``, and
+``orbit_degree`` takes one iterate's floors by the histogram's rule.
 """
 from __future__ import annotations
 
@@ -41,10 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ehrhart import delta_vector
 from .exactlat import (
-    Jet,
     Mat,
     clear_row,
-    mat_inverse,
     smith_invariants,
     unimodular_frame,
     vec_mat,
@@ -170,23 +173,26 @@ def _check_interior(D: ToricDiagram, reeb: ReebVector) -> None:
 
 @dataclass(frozen=True)
 class OrbitFamily:
-    """One closed-orbit family: facet data plus exact jet coefficients.
+    """One closed-orbit family.
 
-    The decomposition reads  nu = sum_j b_coeffs[j] * nu_j  +  b * eta
-    over the facet's lifted normals nu_j, with b > 0 as a jet.
+    The decomposition reads  nu = sum_j b_j * nu_j  +  b * eta  over the
+    facet's lifted normals nu_j, with b > 0 as a jet (value ``b``, slope
+    ``b_slope``).  ``ratios`` and ``signs`` are the floor data of the b_j
+    (``_floor_data``), empty when the family diverges.
     """
 
-    facet_id: int
     order: int
     eta: Tuple[int, ...]
     k: int
-    b_coeffs: Tuple[Jet, ...]
-    b: Jet
+    b: Fraction
+    b_slope: Fraction
+    ratios: Tuple[Tuple[int, int], ...]
+    signs: Tuple[int, ...]
 
     @property
     def diverges(self) -> bool:
         """Base point on this facet: degrees grow without bound."""
-        return self.b.value == 0
+        return self.b == 0
 
 
 def _lifted(point, m: int, last: int) -> Tuple[Tuple[int, ...], int]:
@@ -226,91 +232,83 @@ def _coordinates(D: ToricDiagram, facet_id: int, basis: Mat, Binv: Mat,
     return x
 
 
-def orbit_data(D: ToricDiagram, facet_id: int, reeb: ReebVector,
-               eta: Optional[Sequence[int]] = None) -> OrbitFamily:
-    """Solve for the orbit family coefficients on one facet.
+def _facet_solve(D: ToricDiagram, facet_id: int, value, slopes):
+    """(eta, x, ys): the facet's canonical eta and the coordinates of a
+    cleared value part and of each cleared slope part (``_lifted`` pairs)
+    in the basis (facet normals, eta), by the facet's memoized frame."""
+    (eta,), Binv = D.facet_frame(facet_id)
+    basis = D.facet_normals(facet_id) + (eta,)
+    x = _coordinates(D, facet_id, basis, Binv, "value", *value)
+    ys = [_coordinates(D, facet_id, basis, Binv, "slope", *slope)
+          for slope in slopes]
+    return eta, x, ys
 
-    The lifted Reeb vector is linear in eps, so its coordinates in the
-    basis (facet normals, eta) are two integer products with the one
-    inverse of that basis (``_coordinates``): the value part of (m*v, m)
-    and the slope part of (m*d, 0), each cleared to integers.  ``eta``
-    may be supplied explicitly (any completion of the facet normals to a
-    lattice basis), and the basis is then inverted here; by default the
-    canonical completion and its inverse come from the facet's memoized
-    frame (``ToricDiagram.facet_frame``).  The sign of eta is flipped if
-    needed so that b > 0 in the lexicographic (value, slope) order.
+
+def _floor_data(x, ys):
+    """Floor data of one facet's families, which share the cleared value
+    part x (x[n] != 0: they do not diverge) and have one slope part y in
+    ys each: the ratios b_j / b = p_j / q_j in lowest terms (q_j > 0),
+    common since the sign of x[n] fixes b > 0, and per y the signs of the
+    eps-slopes of b_j / b, those of sgn(x[n]) * (y_j x[n] - x_j y[n]).
+    """
+    n = len(x) - 1
+    sign = 1 if x[n] > 0 else -1
+    bv = sign * x[n]
+    ratios = []
+    for j in range(n):
+        g = math.gcd(x[j], bv)
+        ratios.append((x[j] // g, bv // g))
+    signs = []
+    for y in ys:
+        slopes = [sign * (y[j] * x[n] - x[j] * y[n]) for j in range(n)]
+        signs.append(tuple((t > 0) - (t < 0) for t in slopes))
+    return tuple(ratios), signs
+
+
+def orbit_data(D: ToricDiagram, facet_id: int,
+               reeb: ReebVector) -> OrbitFamily:
+    """Solve for the orbit family on one facet, as one vector of
+    ``contact_betti_direct`` would: the value part of (m*v, m) and the
+    slope part of (m*d, 0) by ``_facet_solve``, then ``_floor_data``.
+    The sign of eta is flipped if needed so that b > 0 in the
+    lexicographic (value, slope) order.
     """
     _check_interior(D, reeb)
     m, n = D.order, D.dimension
-    if eta is None:
-        (eta,), Binv = D.facet_frame(facet_id)
-    else:
-        eta = tuple(int(c) for c in eta)
-        Binv = mat_inverse(D.facet_normals(facet_id) + (eta,))
-    basis = D.facet_normals(facet_id) + (eta,)
-    nu, scale = _lifted(reeb.base, m, 1)
-    x = _coordinates(D, facet_id, basis, Binv, "value", nu, scale)
-    nu, slope_scale = _lifted(reeb.direction, m, 0)
-    y = _coordinates(D, facet_id, basis, Binv, "slope", nu, slope_scale)
+    value = _lifted(reeb.base, m, 1)
+    slope = _lifted(reeb.direction, m, 0)
+    eta, x, (y,) = _facet_solve(D, facet_id, value, (slope,))
     if x[n] == 0 == y[n]:
         raise GenericityFailure(0, facet_id)
     sign = 1 if (x[n], y[n]) > (0, 0) else -1
-    b_coeffs = tuple(Jet(Fraction(v, scale), Fraction(s, slope_scale))
-                     for v, s in zip(x[:n], y[:n]))
-    return OrbitFamily(facet_id, m, tuple(sign * c for c in eta),
-                       sign * eta[n], b_coeffs,
-                       Jet(Fraction(sign * x[n], scale),
-                           Fraction(sign * y[n], slope_scale)))
-
-
-def _floor_terms(family: OrbitFamily) -> Tuple[Tuple[int, int, int, int], ...]:
-    """Integer data for the floors of N * b_j / b, one entry per nonzero b_j.
-
-    Entry (j, p, q, s): b_j.value / b.value = p/q in lowest terms (q > 0)
-    and s is the sign of the eps-slope of b_j / b, which has the sign of
-    b_j.slope * b.value - b_j.value * b.slope.  Needs b.value > 0, i.e. a
-    family that does not diverge.
-    """
-    b = family.b
-    terms = []
-    for j, bj in enumerate(family.b_coeffs):
-        if not bj.value and not bj.slope:
-            continue  # structural zero: no floor contribution
-        ratio = bj.value / b.value
-        slope = bj.slope * b.value - bj.value * b.slope
-        terms.append((j, ratio.numerator, ratio.denominator,
-                      (slope > 0) - (slope < 0)))
-    return tuple(terms)
-
-
-def _scaled_degree(family: OrbitFamily, terms, N: int) -> int:
-    """m * deg(gamma^N) = 2 (m * sum_j floor(N b_j / b) + N k) + m (2n - 2).
-
-    Floors are taken in the limit eps -> 0+.  On an integer N*p/q a
-    negative slope floors to N*p/q - 1 = (N*p - 1) // q, and off the
-    integers (N*p - 1) // q = (N*p) // q, so a negative slope always
-    floors N*p - 1.  A zero slope on an integer is a genericity failure.
-    """
-    floors = 0
-    for j, p, q, sign in terms:
-        Np = N * p
-        if sign < 0:
-            Np -= 1
-        elif sign == 0 and Np % q == 0:
-            raise GenericityFailure(N, j)
-        floors += Np // q
-    m, n = family.order, len(family.b_coeffs)
-    return 2 * (m * floors + N * family.k) + m * (2 * n - 2)
+    ratios, signs = (), ()
+    if x[n]:
+        ratios, (signs,) = _floor_data(x, (y,))
+    return OrbitFamily(m, tuple(sign * c for c in eta), sign * eta[n],
+                       Fraction(sign * x[n], value[1]),
+                       Fraction(sign * y[n], slope[1]), ratios, signs)
 
 
 def orbit_degree(family: OrbitFamily, N: int) -> Fraction:
-    """Degree CZ(gamma^N) + n - 2 of the N-th iterate, an exact rational."""
+    """Degree CZ(gamma^N) + n - 2 of the N-th iterate, an exact rational.
+
+    m * degree = 2 (m * sum_j floor((N p_j - o_j) / q_j) + N k) + m (2n - 2),
+    the rule of ``_floor_histogram``: in the limit eps -> 0+ a negative
+    slope (o_j = 1) floors an exact hit, q_j dividing N, one lower and
+    changes no other floor.  A zero slope at an exact hit is a genericity
+    failure; an identically zero coefficient (p_j = 0) hits at N = 1.
+    """
     if N < 1:
         raise ValueError("iterate N must be >= 1")
     if family.diverges:
         raise ValueError("index diverges: base point lies on this facet")
-    return Fraction(_scaled_degree(family, _floor_terms(family), N),
-                    family.order)
+    floors = 0
+    for j, ((p, q), s) in enumerate(zip(family.ratios, family.signs)):
+        if s == 0 and N % q == 0:
+            raise GenericityFailure(N, j)
+        floors += (N * p - (s < 0)) // q
+    m, n = family.order, len(family.ratios)
+    return Fraction(2 * (m * floors + N * family.k) + m * (2 * n - 2), m)
 
 
 def _floor_histogram(m: int, k: int, terms, bound: int) -> Counter:
@@ -340,11 +338,10 @@ def _family_histograms(m: int, n: int, eta_n: int, x, ys, reach
     x is the facet's integer value part (x[n] != 0, so the family does not
     diverge) and ys holds one slope part per vector, all cleared by
     ``_lifted``.  Every vector's family has the same eta and k (the sign of
-    x[n] fixes b > 0), the same floor data b_j / b = p_j / q_j in lowest
-    terms and the same iterate bound ceil(b (d_max/2 + 1)) + 1, where
+    x[n] fixes b > 0), the same ratios b_j / b = p_j / q_j and the same
+    iterate bound ceil(b (d_max/2 + 1)) + 1, where
     b (d_max/2 + 1) = |x[n]| * reach[0] / reach[1].  Only the slope
-    signs differ: the sign of b_j.slope * b - b_j * b.slope is the sign of
-    sgn(x[n]) * (y_j x[n] - x_j y[n]).  A sign decides a floor only at an
+    signs differ (``_floor_data``).  A sign decides a floor only at an
     exact hit, N p_j / q_j an integer, i.e. N a multiple of q_j; there a
     negative slope subtracts 1, and a zero slope raises GenericityFailure
     at the first hit N of any vector (then the least j).  An identically
@@ -356,16 +353,9 @@ def _family_histograms(m: int, n: int, eta_n: int, x, ys, reach
     vector's, all of them exact hits: each moves by m times the change of
     its floors.
     """
-    sign = 1 if x[n] > 0 else -1
-    bv, k = sign * x[n], sign * eta_n
-    bound = -(-bv * reach[0] // reach[1]) + 1
-    terms, signs = [], [[] for _ in ys]
-    for j in range(n):
-        g = math.gcd(x[j], bv)
-        terms.append((x[j] // g, bv // g))
-        for out, y in zip(signs, ys):
-            t = sign * (y[j] * x[n] - x[j] * y[n])
-            out.append((t > 0) - (t < 0))
+    k = eta_n if x[n] > 0 else -eta_n
+    bound = -(-abs(x[n]) * reach[0] // reach[1]) + 1
+    terms, signs = _floor_data(x, ys)
     bad = [(q, j) for j, (p, q) in enumerate(terms)
            if q <= bound and any(s[j] == 0 for s in signs)]
     if bad:
@@ -403,7 +393,7 @@ def contact_betti_direct(D: ToricDiagram,
 
     One pass serves all the vectors.  The base point is cleared once; per
     facet its value part is one integer product with the facet frame's
-    inverse, and each vector's slope part one more (``_coordinates``).
+    inverse, and each vector's slope part one more (``_facet_solve``).
     Facets containing the base point are skipped: their families' degrees
     exceed any finite window.  The floors are then taken once per iterate
     for all the vectors (``_family_histograms``), and the per-facet
@@ -420,19 +410,15 @@ def contact_betti_direct(D: ToricDiagram,
     lo, hi = math.ceil(m * d_min), math.floor(m * d_max)
     for reeb in reebs:
         _check_interior(D, reeb)
-    nu, scale = _lifted(reebs[0].base, m, 1)
+    value = _lifted(reebs[0].base, m, 1)
     slopes = [_lifted(reeb.direction, m, 0) for reeb in reebs]
     # b (d_max/2 + 1) = |x_n| (d_max + 2) / (2 * scale), as two integers
     reach = (d_max.numerator + 2 * d_max.denominator,
-             2 * d_max.denominator * scale)
+             2 * d_max.denominator * value[1])
     shift = m * (2 * n - 2)  # m * degree = 2 * key + shift
     tallies = [Counter() for _ in reebs]
     for fid in range(len(D.facet_vertex_ids)):
-        (eta,), Binv = D.facet_frame(fid)
-        basis = D.facet_normals(fid) + (eta,)
-        x = _coordinates(D, fid, basis, Binv, "value", nu, scale)
-        ys = [_coordinates(D, fid, basis, Binv, "slope", s, s_scale)
-              for s, s_scale in slopes]
+        eta, x, ys = _facet_solve(D, fid, value, slopes)
         if x[n] == 0:  # b = 0 + slope * eps: the family diverges
             if any(y[n] == 0 for y in ys):
                 raise GenericityFailure(0, fid)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .polyarith import poly_eval, poly_mul, poly_scale
 from .polytope import (
@@ -210,40 +210,28 @@ def quasipolynomial(P: RationalPolytope) -> QuasiPolynomial:
     return qp
 
 
-@dataclass(frozen=True)
-class ReflexivityReport:
-    reflexive: bool
-    palindromic: Optional[bool] = None
-    dual_integral: Optional[bool] = None
-    reason: Optional[str] = None
-    interior_point: Optional[Tuple[Fraction, ...]] = None
-
-
-def is_reflexive(P: RationalPolytope) -> ReflexivityReport:
+def is_reflexive(P: RationalPolytope) -> bool:
     """Check reflexivity of an integral polytope by two independent routes.
 
     Route one: the delta vector is palindromic.  Route two: after
     translating the unique interior lattice point to the origin, the polar
     dual is again integral.  The two answers must agree; a rational
-    (non-integral) polytope reports NotIntegral without further checks.
+    (non-integral) polytope is not reflexive, without further checks.
     """
     if order(P) != 1:
-        return ReflexivityReport(False, reason="NotIntegral")
+        return False
     dv = delta_vector(P)
     palindromic = dv.is_palindromic()
 
     interior = enumerate_lattice_points(P, 1, interior=True)
     if len(interior) != 1:
         dual_integral = False
-        centre = None
     else:
-        centre = interior[0]
-        shifted = translate(P, tuple(-c for c in centre))
+        shifted = translate(P, tuple(-c for c in interior[0]))
         dual = dual_polytope(shifted)
         dual_integral = all(c.denominator == 1 for v in dual.vertices
                             for c in v)
     if palindromic != dual_integral:
         raise AssertionError(f"reflexivity criteria disagree: palindromic "
                              f"{palindromic}, dual integral {dual_integral}")
-    return ReflexivityReport(palindromic, palindromic, dual_integral,
-                             None, centre)
+    return palindromic

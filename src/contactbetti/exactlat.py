@@ -1,5 +1,5 @@
 """Exact lattice linear algebra: normal forms, basis completion,
-elimination, floor sums, jets.
+elimination, floor sums.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
@@ -9,16 +9,12 @@ alternates passes on the rows and the columns.  Rank, solves and inverses
 over Q run on one fraction-free elimination (``int_echelon``) on integer
 rows.  Basis completion and the
 inverse of the completed basis come from one Hermite form
-(``unimodular_frame``).  A first-order jet (value + slope*eps for an
-infinitesimal eps > 0) is a record of its two parts; a perturbation
-linear in eps is carried through a linear solve as two solves, one per
-part.
+(``unimodular_frame``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from fractions import Fraction
 
@@ -349,23 +345,3 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
     return total
 
-
-# ----------------------------------------------------------------------
-# first-order jets
-
-
-@dataclass(frozen=True, order=True)
-class Jet:
-    """value + slope*eps with eps an infinitesimal positive quantity.
-
-    A record with no arithmetic: orbit families solve the value and slope
-    parts separately.  Both fields are stored as Fractions, and jets are
-    ordered lexicographically in (value, slope), matching eps -> 0+.
-    """
-
-    value: Fraction
-    slope: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "slope", Fraction(self.slope))

@@ -463,7 +463,6 @@ class LabelledPolytope:
     weighted_normals: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     labels: tuple[int, ...]
-    primitive_normals: tuple[tuple[int, ...], ...]
     polytope: RationalPolytope
     # per polytope vertex, the sorted ids of its tight labelled halfspaces
     vertex_facets: tuple[tuple[int, ...], ...]
@@ -499,5 +498,4 @@ def labelled_polytope(normals, offsets) -> LabelledPolytope:
 
     labels = tuple(math.gcd(*a) for a in ns)
     assert all(l >= 1 for l in labels)
-    prim = tuple(tuple(x // l for x in a) for a, l in zip(ns, labels))
-    return LabelledPolytope(ns, offs, labels, prim, P, tuple(vertex_facets))
+    return LabelledPolytope(ns, offs, labels, P, tuple(vertex_facets))

@@ -198,11 +198,10 @@ def diagram_from_labelled(delta: LabelledPolytope) -> ToricDiagram:
 
 @dataclass(frozen=True)
 class SectorComponent:
-    """One fixed-point component: a face of the cone with its fractional
-    membership coefficients and their doubled sum as degree shift."""
+    """One fixed-point component: a face of the cone with the doubled sum
+    of its fractional membership coefficients as degree shift."""
 
     face: Tuple[int, ...]
-    coefficients: Tuple[Fraction, ...]
     shift: Fraction
     h: Tuple[int, ...]
 
@@ -223,9 +222,6 @@ class QuotientData:
     base: LabelledPolytope
     sectors: Tuple[TwistedSector, ...]
     smooth: bool
-    cone: GoodCone
-    reeb: Tuple[int, ...]
-    transform: Tuple[Tuple[int, ...], ...]
     order: int
 
 
@@ -271,8 +267,7 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
             coeffs = tuple(_frac(-T * y[i]) for i in range(len(J)))
             if any(c == 0 for c in coeffs):
                 continue
-            comp = SectorComponent(tuple(J), coeffs,
-                                   2 * sum(coeffs, Fraction(0)), h)
+            comp = SectorComponent(tuple(J), 2 * sum(coeffs, Fraction(0)), h)
             by_period.setdefault(T, []).append(comp)
     return tuple(
         TwistedSector(T, tuple(sorted(by_period[T],
@@ -280,13 +275,12 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
         for T in sorted(by_period))
 
 
-def quotient_polytope(D: ToricDiagram, nu, transform=None) -> QuotientData:
+def quotient_polytope(D: ToricDiagram, nu) -> QuotientData:
     """Labelled base of the quotient of D along nu = (w, r), plus sectors.
 
     The lattice map G with G nu = e_(n+1) is the Hermite transform W of
     nu (W nu = e_1, see ``unimodular_frame``) with its rows rotated by
-    one, unless a caller-supplied unimodular ``transform`` with the same
-    property is given; the base is basis-independent either way.
+    one; another such G gives a unimodularly equivalent base.
     """
     nu = tuple(int(x) for x in nu)
     n1 = D.dimension + 1
@@ -300,23 +294,16 @@ def quotient_polytope(D: ToricDiagram, nu, transform=None) -> QuotientData:
     if not D.polytope.contains(point, strict=True):
         raise NotInterior("direction %s does not point into the diagram"
                           % (nu,))
-    if transform is None:
-        W = transpose(unimodular_frame([nu])[1])
-        G = W[1:] + W[:1]
-    else:
-        G = tuple(tuple(int(x) for x in row) for row in transform)
-        assert abs(det_int(G)) == 1, "transform must be unimodular"
-        image = tuple(_dot(row, nu) for row in G)
-        assert image == (0,) * (n1 - 1) + (1,), "transform must map nu to e"
+    W = transpose(unimodular_frame([nu])[1])
+    G = W[1:] + W[:1]
     images = [tuple(_dot(row, v) for row in G) for v in D.normals]
     base = labelled_polytope([u[:-1] for u in images],
                              [u[-1] for u in images])
     smooth = all(
         abs(det_int([list(base.weighted_normals[i]) for i in tight])) == 1
         for tight in base.vertex_facets)
-    cone = good_cone(D.normals)
-    return QuotientData(r, base, twisted_sectors(cone, nu), smooth,
-                        cone, nu, G, D.order)
+    return QuotientData(r, base, twisted_sectors(good_cone(D.normals), nu),
+                        smooth, D.order)
 
 
 # ----------------------------------------------------------------------

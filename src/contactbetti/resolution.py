@@ -337,7 +337,6 @@ def normalized_volume_of_fan_base(F: Fan) -> Fraction:
 
 @dataclass(frozen=True)
 class StapledonReport:
-    orbifold: GradedDimensions
     delta: Tuple[int, ...]
     series_checked_to: int
 
@@ -372,7 +371,7 @@ def stapledon_check(D: ToricDiagram, T: Triangulation) -> StapledonReport:
         if series[j]:
             raise MismatchAt(Fraction(j, m),
                              "counting series numerator does not vanish")
-    return StapledonReport(H, dv.entries, 2 * top - 1)
+    return StapledonReport(dv.entries, 2 * top - 1)
 
 
 def hc_from_resolution(D: ToricDiagram, T: Triangulation,

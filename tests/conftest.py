@@ -11,7 +11,8 @@ from functools import cmp_to_key, lru_cache
 from contactbetti.contact import validate_diagram
 from contactbetti.ehrhart import is_reflexive
 from contactbetti.grading import GradedDimensions
-from contactbetti.polytope import convex_hull, labelled_polytope, translate
+from contactbetti.polytope import (convex_hull, enumerate_lattice_points,
+                                   labelled_polytope, translate)
 from contactbetti.prequant import (_hc_window, diagram_from_labelled,
                                    hc_from_quotient)
 
@@ -173,10 +174,11 @@ def brute_forced_reflexive_polygons():
     pool = []
     centred = set()
     for P in candidates.values():
-        report = is_reflexive(P)
-        pool.append((P, report))
-        if report.reflexive:
-            Q = translate(P, tuple(-c for c in report.interior_point))
+        reflexive = is_reflexive(P)
+        pool.append((P, reflexive))
+        if reflexive:
+            (centre,) = enumerate_lattice_points(P, 1, interior=True)
+            Q = translate(P, tuple(-c for c in centre))
             centred.add(tuple(sorted((int(v[0]), int(v[1]))
                                      for v in Q.vertices)))
 

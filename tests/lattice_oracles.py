@@ -28,8 +28,12 @@ took determinants.
 
 ``contact_betti_by_passes`` is the direct orbit count that the fused
 ``contact.contact_betti_direct`` replaced: one pass per Reeb vector, a
-``Fraction`` solve per facet (``orbit_family_by_fractions``) and one
-``contact._scaled_degree`` call per iterate.  ``box_ages_by_products``
+``Fraction`` solve per facet (``orbit_family_by_fractions``, a
+``JetFamily`` of first-order ``Jet`` coefficients) and one
+``jet_scaled_degree`` call per iterate, the per-iterate rule that
+``contact.orbit_degree`` replaced.  ``floor_family`` converts a jet
+family into the package's ``contact.OrbitFamily`` by ``Fraction``
+arithmetic (``jet_floor_terms``).  ``box_ages_by_products``
 is the box census that ``resolution.box_elements`` steps: every element
 multiplied out of the Smith generators and reduced mod L.
 
@@ -41,13 +45,14 @@ the completion.
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 from contactbetti.contact import (GenericityFailure, OrbitFamily,
-                                  _check_interior, _floor_terms,
-                                  _scaled_degree)
+                                  _check_interior)
 from contactbetti.ehrhart import MismatchAt
-from contactbetti.exactlat import (Jet, LinearlyDependent,
+from contactbetti.exactlat import (LinearlyDependent,
                                   NotUnimodularSystem, det_int,
                                   hermite_normal_form, intmat, mat_inverse,
                                   primitive_vector, smith_invariants,
@@ -260,21 +265,107 @@ def lattice_index(vectors):
     return math.prod(inv)
 
 
-def orbit_family_by_fractions(D, facet_id, reeb):
+@dataclass(frozen=True, order=True)
+class Jet:
+    """value + slope*eps with eps an infinitesimal positive quantity.
+
+    A record with no arithmetic: orbit families solve the value and slope
+    parts separately.  Both fields are stored as Fractions, and jets are
+    ordered lexicographically in (value, slope), matching eps -> 0+.
+    """
+
+    value: Fraction
+    slope: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "slope", Fraction(self.slope))
+
+
+@dataclass(frozen=True)
+class JetFamily:
+    """One closed-orbit family with exact jet coefficients: the
+    decomposition nu = sum_j b_coeffs[j] * nu_j + b * eta over the facet's
+    lifted normals nu_j, with b > 0 as a jet."""
+
+    order: int
+    eta: Tuple[int, ...]
+    k: int
+    b_coeffs: Tuple[Jet, ...]
+    b: Jet
+
+    @property
+    def diverges(self):
+        return self.b.value == 0
+
+
+def orbit_family_by_fractions(D, facet_id, reeb, eta=None):
     """One facet's orbit family from two rational products with the
-    inverse of the facet basis (canonical eta), b > 0 as a jet."""
+    inverse of the facet basis, b > 0 as a jet.  eta defaults to the
+    canonical completion (the facet's frame); any other completion of the
+    facet normals to a lattice basis is inverted here."""
     m, n = D.order, D.dimension
-    (eta,), Binv = D.facet_frame(facet_id)
+    if eta is None:
+        (eta,), Binv = D.facet_frame(facet_id)
+    else:
+        Binv = mat_inverse(D.facet_normals(facet_id) + (tuple(eta),))
     value = vec_mat([m * x for x in reeb.base] + [m], Binv)
     slope = vec_mat([m * x for x in reeb.direction] + [0], Binv)
     b = Jet(value[n], slope[n])
     if b == Jet(0, 0):
         raise GenericityFailure(0, facet_id)
     sign = -1 if b < Jet(0, 0) else 1
-    return OrbitFamily(facet_id, m, tuple(sign * c for c in eta),
-                       sign * eta[-1],
-                       tuple(Jet(v, s) for v, s in zip(value[:n], slope[:n])),
-                       Jet(sign * value[n], sign * slope[n]))
+    return JetFamily(m, tuple(sign * c for c in eta), sign * eta[-1],
+                     tuple(Jet(v, s) for v, s in zip(value[:n], slope[:n])),
+                     Jet(sign * value[n], sign * slope[n]))
+
+
+def jet_floor_terms(family):
+    """Integer data for the floors of N * b_j / b, one entry per b_j.
+
+    Entry (j, p, q, s): b_j.value / b.value = p/q in lowest terms (q > 0)
+    and s is the sign of the eps-slope of b_j / b, which has the sign of
+    b_j.slope * b.value - b_j.value * b.slope.  Needs b.value > 0, i.e. a
+    family that does not diverge.
+    """
+    b = family.b
+    terms = []
+    for j, bj in enumerate(family.b_coeffs):
+        ratio = bj.value / b.value
+        slope = bj.slope * b.value - bj.value * b.slope
+        terms.append((j, ratio.numerator, ratio.denominator,
+                      (slope > 0) - (slope < 0)))
+    return tuple(terms)
+
+
+def jet_scaled_degree(family, terms, N):
+    """m * deg(gamma^N) = 2 (m * sum_j floor(N b_j / b) + N k) + m (2n - 2).
+
+    Floors are taken in the limit eps -> 0+.  On an integer N*p/q a
+    negative slope floors to N*p/q - 1 = (N*p - 1) // q, and off the
+    integers (N*p - 1) // q = (N*p) // q, so a negative slope always
+    floors N*p - 1.  A zero slope on an integer is a genericity failure,
+    so an identically zero jet (p = 0, zero slope) fails at N = 1.
+    """
+    floors = 0
+    for j, p, q, sign in terms:
+        Np = N * p
+        if sign < 0:
+            Np -= 1
+        elif sign == 0 and Np % q == 0:
+            raise GenericityFailure(N, j)
+        floors += Np // q
+    m, n = family.order, len(family.b_coeffs)
+    return 2 * (m * floors + N * family.k) + m * (2 * n - 2)
+
+
+def floor_family(family):
+    """The package's ``OrbitFamily`` of a jet family: its floor data
+    from ``jet_floor_terms``, none when the family diverges."""
+    terms = () if family.diverges else jet_floor_terms(family)
+    return OrbitFamily(family.order, family.eta, family.k, family.b.value,
+                       family.b.slope, tuple((p, q) for _, p, q, _ in terms),
+                       tuple(s for *_, s in terms))
 
 
 def contact_betti_by_passes(D, reeb, window=None):
@@ -288,10 +379,10 @@ def contact_betti_by_passes(D, reeb, window=None):
         family = orbit_family_by_fractions(D, fid, reeb)
         if family.diverges:
             continue
-        terms = _floor_terms(family)
+        terms = jet_floor_terms(family)
         bound = math.ceil(family.b.value * (d_max / 2 + 1)) + 1
         for N in range(1, bound + 1):
-            md = _scaled_degree(family, terms, N)
+            md = jet_scaled_degree(family, terms, N)
             if lo <= md <= hi:
                 counts[md] = counts.get(md, 0) + 1
     return GradedDimensions.from_items(

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_forced_reflexive_polygons, hc_smooth_base
-from lattice_oracles import interior_count_by_reciprocity
+from lattice_oracles import (floor_family, interior_count_by_reciprocity,
+                             orbit_family_by_fractions)
 from contactbetti import cli
 from contactbetti.contact import (
     FacetNotUnimodular,
@@ -268,13 +269,15 @@ def test_property_sweep_over_corpus():
             fam = orbit_data(D, fid, reeb)
             eta = tuple(e + sum(nu[i] for nu in D.facet_normals(fid))
                         for i, e in enumerate(fam.eta))
-            shifted = orbit_data(D, fid, reeb, eta=eta)
+            shifted = floor_family(
+                orbit_family_by_fractions(D, fid, reeb, eta=eta))
             assert ([orbit_degree(fam, N) for N in range(1, 6)]
                     == [orbit_degree(shifted, N) for N in range(1, 6)])
     # palindromicity classifies reflexivity; duality is an involution
     pool, classes = brute_forced_reflexive_polygons()
     assert len(classes) == 16
-    assert all(rep.palindromic is rep.reflexive for _, rep in pool)
+    assert all(delta_vector(P).is_palindromic() is reflexive
+               for P, reflexive in pool)
     for vertices in classes:
         P = convex_hull(vertices)
         again = dual_polytope(dual_polytope(P))

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import time_limit
+from conftest import corpus_diagram, time_limit
 
 from contactbetti import cli, polytope
 from contactbetti._jsonio import parse_rat
 from contactbetti.cli import main
+from contactbetti.contact import ReebVector, orbit_data, orbit_degree
 from contactbetti.corpus import DOCUMENTS, corpus
 from contactbetti.grading import GradedDimensions
 from contactbetti.resolution import trivial_triangulation
@@ -163,6 +164,22 @@ def test_reeb_point_override(capsys):
                                 "--reeb", "1/7,1/5", "--pipeline", "both"])
     assert code == 0
     assert json.loads(out)["agreement"] is True
+
+
+def test_reeb_point_override_keeps_the_perturbation_direction(capsys):
+    # --reeb moves the base point only: the direction stays (1, p)
+    code, out, _ = run(capsys, ["orbits", "corpus:unit-simplex",
+                                "--reeb", "1/4,1/3", "--perturb", "1/7"])
+    assert code == 0
+    D = corpus_diagram(corpus()["unit-simplex"])
+    reeb = ReebVector((F(1, 4), F(1, 3)), (F(1), F(1, 7)))
+    families = json.loads(out)["families"]
+    assert len(families) == len(D.facet_vertex_ids)
+    for fam in families:
+        want = orbit_data(D, fam["facet"], reeb)
+        assert (fam["b"], fam["b_slope"]) == (str(want.b), str(want.b_slope))
+        assert fam["degrees"] == [str(orbit_degree(want, N))
+                                  for N in range(1, 7)]
 
 
 def test_quotient_direction_override(capsys):
@@ -492,6 +509,24 @@ def test_identically_zero_coefficient_exits_66(capsys, pipeline):
                                   "--perturb", "0", "--pipeline", pipeline])
     assert (code, out) == (66, "")
     assert "iterate N=1 in coefficient 0" in err
+
+
+def test_orbits_and_direct_cb_exit_alike(capsys):
+    # orbits reads the floor data that cb counts, so a degenerate jet
+    # within orbits' default six iterates stops both with one message
+    outcomes = []
+    for name in corpus():
+        for perturb in ("1/101", "1/97", "0", "1/2", "-1/3", "1/89", "3"):
+            orbits = run(capsys, ["orbits", "corpus:" + name,
+                                  "--perturb", perturb])
+            direct = run(capsys, ["cb", "corpus:" + name, "--perturb",
+                                  perturb, "--pipeline", "direct"])
+            assert (orbits[0], orbits[2]) == (direct[0], direct[2]), (
+                name, perturb)
+            outcomes.append((name, perturb, orbits[0]))
+    assert [o for o in outcomes if o[2]] == [
+        ("lens-triangle", "0", 66), ("blowup-quad", "-1/3", 66),
+        ("projective-plane", "-1/3", 66)]
 
 
 def test_crosscheck_mismatch_exits_2(capsys, monkeypatch):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import corpus_diagram, count_calls
-from lattice_oracles import (basis_completion_by_smith,
-                             contact_betti_by_passes,
+from lattice_oracles import (Jet, JetFamily, basis_completion_by_smith,
+                             contact_betti_by_passes, floor_family,
+                             jet_floor_terms, jet_scaled_degree,
                              orbit_family_by_fractions)
 
 from contactbetti import contact, exactlat
@@ -32,7 +33,7 @@ from contactbetti.contact import (
     validate_diagram,
 )
 from contactbetti.corpus import corpus
-from contactbetti.exactlat import Jet, smith_normal_form
+from contactbetti.exactlat import smith_normal_form
 from contactbetti.grading import GradedDimensions, default_window
 from contactbetti.polytope import convex_hull, normalized_volume
 
@@ -129,11 +130,16 @@ def test_orbit_data_worked_example():
     D = ORDER3
     fid = facet_by_vertices(D, (1, 3))
     assert D.facet_normals(fid) == ((1, 2, 3), (2, 2, 3))
-    fam = orbit_data(D, fid, worked_reeb(), eta=(0, 1, 1))
-    assert fam.b_coeffs == (Jet(3, -15), Jet(-1, 9))
-    assert fam.eta == (0, -1, -1)
-    assert fam.k == -1
-    assert fam.b == Jet(3, -18)
+    jets = orbit_family_by_fractions(D, fid, worked_reeb(), eta=(0, 1, 1))
+    assert jets.b_coeffs == (Jet(3, -15), Jet(-1, 9))
+    assert jets.eta == (0, -1, -1)
+    assert jets.k == -1
+    assert jets.b == Jet(3, -18)
+    # (0,1,1) is the canonical completion, so the package finds the same
+    # family: b_0 / b = 1 and b_1 / b = -1/3, both slopes 9 * 3 > 0
+    assert D.facet_frame(fid)[0] == ((0, 1, 1),)
+    assert orbit_data(D, fid, worked_reeb()) == OrbitFamily(
+        3, (0, -1, -1), -1, F(3), F(-18), ((1, 1), (-1, 3)), (1, 1))
 
 
 def test_orbit_data_identity_holds():
@@ -146,7 +152,8 @@ def test_orbit_data_identity_holds():
         parts = (("value", [m * x for x in reeb.base] + [m], 1),
                  ("slope", [m * x for x in reeb.direction] + [0], 0))
         for fid in range(len(D.facet_vertex_ids)):
-            fam = orbit_data(D, fid, reeb)
+            fam = orbit_family_by_fractions(D, fid, reeb)
+            assert orbit_data(D, fid, reeb) == floor_family(fam)
             assert fam.b > Jet(0, 0)
             for part, nu, total in parts:
                 bj = [getattr(c, part) for c in fam.b_coeffs]
@@ -212,20 +219,24 @@ def test_worked_example_degree_lists():
 
 def cz_index(family, N):
     """Conley-Zehnder index of the N-th iterate: degree - n + 2."""
-    return orbit_degree(family, N) - len(family.b_coeffs) + 2
+    return orbit_degree(family, N) - len(family.eta) + 3
 
 
 def test_cz_index_structural_zero_coefficients():
-    fam = OrbitFamily(0, 1, (1, 0, 1), 1,
-                      (Jet(0, 0), Jet(0, 0)), Jet(F(5, 2), -1))
+    # identically zero coefficient jets land on an integer with zero slope
+    # at every iterate, as in the fused count
+    fam = floor_family(JetFamily(1, (1, 0, 1), 1,
+                                 (Jet(0, 0), Jet(0, 0)), Jet(F(5, 2), -1)))
     for N in (1, 2, 5):
-        assert cz_index(fam, N) == 2 * N + 2
+        with pytest.raises(GenericityFailure) as exc:
+            cz_index(fam, N)
+        assert (exc.value.N, exc.value.j) == (N, 0)
 
 
 def floor_of(bj, b=Jet(1), N=1):
     """Floor of N * bj / b as computed by the package: a one-coefficient
     family with k = 0 and order 1 has CZ(gamma^N) = 2 floor + 1."""
-    fam = OrbitFamily(0, 1, (0, 1), 0, (bj,), b)
+    fam = floor_family(JetFamily(1, (0, 1), 0, (bj,), b))
     return (cz_index(fam, N) - 1) / 2
 
 
@@ -258,8 +269,8 @@ def test_integer_floor_cases():
 
 def test_integer_floor_genericity_failure_site():
     # coefficient 1 is an integer with zero slope exactly at N = 3, 6, ...
-    fam = OrbitFamily(0, 1, (0, 0, 1), 1,
-                      (Jet(F(1, 2), 1), Jet(F(1, 3), 0)), Jet(1))
+    fam = floor_family(JetFamily(1, (0, 0, 1), 1,
+                                 (Jet(F(1, 2), 1), Jet(F(1, 3), 0)), Jet(1)))
     assert [orbit_degree(fam, N) for N in (1, 2)] == [4, 8]
     with pytest.raises(GenericityFailure) as exc:
         orbit_degree(fam, 3)
@@ -282,12 +293,11 @@ def oracle_degree(fam, N):
     b = fam.b
     total = F(N * fam.k, fam.order)
     for j, bj in enumerate(fam.b_coeffs):
-        if bj != Jet(0, 0):
-            # N * bj / b to first order, by the quotient rule
-            quotient = Jet(N * bj.value / b.value,
-                           N * (bj.slope * b.value - bj.value * b.slope)
-                           / b.value ** 2)
-            total += oracle_floor(quotient, N, j)
+        # N * bj / b to first order, by the quotient rule
+        quotient = Jet(N * bj.value / b.value,
+                       N * (bj.slope * b.value - bj.value * b.slope)
+                       / b.value ** 2)
+        total += oracle_floor(quotient, N, j)
     return 2 * total + 2 * n - 2
 
 
@@ -300,7 +310,7 @@ def outcome(degree, fam, N):
 
 small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 coefficient = st.one_of(
-    st.just(Jet(0, 0)),                                    # structural zero
+    st.just(Jet(0, 0)),                             # identically zero
     st.builds(Jet, small_rat, st.sampled_from([0, 0, 1, -1, F(1, 2)])),
     st.builds(Jet, small_rat, small_rat))
 
@@ -312,10 +322,11 @@ coefficient = st.one_of(
                             max_denominator=4),
        b_slope=small_rat)
 def test_orbit_degree_matches_jet_oracle(n, m, k, coeffs, b_value, b_slope):
-    fam = OrbitFamily(0, m, (0,) * n + (k,), k, tuple(coeffs[:n]),
-                      Jet(b_value, b_slope))
+    jets = JetFamily(m, (0,) * n + (k,), k, tuple(coeffs[:n]),
+                     Jet(b_value, b_slope))
+    fam = floor_family(jets)
     for N in range(1, 13):
-        want = outcome(oracle_degree, fam, N)
+        want = outcome(oracle_degree, jets, N)
         assert outcome(orbit_degree, fam, N) == want
         if isinstance(want, tuple):
             break
@@ -332,9 +343,10 @@ def test_orbit_degree_matches_jet_oracle_on_diagrams():
                     continue
                 if fam.diverges:
                     continue
+                jets = orbit_family_by_fractions(D, fid, reeb)
                 for N in range(1, 25):
                     assert (outcome(orbit_degree, fam, N)
-                            == outcome(oracle_degree, fam, N))
+                            == outcome(oracle_degree, jets, N))
 
 
 def test_genericity_failure():
@@ -441,13 +453,14 @@ def test_facet_frames_are_built_once_for_every_reeb_vector(monkeypatch):
 
 
 def test_explicit_eta_inverts_its_own_basis(monkeypatch):
-    # given the canonical eta, the explicit path builds no frame and
-    # finds the same family as the memoized one
+    # given the canonical eta, the oracle's explicit solve builds no frame
+    # and finds the family the package reads off the memoized one
     D = validate_diagram(convex_hull(ORDER3.polytope.vertices))
     reeb = worked_reeb()
     hermite = count_calls(monkeypatch, exactlat, "hermite_normal_form")
-    explicit = [orbit_data(D, fid, reeb, eta=basis_completion_by_smith(
-        D.facet_normals(fid))[0]) for fid in range(len(D.facet_vertex_ids))]
+    explicit = [floor_family(orbit_family_by_fractions(
+        D, fid, reeb, eta=basis_completion_by_smith(D.facet_normals(fid))[0]))
+        for fid in range(len(D.facet_vertex_ids))]
     assert hermite == [] and D._frames == {}
     assert explicit == [orbit_data(D, fid, reeb)
                         for fid in range(len(D.facet_vertex_ids))]
@@ -466,7 +479,8 @@ def test_eta_independence():
             shift = [rng.randint(-3, 3) for _ in normals]
             eta = tuple(e + sum(a * nu[i] for a, nu in zip(shift, normals))
                         for i, e in enumerate(base_fam.eta))
-            fam = orbit_data(D, fid, reeb, eta=eta)
+            fam = floor_family(orbit_family_by_fractions(D, fid, reeb,
+                                                         eta=eta))
             assert [orbit_degree(fam, N) for N in range(1, 8)] == base_degs
 
 
@@ -549,9 +563,9 @@ def test_family_histograms_match_each_vector_facet_by_facet():
             tables = []
             for reeb, histogram in zip(reebs, got):
                 fam = orbit_family_by_fractions(D, fid, reeb)
-                terms = contact._floor_terms(fam)
+                terms = jet_floor_terms(fam)
                 bound = math.ceil(fam.b.value * (d_max / 2 + 1)) + 1
-                want = Counter(contact._scaled_degree(fam, terms, N)
+                want = Counter(jet_scaled_degree(fam, terms, N)
                                for N in range(1, bound + 1))
                 tables.append({2 * key + m * (2 * n - 2): c
                                for key, c in histogram.items() if c})
@@ -561,18 +575,11 @@ def test_family_histograms_match_each_vector_facet_by_facet():
 
 
 def _one_pass(D, reeb):
-    """The oracle's table, or the name of what it raises; an identically
-    zero coefficient jet of a family that does not diverge is a
-    GenericityFailure for the count, though the oracle skips it."""
+    """The oracle's table, or the name of what it raises."""
     try:
-        table = contact_betti_by_passes(D, reeb)
+        return contact_betti_by_passes(D, reeb)
     except (NotInterior, GenericityFailure) as exc:
         return type(exc).__name__
-    for fid in range(len(D.facet_vertex_ids)):
-        fam = orbit_family_by_fractions(D, fid, reeb)
-        if not fam.diverges and Jet(0, 0) in fam.b_coeffs:
-            return "GenericityFailure"
-    return table
 
 
 def _fused(D, reebs):
@@ -629,11 +636,17 @@ def test_identically_zero_coefficient_is_a_genericity_failure():
     # facets 0 and 1 a coefficient jet Jet(0, 0)
     D = corpus_diagram(corpus()["lens-triangle"])
     reeb = ReebVector.default_for(D, F(0))
-    assert [Jet(0, 0) in orbit_data(D, fid, reeb).b_coeffs
-            for fid in range(3)] == [True, True, False]
+    coeffs = [orbit_family_by_fractions(D, fid, reeb).b_coeffs
+              for fid in range(3)]
+    assert [Jet(0, 0) in c for c in coeffs] == [True, True, False]
     with pytest.raises(GenericityFailure) as exc:
         contact_betti_direct(D, (reeb,))
     assert (exc.value.N, exc.value.j) == (1, 0)
+    # orbits reads the same floor data: the first iterate fails there too
+    for fid in (0, 1):
+        with pytest.raises(GenericityFailure) as exc:
+            orbit_degree(orbit_data(D, fid, reeb), 1)
+        assert (exc.value.N, exc.value.j) == (1, coeffs[fid].index(Jet(0, 0)))
 
 
 def _fraction_callers(fn):
@@ -666,11 +679,15 @@ def test_fused_solve_and_iterate_loop_create_no_fraction():
         lambda: contact_betti_direct(D, reebs))
     assert tables == (contact_betti_from_delta(D),) * 3
     assert callers  # the window, the base point and the output degrees
-    for name in ("_coordinates", "_family_histograms", "_floor_histogram"):
+    for name in ("_facet_solve", "_coordinates", "_floor_data",
+                 "_family_histograms", "_floor_histogram"):
         assert callers[name] == 0, callers
-    # orbit_data shares the integer solve and makes its Jets after it
-    _, jets = _fraction_callers(lambda: orbit_data(D, 0, reebs[0]))
-    assert jets["orbit_data"] > 0 and jets["_coordinates"] == 0, jets
+    # orbit_data shares the integer solve and floor data, and makes only
+    # b and b_slope Fractions after them
+    _, made = _fraction_callers(lambda: orbit_data(D, 0, reebs[0]))
+    assert made["orbit_data"] > 0, made
+    for name in ("_facet_solve", "_coordinates", "_floor_data"):
+        assert made[name] == 0, made
 
 
 # ---------------------------------------------------------------- scalars

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import corpus_diagram
+from conftest import corpus_diagram, count_calls
 from lattice_oracles import (delta_by_closed_counts,
                              interior_count_by_reciprocity)
 
@@ -27,6 +27,8 @@ from contactbetti.polytope import (
     DegenerateInput,
     convex_hull,
     count_points,
+    dual_polytope,
+    enumerate_lattice_points,
     normalized_volume,
     order,
 )
@@ -313,34 +315,39 @@ def test_interior_series_order3_validates():
 
 
 def test_reflexive_l53():
-    rep = is_reflexive(L53)
-    assert rep.reflexive and rep.palindromic and rep.dual_integral
-    assert rep.interior_point == (0, 0)
+    assert is_reflexive(L53) is True
+    assert delta_vector(L53).is_palindromic()
+    assert enumerate_lattice_points(L53, 1, interior=True) == [(0, 0)]
+    assert all(c.denominator == 1
+               for v in dual_polytope(L53).vertices for c in v)
 
 
 def test_reflexive_translated():
     # reflexivity is detected after recentring the interior point
     P = convex_hull([(2, 1), (1, 2), (0, 0)])
-    rep = is_reflexive(P)
-    assert rep.reflexive
-    assert rep.interior_point == (1, 1)
+    assert is_reflexive(P) is True
+    assert enumerate_lattice_points(P, 1, interior=True) == [(1, 1)]
 
 
 def test_not_reflexive_simplex():
-    rep = is_reflexive(SIMPLEX2)
-    assert not rep.reflexive
-    assert rep.palindromic is False and rep.dual_integral is False
+    # neither route: the delta vector (1, 0, 0) is not palindromic, and
+    # with no interior lattice point there is no dual to take
+    assert is_reflexive(SIMPLEX2) is False
+    assert not delta_vector(SIMPLEX2).is_palindromic()
+    assert enumerate_lattice_points(SIMPLEX2, 1, interior=True) == []
 
 
-def test_not_integral():
-    rep = is_reflexive(ORDER3)
-    assert not rep.reflexive
-    assert rep.reason == "NotIntegral"
+def test_not_integral(monkeypatch):
+    # a rational polytope is not reflexive, without further checks
+    deltas = count_calls(monkeypatch, ehrhart, "delta_vector")
+    assert is_reflexive(ORDER3) is False
+    assert deltas == []
 
 
 def test_reflexive_quad_criteria_agree():
-    rep = is_reflexive(convex_hull([(0, 0), (1, 0), (0, 1), (2, 2)]))
-    assert rep.palindromic == rep.dual_integral == rep.reflexive
+    # is_reflexive raises unless its two routes agree
+    P = convex_hull([(0, 0), (1, 0), (0, 1), (2, 2)])
+    assert is_reflexive(P) is delta_vector(P).is_palindromic()
 
 
 def test_reflexivity_disagreement_is_raised(monkeypatch):
@@ -357,8 +364,8 @@ def test_palindromicity_classifies_the_sixteen_reflexive_polygons():
 
     pool, classes = brute_forced_reflexive_polygons()
     assert len(pool) > 1000
-    for P, rep in pool:
-        assert rep.palindromic is rep.reflexive
+    for P, reflexive in pool:
+        assert delta_vector(P).is_palindromic() is reflexive
     assert len(classes) == 16
     # one fixed representative pinned down, the anticanonical triangle
     assert ((-2, -1), (1, -1), (1, 2)) in classes
@@ -404,9 +411,9 @@ def test_reflexivity_routes_agree_random(pts):
         P = convex_hull(pts)
     except DegenerateInput:
         return
-    rep = is_reflexive(P)
-    if rep.reason is None:
-        assert rep.palindromic == rep.dual_integral
+    # is_reflexive raises when its two routes disagree
+    assert is_reflexive(P) is (order(P) == 1
+                               and delta_vector(P).is_palindromic())
 
 
 # ---------------------------------------------------------------- -O proof

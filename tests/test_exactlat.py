@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import count_calls, time_limit
-from lattice_oracles import (basis_completion_by_smith, lattice_index,
-                             rat_echelon, rat_kernel)
+from lattice_oracles import (Jet, basis_completion_by_smith,
+                             lattice_index, rat_echelon, rat_kernel)
 
 from contactbetti import exactlat
 from contactbetti.exactlat import (
-    Jet,
     LinearlyDependent,
     NotUnimodularSystem,
     det_int,

@@ -10,7 +10,9 @@ in the package ``__all__``.  ``cli.main`` is the console script.
 A method of a package class counts as used when some module loads an
 attribute of that name outside the method's own body.  Dunder methods and
 overrides of a base class's method are called by the machinery that
-defines them, so they are exempt.
+defines them, so they are exempt.  An annotated class field (a dataclass
+field) counts as read by the same rule: some module loads an attribute
+of its name.
 """
 import ast
 import importlib
@@ -78,14 +80,36 @@ def unused_definitions():
     return unused
 
 
-def unused_methods():
-    trees = _trees()
+def _attribute_loads(trees):
     loads = {}  # attribute name -> ids of the nodes that load it
     for tree in trees.values():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 loads.setdefault(node.attr, set()).add(id(node))
+    return loads
+
+
+def class_fields(trees):
+    """module.Class.field for every annotated field of a package class."""
+    return ["%s.%s.%s" % (module, cls.name, node.target.id)
+            for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)]
+
+
+def unused_fields():
+    trees = _trees()
+    loads = _attribute_loads(trees)
+    return [key for key in class_fields(trees)
+            if key.rsplit(".", 1)[1] not in loads]
+
+
+def unused_methods():
+    trees = _trees()
+    loads = _attribute_loads(trees)
     unused = []
     for module, tree in trees.items():
         for cls in tree.body:
@@ -111,6 +135,9 @@ def test_scanner_sees_the_package():
         defs)
     assert _resolve(binds, "resolution", "MismatchAt") == "ehrhart.MismatchAt"
     assert "convex_hull" in exported
+    fields = class_fields(_trees())
+    assert {"contact.OrbitFamily.ratios", "contact.ToricDiagram._frames",
+            "prequant.QuotientData.sectors"} <= set(fields)
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
@@ -119,3 +146,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_every_method_has_a_caller_outside_the_tests():
     assert unused_methods() == []
+
+
+def test_every_field_is_read_outside_the_tests():
+    assert unused_fields() == []

@@ -73,6 +73,7 @@ COMMANDS = [
     (["crosscheck", "n2m13"], 0),
     (["cb", "corpus:lens-triangle", "--perturb", "0", "--pipeline", "direct"],
      66),
+    (["orbits", "corpus:lens-triangle", "--perturb", "0"], 66),
 ]
 
 

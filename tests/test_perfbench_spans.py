@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import corpus_diagram
 
 from contactbetti import cli
-from contactbetti.contact import validate_diagram
+from contactbetti.contact import ReebVector, orbit_data, validate_diagram
+from contactbetti.corpus import corpus
 from contactbetti.polytope import convex_hull, triangulate_ids
 from contactbetti.resolution import fan_over, triangulation_from_cells
 
@@ -82,3 +84,16 @@ def test_crosscheck_traces_one_direct_pass_and_one_census(tmp_path):
                                               triangulate_ids(P))).cones()
     assert calls["contact.contact_betti_direct"] == 1
     assert calls["resolution.box_elements"] == len(cones)
+
+
+def test_orbits_traces_one_solve_per_facet_and_one_count_per_iterate():
+    code, calls = _traced_calls(["orbits", "corpus:lens-skew",
+                                 "--iterates", "3"])
+    assert code == 0
+    D = corpus_diagram(corpus()["lens-skew"])
+    reeb = ReebVector.default_for(D)
+    facets = range(len(D.facet_vertex_ids))
+    steady = [fid for fid in facets if not orbit_data(D, fid, reeb).diverges]
+    assert steady
+    assert calls["contact.orbit_data"] == len(facets)
+    assert calls["contact.orbit_degree"] == 3 * len(steady)

@@ -549,7 +549,9 @@ def test_labelled_polytope_basic():
 def test_labelled_polytope_weights():
     lab = labelled_polytope([(2, 0), (0, 1), (-2, 0), (0, -1)], [0, 0, 2, 1])
     assert lab.labels == (2, 1, 2, 1)
-    assert lab.primitive_normals == ((1, 0), (0, 1), (-1, 0), (0, -1))
+    assert tuple(tuple(x // l for x in a) for a, l in zip(
+        lab.weighted_normals, lab.labels)) == ((1, 0), (0, 1), (-1, 0),
+                                               (0, -1))
 
 
 def test_labelled_polytope_not_simple():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BaseNotSmooth, corpus_diagram, hc_smooth_base
-from lattice_oracles import fundamental_group_order_by_minors, lattice_index
+from lattice_oracles import (basis_completion_by_smith,
+                             fundamental_group_order_by_minors, lattice_index)
 from contactbetti.contact import (
     NotInterior,
     contact_betti_from_delta,
@@ -16,8 +17,10 @@ from contactbetti.contact import (
 )
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector
-from contactbetti.exactlat import primitive_vector, rat_rank
-from contactbetti.polytope import convex_hull, cone_rays, labelled_polytope
+from contactbetti.exactlat import (det_int, mat_inverse, primitive_vector,
+                                  rat_rank, vec_mat)
+from contactbetti.polytope import (convex_hull, cone_rays, labelled_polytope,
+                                   normalized_volume)
 from contactbetti.prequant import (
     ConeFace,
     NotGorenstein,
@@ -209,27 +212,43 @@ def test_prequantization_diagrams():
 # ---------------------------------------------------------------- quotients
 
 
+def base_in_frame(D, G):
+    """The labelled base cut out by a unimodular frame G: each lifted
+    normal's image under G, its last entry the offset."""
+    images = [tuple(sum(a * x for a, x in zip(row, v)) for row in G)
+              for v in D.normals]
+    return labelled_polytope([u[:-1] for u in images],
+                             [u[-1] for u in images])
+
+
+def vertex_indices(base):
+    return sorted(abs(det_int([base.weighted_normals[i] for i in tight]))
+                  for tight in base.vertex_facets)
+
+
 def test_lens_quotient_in_the_worked_frame():
-    Q = quotient_polytope(L53_ALT, (1, 1, 2), transform=FRAME)
+    assert vec_mat((1, 1, 2), tuple(zip(*FRAME))) == (0, 0, 1)
+    base = base_in_frame(L53_ALT, FRAME)
+    assert base.weighted_normals == ((1, 0), (-1, -1), (-3, 1))
+    assert base.offsets == (0, 1, 2)
+    assert base.labels == (1, 1, 1)
+    assert base.polytope.vertices == ((0, -2), (0, 1), (F(3, 4), F(1, 4)))
+    assert gorenstein_r(base) == (2, (1, 0))
+    Q = quotient_polytope(L53_ALT, (1, 1, 2))
     assert Q.r == 2 and Q.order == 1 and not Q.smooth
-    assert Q.reeb == (1, 1, 2)
-    assert Q.transform == FRAME
-    assert Q.base.weighted_normals == ((1, 0), (-1, -1), (-3, 1))
-    assert Q.base.offsets == (0, 1, 2)
-    assert Q.base.labels == (1, 1, 1)
-    assert Q.base.polytope.vertices == ((0, -2), (0, 1), (F(3, 4), F(1, 4)))
-    assert gorenstein_r(Q.base) == (2, (1, 0))
 
 
 def test_lens_quotient_in_the_canonical_frame():
-    Q = quotient_polytope(L53_ALT, (1, 1, 2), transform=FRAME)
+    # the package's frame cuts out another base, equivalent to the worked
+    # one: same volume, vertex indices and Gorenstein r
+    worked = base_in_frame(L53_ALT, FRAME)
     Qc = quotient_polytope(L53_ALT, (1, 1, 2))
     assert Qc.base.weighted_normals == ((0, 1), (1, 1), (-1, -5))
     assert Qc.base.offsets == (0, 0, 3)
-    assert Qc.r == Q.r and Qc.smooth == Q.smooth
-    assert Qc.sectors == Q.sectors
-    assert orbifold_cohomology_of_base(Qc) == orbifold_cohomology_of_base(Q)
-    assert gorenstein_r(Qc.base)[0] == 2
+    assert (normalized_volume(Qc.base.polytope)
+            == normalized_volume(worked.polytope))
+    assert vertex_indices(Qc.base) == vertex_indices(worked) == [1, 1, 4]
+    assert gorenstein_r(Qc.base)[0] == gorenstein_r(worked)[0] == 2
 
 
 def test_quotient_direction_gates():
@@ -263,7 +282,8 @@ def test_lens_sector_table():
     for k, sector in zip((1, 2, 3), Q.sectors):
         comp, = sector.components
         assert comp.face == (1, 2)
-        assert comp.coefficients == (F(k, 4), F(k, 4))
+        assert membership_coefficients(L53_ALT, (1, 1, 2), sector.period,
+                                       comp.face) == (F(k, 4), F(k, 4))
         assert comp.shift == k
         assert comp.h == (1,)
     base, = Q.sectors[-1].components
@@ -287,7 +307,8 @@ def test_teardrop_sector_is_an_edge_stratum():
     comp, = Q.sectors[0].components
     # the fixed stratum is the whole edge under the vertex (2,0)
     assert comp.face == (2,)
-    assert comp.coefficients == (F(1, 2),)
+    assert membership_coefficients(TEARDROP, (0, 0, 1), F(1, 2),
+                                   comp.face) == (F(1, 2),)
     assert comp.shift == 1
     assert comp.h == (1, 1)
 
@@ -308,21 +329,39 @@ def test_mixed_isotropy_periods():
         F(1, 5), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(4, 5), 1)
     third, = [s for s in Q.sectors if s.period == F(1, 3)][0].components
     assert third.face == (0, 2)
-    assert third.coefficients == (F(2, 3), F(1, 3))
+    assert membership_coefficients(QUAD, (2, 3, 3), F(1, 3),
+                                   third.face) == (F(2, 3), F(1, 3))
     assert third.shift == 2
     last, = [s for s in Q.sectors if s.period == F(4, 5)][0].components
     assert last.face == (2, 3)
     assert last.shift == F(16, 5)
 
 
+def membership_coefficients(D, nu, T, face):
+    """The c_j in [0, 1), j in face, with T nu + sum_j c_j nu_j integral:
+    c_j = frac(-T y_j) for the coordinates y of nu in the face's normals
+    completed to a lattice basis (the Smith-form oracle's completion)."""
+    if not face:
+        return ()
+    normals = tuple(D.normals[j] for j in face)
+    basis = normals + basis_completion_by_smith(normals)
+    y = vec_mat(nu, mat_inverse(basis))
+    return tuple((-T * y[i]) % 1 for i in range(len(face)))
+
+
 def test_sector_membership_is_integral():
+    # every listed component has fractional membership coefficients, and
+    # its degree shift c_T is their doubled sum
     for D, nu in CASES:
         Q = quotient_polytope(D, nu)
         for sector in Q.sectors:
             for comp in sector.components:
-                assert all(0 < c < 1 for c in comp.coefficients)
+                coeffs = membership_coefficients(D, nu, sector.period,
+                                                 comp.face)
+                assert all(0 < c < 1 for c in coeffs)
+                assert comp.shift == 2 * sum(coeffs)
                 total = [sector.period * x for x in nu]
-                for j, c in zip(comp.face, comp.coefficients):
+                for j, c in zip(comp.face, coeffs):
                     total = [t + c * x for t, x in zip(total, D.normals[j])]
                 assert all(t.denominator == 1 for t in total)
 

@@ -427,8 +427,10 @@ def test_stapledon_identity():
                    (QUAD, QUAD_STAR), (QUAD, QUAD_FLOP),
                    (HALF53, trivial_triangulation(HALF53))):
         rep = stapledon_check(D, tri)
-        assert rep.orbifold == orbifold_poincare(fan_over(tri))
         m, n = D.order, D.dimension
+        H = orbifold_poincare(fan_over(tri))
+        assert [H.dim(2 * F(mj, m)) for mj in range(m * (n + 1))] == list(
+            rep.delta)
         assert rep.series_checked_to == 2 * m * (n + 1) - 1
 
 
