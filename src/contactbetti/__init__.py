@@ -10,7 +10,7 @@ from .contact import (
     validate_diagram,
 )
 from .ehrhart import delta_vector, is_reflexive, quasipolynomial
-from .polytope import convex_hull, labelled_polytope
+from .polytope import convex_hull, dual_polytope, labelled_polytope
 from .prequant import (
     diagram_from_labelled,
     hc_from_quotient,
@@ -35,6 +35,7 @@ __all__ = [
     "convex_hull",
     "delta_vector",
     "diagram_from_labelled",
+    "dual_polytope",
     "hc_from_quotient",
     "hc_from_resolution",
     "is_reflexive",

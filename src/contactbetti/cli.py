@@ -303,7 +303,7 @@ def _cmd_validate(args):
             "m": D.order,
             "dimension": D.dimension,
             "normals": [list(u) for u in D.normals],
-            "good_cone": is_good_cone(D.normals).good,
+            "good_cone": is_good_cone(D).good,
             "fundamental_group_order": fundamental_group_order(D),
             "reeb": list(nu) if nu is not None else None,
         }

@@ -31,11 +31,9 @@ from .polyarith import poly_eval, poly_mul, poly_scale
 from .polytope import (
     RationalPolytope,
     count_points,
-    dual_polytope,
     enumerate_lattice_points,
     normalized_volume,
     order,
-    translate,
 )
 
 
@@ -213,9 +211,12 @@ def quasipolynomial(P: RationalPolytope) -> QuasiPolynomial:
 def is_reflexive(P: RationalPolytope) -> bool:
     """Check reflexivity of an integral polytope by two independent routes.
 
-    Route one: the delta vector is palindromic.  Route two: after
-    translating the unique interior lattice point to the origin, the polar
-    dual is again integral.  The two answers must agree; a rational
+    Route one: the delta vector is palindromic.  Route two (Batyrev's
+    criterion): P has exactly one interior lattice point p, and every
+    facet <a, x> + c >= 0 lies at lattice distance <a, p> + c = 1 from
+    it.  This is the integrality of the polar dual of P - p, whose
+    vertices are a/(<a, p> + c) with a primitive, read off P's own facets
+    with no further hull.  The two answers must agree; a rational
     (non-integral) polytope is not reflexive, without further checks.
     """
     if order(P) != 1:
@@ -224,14 +225,11 @@ def is_reflexive(P: RationalPolytope) -> bool:
     palindromic = dv.is_palindromic()
 
     interior = enumerate_lattice_points(P, 1, interior=True)
-    if len(interior) != 1:
-        dual_integral = False
-    else:
-        shifted = translate(P, tuple(-c for c in interior[0]))
-        dual = dual_polytope(shifted)
-        dual_integral = all(c.denominator == 1 for v in dual.vertices
-                            for c in v)
-    if palindromic != dual_integral:
+    unit_distance = len(interior) == 1 and all(
+        sum(a * x for a, x in zip(f.normal, interior[0])) + f.offset == 1
+        for f in P.facets)
+    if palindromic != unit_distance:
         raise AssertionError(f"reflexivity criteria disagree: palindromic "
-                             f"{palindromic}, dual integral {dual_integral}")
+                             f"{palindromic}, unit facet distances "
+                             f"{unit_distance}")
     return palindromic

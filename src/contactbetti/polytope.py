@@ -3,13 +3,17 @@
 Vertex and halfspace representations, face lattices, lattice point counting,
 normalized volumes, polar duals, and labelled (weighted normal) polytopes.
 Halfspaces are stored as (normal a, offset c) meaning <a, x> + c >= 0 with a
-a primitive inward integer normal.  Every conversion between vertices and
-facets, here and for the good cones of ``prequant``, reads the extreme rays
-of a homogenized cone off the one kernel ``cone_rays``.  Faces, here and
-for those good cones, are the one ``intersection_closure`` of the facets'
-incidence sets; a polytope builds its face lattice only when a pulling
-triangulation of a non-simplex needs it.  Lattice point counts read
-integer facet rows and a vertex box cleared once per polytope.
+a primitive inward integer normal.  The extreme rays of a homogenized cone
+come from the one kernel ``cone_rays``, and only two functions call it:
+``convex_hull`` (vertices to facets) and ``enumerate_halfspace_vertices``
+(halfspaces to vertices).  Everything else reads the facets these two
+produced: a labelled polytope's facets are its own halfspaces,
+``ehrhart.is_reflexive`` reads lattice distances off the facets, and the
+good cones of ``prequant`` read their faces off a diagram's face lattice.
+Faces are the one ``intersection_closure`` of the facets' vertex sets; a
+polytope builds its face lattice only when a pulling triangulation of a
+non-simplex or a good cone needs it.  Lattice point counts read integer
+facet rows and a vertex box cleared once per polytope.
 """
 
 from __future__ import annotations
@@ -112,10 +116,11 @@ def affine_dim(points) -> int:
 def cone_rays(rows) -> tuple[tuple[int, ...], ...]:
     """Sorted primitive integer extreme rays of {y in Q^d : <row, y> >= 0}.
 
-    The one vertex/facet enumerator of the package: hull facets, halfspace
-    vertices and good-cone rays are all extreme rays of a pointed cone,
-    reached by homogenization (Fukuda and Prodon, Double description
-    method revisited, 1996).  Brute force over the (d-1)-subsets of the
+    The one vertex/facet enumerator of the package, called only by
+    ``convex_hull`` and ``enumerate_halfspace_vertices``: hull facets and
+    halfspace vertices are both extreme rays of a pointed cone, reached by
+    homogenization (Fukuda and Prodon, Double description method
+    revisited, 1996).  Brute force over the (d-1)-subsets of the
     rows, cleared to integers: the signed maximal minors of a subset span
     its kernel unless they all vanish, and +-that vector is an extreme ray
     when every row is >= 0 on it.  For d = 1 the empty subset leaves the
@@ -190,8 +195,8 @@ def intersection_closure(k: int, sets) -> set[frozenset[int]]:
     """The ground set range(k) and every nonempty intersection of the sets.
 
     Closed under one set at a time: each set cuts every member collected
-    so far.  Applied to the vertex sets of a polytope's facets, or to the
-    ray sets of a cone's facets, these are the faces (Kaibel and Pfetsch,
+    so far.  Applied to the vertex sets of a polytope's facets, these are
+    its nonempty faces (Kaibel and Pfetsch,
     Computing the face lattice of a polytope from its vertex-facet
     incidences, 2002).
     """
@@ -220,12 +225,6 @@ def _build_face_lattice(P: RationalPolytope) -> dict[int, tuple[Face, ...]]:
 def order(P: RationalPolytope) -> int:
     """Least m >= 1 with all vertices in (1/m)Z^n."""
     return math.lcm(*[x.denominator for v in P.vertices for x in v])
-
-
-def translate(P: RationalPolytope, shift) -> RationalPolytope:
-    sh = tuple(Fraction(x) for x in shift)
-    return convex_hull([tuple(x + s for x, s in zip(v, sh))
-                        for v in P.vertices])
 
 
 def _clear(P: RationalPolytope):
@@ -473,19 +472,28 @@ class LabelledPolytope:
 
 
 def labelled_polytope(normals, offsets) -> LabelledPolytope:
+    """The simple polytope {x : <a_i, x> + c_i >= 0} with its labels.
+
+    Once every vertex meets exactly n of the halfspaces and every
+    halfspace has a tight vertex, each halfspace is a facet, so the
+    polytope is read off the halfspace vertices with no hull: halfspace i
+    with label g = gcd(a_i) is the facet <a_i/g, x> + c_i/g >= 0 on its
+    tight vertices, and the facets are sorted as ``convex_hull`` sorts
+    them.
+    """
     ns = tuple(tuple(int(x) for x in a) for a in normals)
     offs = tuple(int(c) for c in offsets)
-    assert len(ns) == len(offs) and ns, "need matching normals and offsets"
+    if not ns or len(ns) != len(offs):
+        raise ValueError("need matching normals and offsets")
     n = len(ns[0])
     verts = enumerate_halfspace_vertices(ns, offs)
     if not verts:
         raise DegenerateInput("halfspaces have empty intersection")
-    P = convex_hull(verts)
-    if P.dimension != n:
-        raise DegenerateInput("labelled polytope is not full-dimensional")
+    if affine_dim(verts) != n:
+        raise DegenerateInput("points do not span the ambient space")
 
     vertex_facets = []
-    for v in P.vertices:
+    for v in verts:
         tight = tuple(i for i, (a, c) in enumerate(zip(ns, offs))
                       if sum(x * y for x, y in zip(a, v)) + c == 0)
         if len(tight) != n:
@@ -497,5 +505,10 @@ def labelled_polytope(normals, offsets) -> LabelledPolytope:
         raise DegenerateInput("halfspace without a tight vertex (redundant)")
 
     labels = tuple(math.gcd(*a) for a in ns)
-    assert all(l >= 1 for l in labels)
+    facets = sorted(
+        (Facet(tuple(x // g for x in a), Fraction(c, g),
+               tuple(k for k, tight in enumerate(vertex_facets) if i in tight))
+         for i, (a, c, g) in enumerate(zip(ns, offs, labels))),
+        key=lambda f: (f.normal, f.offset))
+    P = RationalPolytope(n, tuple(verts), tuple(facets))
     return LabelledPolytope(ns, offs, labels, P, tuple(vertex_facets))

@@ -7,6 +7,12 @@ with its Gorenstein period on one side, diagram plus quotient direction on
 the other), enumerates the twisted sectors of the quotient, and assembles
 the two column-graded tables that must agree: the base's orbifold
 cohomology and the contact homology of the total space.
+
+The good cone of a diagram D is {y : <nu_j, y> >= 0} over D's lifted
+normals nu_j = (m v_j, m).  Its rays are D's facets, so no ray is
+enumerated here: its faces are read off D's face lattice, which
+``polytope`` builds from the facets that ``convex_hull`` found (the only
+caller of ``cone_rays`` on a diagram).
 """
 from __future__ import annotations
 
@@ -17,14 +23,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
-from .exactlat import (LinearlyDependent, det_int, rat_rank, rat_solve,
+from .exactlat import (LinearlyDependent, det_int, rat_solve,
                        smith_invariants, transpose, unimodular_frame,
                        vec_mat)
 from .grading import GradedDimensions, checked_window, sum_rows
 from .polyarith import f_to_h
-from .polytope import (LabelledPolytope, cone_rays, convex_hull,
-                       intersection_closure, labelled_polytope)
-from .resolution import NotStrictlyConvex
+from .polytope import LabelledPolytope, convex_hull, labelled_polytope
 
 
 class NotGorenstein(ValueError):
@@ -50,7 +54,6 @@ class ConeFace:
 @dataclass(frozen=True)
 class GoodCone:
     normals: Tuple[Tuple[int, ...], ...]
-    rays: Tuple[Tuple[int, ...], ...]
     faces: Tuple[ConeFace, ...]     # dims 1 .. n+1; the apex is never used
 
     @property
@@ -77,55 +80,33 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _cone_skeleton(normals):
-    """Extreme rays and facet-intersection faces of {y : <nu_j, y> >= 0}."""
-    nu = tuple(tuple(int(x) for x in row) for row in normals)
-    d = len(nu)
-    n1 = len(nu[0])
-    if len(set(nu)) != d:
-        raise ValueError("duplicate normals")
-    for row in nu:
-        if math.gcd(*[abs(x) for x in row]) != 1:
-            raise ValueError("normals must be primitive, got %s" % (row,))
-    if rat_rank(nu) < n1:
-        raise NotStrictlyConvex("normals do not span, the cone has a line")
-    rays = cone_rays(nu)
-    if rat_rank(rays) < n1:
-        raise NotStrictlyConvex("cone is not full-dimensional")
-    zero_sets = [frozenset(j for j in range(d) if _dot(nu[j], ray) == 0)
-                 for ray in rays]
-    # faces by their ray sets: the rays on each facet, closed under
-    # intersection
-    faces = []
-    for members in intersection_closure(
-            len(rays), [[i for i, z in enumerate(zero_sets) if j in z]
-                        for j in range(d)]):
-        tight = frozenset.intersection(*[zero_sets[i] for i in members])
-        faces.append(ConeFace(tuple(sorted(tight)),
-                              rat_rank([rays[i] for i in members])))
-    return rays, tuple(sorted(faces, key=lambda f: (len(f.tight), f.tight)))
+def is_good_cone(D: ToricDiagram) -> GoodConeReport:
+    """Test every face of codim 1..n of D's cone for being cut by exactly
+    that many facets whose normals extend to a lattice basis.
 
-
-def is_good_cone(normals) -> GoodConeReport:
-    """Test every face of codim 1..n for being cut by exactly that many
-    facets whose normals extend to a lattice basis."""
-    rays, faces = _cone_skeleton(normals)
-    nu = tuple(tuple(int(x) for x in row) for row in normals)
-    n1 = len(nu[0])
-    for face in faces:
-        if not 1 <= face.dim <= n1 - 1:
-            continue
-        codim = n1 - face.dim
-        if len(face.tight) != codim:
+    <(m v, m), (a, c)> = m (<a, v> + c), so the facet <a, x> + c >= 0 of
+    D is the cone's ray (a, c), tight on the lifts of the facet's
+    vertices.  A face F of D with vertex ids J is then the cone face
+    tight on exactly J, of dimension n - dim F; the empty face of D is
+    the whole cone (dimension n + 1), and D itself the apex, never used.
+    """
+    n = D.dimension
+    lattice = D.polytope.face_lattice()
+    faces = [ConeFace((), n + 1)] + [ConeFace(f.vertex_ids, n - d)
+                                     for d in range(n) for f in lattice[d]]
+    faces.sort(key=lambda f: (len(f.tight), f.tight))
+    for face in faces[1:]:  # faces[0], the whole cone, has no facet
+        if len(face.tight) != n + 1 - face.dim:
             return GoodConeReport(False, None, face.tight, None)
-        inv = smith_invariants([list(nu[j]) for j in face.tight])
+        inv = smith_invariants([list(D.normals[j]) for j in face.tight])
         if any(x != 1 for x in inv):
             return GoodConeReport(False, None, face.tight, inv)
-    return GoodConeReport(True, GoodCone(nu, rays, faces), None, None)
+    return GoodConeReport(True, GoodCone(D.normals, tuple(faces)), None,
+                          None)
 
 
-def good_cone(normals) -> GoodCone:
-    report = is_good_cone(normals)
+def good_cone(D: ToricDiagram) -> GoodCone:
+    report = is_good_cone(D)
     if not report.good:
         raise ValueError("cone is not good at face %s (invariants %s)"
                          % (report.failing_face, report.invariants))
@@ -249,8 +230,8 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
     fractional (integral ones belong to a smaller face).
     """
     nu = tuple(int(x) for x in nu)
-    assert math.gcd(*[abs(x) for x in nu]) == 1, "direction must be primitive"
-    assert all(_dot(nu, ray) > 0 for ray in C.rays), "direction not interior"
+    if math.gcd(*[abs(x) for x in nu]) != 1:
+        raise NotPrimitive("sector direction %s is not primitive" % (nu,))
     by_period: Dict[Fraction, List[SectorComponent]] = {}
     for face in C.faces:
         J = face.tight
@@ -284,7 +265,8 @@ def quotient_polytope(D: ToricDiagram, nu) -> QuotientData:
     """
     nu = tuple(int(x) for x in nu)
     n1 = D.dimension + 1
-    assert len(nu) == n1
+    if len(nu) != n1:
+        raise ValueError("quotient direction needs %d entries" % n1)
     if math.gcd(*[abs(x) for x in nu]) != 1:
         raise NotPrimitive("quotient direction %s is not primitive" % (nu,))
     r = nu[-1]
@@ -302,7 +284,7 @@ def quotient_polytope(D: ToricDiagram, nu) -> QuotientData:
     smooth = all(
         abs(det_int([list(base.weighted_normals[i]) for i in tight])) == 1
         for tight in base.vertex_facets)
-    return QuotientData(r, base, twisted_sectors(good_cone(D.normals), nu),
+    return QuotientData(r, base, twisted_sectors(good_cone(D), nu),
                         smooth, D.order)
 
 

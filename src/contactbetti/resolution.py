@@ -56,10 +56,6 @@ class NotRational(ValueError):
     pass
 
 
-class NotStrictlyConvex(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Triangulation:
     points: Tuple[Tuple[Fraction, ...], ...]

@@ -12,9 +12,10 @@ from contactbetti.contact import validate_diagram
 from contactbetti.ehrhart import is_reflexive
 from contactbetti.grading import GradedDimensions
 from contactbetti.polytope import (convex_hull, enumerate_lattice_points,
-                                   labelled_polytope, translate)
+                                   labelled_polytope)
 from contactbetti.prequant import (_hc_window, diagram_from_labelled,
                                    hc_from_quotient)
+from lattice_oracles import translate
 
 
 def corpus_diagram(doc):

@@ -18,9 +18,15 @@ closed counts L(t), t < m(n+1), which the half-closed, half-interior
 reciprocity form replaced.
 
 ``face_lattice_by_levels`` is the level-by-level face enumeration that
-``polytope.intersection_closure`` replaced, and
-``fundamental_group_order_by_minors`` the gcd of all maximal minors that
-the product of Smith invariants replaced.
+``polytope.intersection_closure`` replaced.  ``cone_skeleton_by_rays`` is
+the good cone that ``prequant.is_good_cone`` now reads off a diagram's
+face lattice: its rays enumerated again by ``cone_rays`` and its faces
+closed over the rays' tight sets.  ``reflexive_by_dual`` is the
+reflexivity route that Batyrev's unit facet distances replaced in
+``ehrhart.is_reflexive``: recentre the interior lattice point by
+``translate`` (a second hull) and test the polar dual (a third) for
+integrality.  ``fundamental_group_order_by_minors`` is the gcd of all
+maximal minors that the product of Smith invariants replaced.
 
 ``lattice_index`` is the product of Smith invariants that
 ``resolution`` read cell unimodularity and cone volumes from before it
@@ -55,10 +61,14 @@ from contactbetti.ehrhart import MismatchAt
 from contactbetti.exactlat import (LinearlyDependent,
                                   NotUnimodularSystem, det_int,
                                   hermite_normal_form, intmat, mat_inverse,
-                                  primitive_vector, smith_invariants,
+                                  primitive_vector, rat_rank, smith_invariants,
                                   smith_normal_form, transpose, vec_mat)
 from contactbetti.grading import GradedDimensions, checked_window
-from contactbetti.polytope import affine_dim, count_points, order
+from contactbetti.polytope import (affine_dim, cone_rays, convex_hull,
+                                   count_points, dual_polytope,
+                                   enumerate_lattice_points,
+                                   intersection_closure, order)
+from contactbetti.prequant import ConeFace
 
 
 def rat_echelon(rows):
@@ -226,6 +236,44 @@ def face_lattice_by_levels(P):
         current = nxt
     assert lattice[0] == tuple((i,) for i in range(len(P.vertices)))
     return lattice
+
+
+def cone_skeleton_by_rays(normals):
+    """Extreme rays and faces of {y : <nu_j, y> >= 0}: the faces by their
+    ray sets, the rays on each facet closed under intersection, sorted as
+    ``prequant.is_good_cone`` sorts them."""
+    nu = tuple(tuple(int(x) for x in row) for row in normals)
+    rays = cone_rays(nu)
+    zero_sets = [frozenset(j for j in range(len(nu))
+                           if sum(map(operator.mul, nu[j], ray)) == 0)
+                 for ray in rays]
+    faces = []
+    for members in intersection_closure(
+            len(rays), [[i for i, z in enumerate(zero_sets) if j in z]
+                        for j in range(len(nu))]):
+        tight = frozenset.intersection(*[zero_sets[i] for i in members])
+        faces.append(ConeFace(tuple(sorted(tight)),
+                              rat_rank([rays[i] for i in members])))
+    return rays, tuple(sorted(faces, key=lambda f: (len(f.tight), f.tight)))
+
+
+def translate(P, shift):
+    """The hull of P's vertices shifted by ``shift``."""
+    sh = tuple(Fraction(x) for x in shift)
+    return convex_hull([tuple(x + s for x, s in zip(v, sh))
+                        for v in P.vertices])
+
+
+def reflexive_by_dual(P):
+    """Integral P with one interior lattice point p whose recentred polar
+    dual (P - p)* is integral."""
+    if order(P) != 1:
+        return False
+    interior = enumerate_lattice_points(P, 1, interior=True)
+    if len(interior) != 1:
+        return False
+    dual = dual_polytope(translate(P, tuple(-c for c in interior[0])))
+    return all(c.denominator == 1 for v in dual.vertices for c in v)
 
 
 def fundamental_group_order_by_minors(D):

@@ -2,13 +2,14 @@
 import argparse
 import json
 import os
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import corpus_diagram, time_limit
+from conftest import corpus_diagram, count_calls, time_limit
 
 from contactbetti import cli, polytope
 from contactbetti._jsonio import parse_rat
@@ -328,6 +329,50 @@ def test_validate_order_19_simplex_within_seconds(capsys, tmp_path):
     report = json.loads(out)
     assert code == 0 and report["m"] == 19
     assert report["fundamental_group_order"] == 66881767
+
+
+def test_five_dimensional_reflexive_inputs_take_no_second_hull(
+        capsys, tmp_path):
+    # the 5-D cross-polytope has 32 facets and the 5-cube 32 vertices: a
+    # brute-force hull of either takes about 20 s, so each command must
+    # read the facets it already has
+    cross = write_doc(tmp_path, {"kind": "diagram", "vertices": [
+        [str(s * (i == k)) for i in range(5)]
+        for k in range(5) for s in (1, -1)]}, "cross5.json")
+    cube = write_doc(tmp_path, {
+        "kind": "labelled",
+        "normals": [[int(i == k) - int(i == k - 5) for i in range(5)]
+                    for k in range(10)],
+        "offsets": [0] * 5 + [1] * 5}, "cube5.json")
+    with time_limit(5):
+        code, out, _ = run(capsys, ["delta", cross])
+    report = json.loads(out)
+    assert code == 0 and report["delta"] == [1, 5, 10, 10, 5, 1]
+    assert report["reflexive"] is True
+    with time_limit(5):
+        code, out, _ = run(capsys, ["quotient", cross])
+    assert code == 0 and json.loads(out)["r"] == 1
+    with time_limit(5):
+        code, out, _ = run(capsys, ["validate", cube])
+    report = json.loads(out)
+    assert code == 0 and len(report["vertices"]) == 32
+    assert report["gorenstein"] == {"r": 2, "w": [1, 1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("command,calls", [("delta", 1), ("quotient", 2)])
+def test_each_cone_is_enumerated_once(capsys, monkeypatch, command, calls):
+    # delta: the diagram's hull; quotient: that hull and the base's
+    # halfspace vertices.  Reflexivity, the labelled base and the good
+    # cone read the facets these produced.
+    # every package module that binds cone_rays is counted, so an import
+    # of it elsewhere cannot hide a call
+    rays = [count_calls(monkeypatch, module, "cone_rays")
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("contactbetti.")
+            and hasattr(module, "cone_rays")]
+    code, _, _ = run(capsys, [command, "corpus:lens-triangle"])
+    assert code == 0
+    assert sum(map(len, rays)) == calls
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import corpus_diagram, count_calls
 from lattice_oracles import (delta_by_closed_counts,
-                             interior_count_by_reciprocity)
+                             interior_count_by_reciprocity,
+                             reflexive_by_dual)
 
 from contactbetti import ehrhart
 from contactbetti.corpus import corpus
@@ -369,6 +371,37 @@ def test_palindromicity_classifies_the_sixteen_reflexive_polygons():
     assert len(classes) == 16
     # one fixed representative pinned down, the anticanonical triangle
     assert ((-2, -1), (1, -1), (1, 2)) in classes
+
+
+def _seeded_integral_hulls_3d(count):
+    """Hulls of centrally symmetric sets of nonzero points of {-1,0,1}^3,
+    half of them with one more point of [-2,2]^3: a mix of reflexive and
+    non-reflexive integral polytopes."""
+    rng = random.Random(33)
+    cube = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)]
+    hulls = []
+    while len(hulls) < count:
+        pts = rng.sample(cube, rng.randint(3, 5))
+        pts += [tuple(-c for c in p) for p in pts]
+        if rng.random() < 0.5:
+            pts.append(tuple(rng.randint(-2, 2) for _ in range(3)))
+        try:
+            hulls.append(convex_hull(pts))
+        except DegenerateInput:
+            pass
+    return hulls
+
+
+def test_unit_facet_distances_match_the_recentred_dual():
+    # the route is_reflexive replaced: recentre the interior point and
+    # take the polar dual, two more hulls
+    from conftest import brute_forced_reflexive_polygons
+
+    pool, _ = brute_forced_reflexive_polygons()
+    hulls = [P for P, _ in pool] + _seeded_integral_hulls_3d(40)
+    verdicts = [is_reflexive(P) for P in hulls]
+    assert verdicts == [reflexive_by_dual(P) for P in hulls]
+    assert 0 < sum(verdicts[len(pool):]) < 40
 
 
 # ---------------------------------------------------------------- properties

@@ -74,6 +74,9 @@ COMMANDS = [
     (["cb", "corpus:lens-triangle", "--perturb", "0", "--pipeline", "direct"],
      66),
     (["orbits", "corpus:lens-triangle", "--perturb", "0"], 66),
+    (["validate", "corpus:product-of-spheres"], 0),
+    (["quotient", "corpus:projective-plane"], 0),
+    (["delta", "corpus:blowup-quad"], 0),
 ]
 
 

@@ -2,7 +2,9 @@ import fractions
 import importlib.util
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import corpus_diagram, count_calls
 from lattice_oracles import (_coordinate_box as fraction_box,
                              count_points_naive, count_points_row_scan,
-                             face_lattice_by_levels, hull_by_hyperplanes)
+                             face_lattice_by_levels, hull_by_hyperplanes,
+                             translate)
 
 from contactbetti import polytope
 from contactbetti.corpus import corpus
@@ -31,7 +34,6 @@ from contactbetti.polytope import (
     labelled_polytope,
     normalized_volume,
     order,
-    translate,
     triangulate_ids,
 )
 
@@ -559,6 +561,95 @@ def test_labelled_polytope_not_simple():
     with pytest.raises(NotSimple):
         labelled_polytope([(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1),
                            (0, 0, -1)], [0, 0, 0, 0, 1])
+
+
+def _labelled_cube(n, side=1):
+    return labelled_polytope(
+        [tuple((i == k) - (i == k - n) for i in range(n))
+         for k in range(2 * n)], [0] * n + [side] * n)
+
+
+def _seeded_simple_polytopes(n, count):
+    """Boxes cut by random integer halfspaces; draws that are not simple
+    or leave a redundant halfspace are skipped."""
+    rng = random.Random(900 + n)
+    found = []
+    while len(found) < count:
+        normals = [tuple((i == k) - (i == k - n) for i in range(n))
+                   for k in range(2 * n)]
+        offsets = [rng.randint(1, 4) for _ in range(2 * n)]
+        for _ in range(rng.randint(1, 3)):
+            normals.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            offsets.append(rng.randint(0, 6))
+        try:
+            found.append(labelled_polytope(normals, offsets))
+        except (NotSimple, DegenerateInput, UnboundedInput):
+            pass
+    return found
+
+
+def test_labelled_polytope_facets_are_the_hull_facets():
+    # the facets read off the halfspaces equal the hull of the vertices,
+    # facet by facet: normal, offset and vertex ids
+    bases = [labelled_polytope(doc["normals"], doc["offsets"])
+             for doc in corpus().values() if doc["kind"] == "labelled"]
+    bases.append(labelled_polytope(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [0, 0, 0, 1]))
+    bases += [_labelled_cube(n, side) for n in (1, 2, 3, 4)
+              for side in (1, 3)]
+    bases += [lab for n in (2, 3, 4)
+              for lab in _seeded_simple_polytopes(n, 8 if n < 4 else 4)]
+    assert len(bases) > 30
+    for lab in bases:
+        P = lab.polytope
+        hull = convex_hull(P.vertices)
+        assert P.dimension == hull.dimension
+        assert P.vertices == hull.vertices
+        assert P.facets == hull.facets
+        # every labelled halfspace is a facet, tight where its facet is
+        assert len(P.facets) == len(lab.weighted_normals)
+        for a, c, l in zip(lab.weighted_normals, lab.offsets, lab.labels):
+            (facet,) = [f for f in P.facets
+                        if f.normal == tuple(x // l for x in a)]
+            assert facet.offset == F(c, l)
+
+
+def test_labelled_polytope_error_types():
+    with pytest.raises(ValueError, match="matching normals"):
+        labelled_polytope([], [])
+    with pytest.raises(ValueError, match="matching normals"):
+        labelled_polytope([(1, 0), (0, 1), (-1, -1)], [0, 0])
+    # flat: x >= 0, -x >= 0 leaves the segment x = 0, 0 <= y <= 1
+    with pytest.raises(DegenerateInput, match="do not span"):
+        labelled_polytope([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 1])
+    # the redundant x <= 5 touches no vertex of the unit square
+    with pytest.raises(DegenerateInput, match="redundant"):
+        labelled_polytope([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, 0)],
+                          [0, 0, 1, 1, 5])
+    # a repeated halfspace puts three on each of its vertices
+    with pytest.raises(NotSimple):
+        labelled_polytope([(1, 0), (0, 1), (-1, -1), (2, 0)], [0, 0, 1, 0])
+
+
+MISMATCHED_RUN = """
+from contactbetti.polytope import labelled_polytope
+try:
+    labelled_polytope([(1, 0), (0, 1)], [0])
+except ValueError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_labelled_argument_check_survives_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", MISMATCHED_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError need matching normals and offsets\n"
 
 
 # ---------------------------------------------------------------- properties

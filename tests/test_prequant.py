@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import BaseNotSmooth, corpus_diagram, hc_smooth_base
 from lattice_oracles import (basis_completion_by_smith,
+                             cone_skeleton_by_rays,
                              fundamental_group_order_by_minors, lattice_index)
 from contactbetti.contact import (
+    FacetNotUnimodular,
     NotInterior,
+    ToricDiagram,
     contact_betti_from_delta,
     validate_diagram,
 )
@@ -33,10 +36,9 @@ from contactbetti.prequant import (
     hc_quotient_rows,
     is_good_cone,
     orbifold_cohomology_of_base,
-    _cone_skeleton,
     quotient_polytope,
+    twisted_sectors,
 )
-from contactbetti.resolution import NotStrictlyConvex
 
 F = Fraction
 
@@ -56,6 +58,10 @@ ORDER3 = validate_diagram(convex_hull(
      (F(2, 3), F(2, 3)), (F(2, 3), F(1, 3))]))
 HALF53 = validate_diagram(convex_hull(
     [(F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))]))
+
+LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
+                     / "ladder.json").read_text())
+
 
 # unimodular frame sending the direction (1,1,2) to the last basis vector
 FRAME = ((-2, 0, 1), (-1, 1, 0), (1, 0, 0))
@@ -93,8 +99,8 @@ def profile(table, degrees):
 
 
 def test_lens_cone_skeleton():
-    C = good_cone(L53.normals)
-    assert C.rays == ((-1, -1, 1), (-1, 2, 1), (2, -1, 1))
+    C = good_cone(L53)
+    assert cone_rays(L53.normals) == ((-1, -1, 1), (-1, 2, 1), (2, -1, 1))
     assert len(C.faces) == 7
     assert sorted(f.dim for f in C.faces) == [1, 1, 1, 2, 2, 2, 3]
     assert C.faces[0].tight == ()
@@ -125,19 +131,37 @@ PARABOLA18 = validate_diagram(convex_hull(
     [(i, i * i) for i in range(-8, 9)] + [(8, 65)]))
 
 
-@pytest.mark.parametrize("name", sorted(corpus()) + ["parabola-18"])
+def _cross_polytope(n):
+    return [tuple(s * (i == k) for i in range(n))
+            for k in range(n) for s in (1, -1)]
+
+
+def _named_diagram(name):
+    if name == "parabola-18":
+        return PARABOLA18
+    if name in LADDER:
+        return validate_diagram(convex_hull(
+            [tuple(F(c) for c in v) for v in LADDER[name]]))
+    if name.startswith("cross-"):
+        return validate_diagram(convex_hull(_cross_polytope(int(name[6:]))))
+    return corpus_diagram(corpus()[name])
+
+
+@pytest.mark.parametrize("name", sorted(corpus()) + [
+    "parabola-18", "n3m3", "n4m2", "cross-3", "cross-4"])
 def test_cone_faces_match_the_subset_walk(name):
-    D = PARABOLA18 if name == "parabola-18" else corpus_diagram(
-        corpus()[name])
-    rays, faces = _cone_skeleton(D.normals)
-    assert list(faces) == cone_faces_oracle(D.normals)
-    assert rays == cone_rays(D.normals)
+    # the faces read off the diagram's face lattice are the faces of the
+    # cone whose rays are enumerated again
+    D = _named_diagram(name)
+    faces = list(good_cone(D).faces)
+    assert faces == cone_faces_oracle(D.normals)
+    assert faces == list(cone_skeleton_by_rays(D.normals)[1])
 
 
 def test_diagram_cones_are_good():
     for D in (L53, L53_ALT, SIMPLEX, SQUARE, QUAD, TEARDROP, RHOMBUS,
               ORDER3, HALF53):
-        assert is_good_cone(D.normals).good
+        assert is_good_cone(D).good
 
 
 def test_good_cone_rays_are_the_diagram_facets():
@@ -146,37 +170,47 @@ def test_good_cone_rays_are_the_diagram_facets():
     for D in map(corpus_diagram, corpus().values()):
         facets = {primitive_vector(f.normal + (f.offset,)): f.vertex_ids
                   for f in D.polytope.facets}
-        C = good_cone(D.normals)
-        assert C.rays == tuple(sorted(facets))
-        for ray in C.rays:
+        rays = cone_rays(D.normals)
+        assert rays == tuple(sorted(facets))
+        for ray in rays:
             assert tuple(j for j, nu in enumerate(D.normals)
                          if sum(a * b for a, b in zip(nu, ray)) == 0
                          ) == facets[ray]
 
 
 def test_plane_cone_with_coarse_apex_is_good():
-    # only the proper faces are tested; the apex sublattice has index 2
-    assert is_good_cone(((2, 1), (0, 1))).good
+    # the diagram [0, 2]: only the proper faces are tested; the apex
+    # sublattice, spanned by (0, 1) and (2, 1), has index 2
+    D = validate_diagram(convex_hull([(0,), (2,)]))
+    assert D.normals == ((0, 1), (2, 1))
+    assert abs(det_int(D.normals)) == 2
+    assert is_good_cone(D).good
 
 
 def test_goodness_failure_certificate():
-    rep = is_good_cone(((1, 0, 1), (-1, -2, 1), (0, 1, 1)))
+    # the edge from (-1, -2) to (1, 0) lifts to a sublattice of index 2
+    P = convex_hull([(1, 0), (-1, -2), (0, 1)])
+    with pytest.raises(FacetNotUnimodular) as err:
+        validate_diagram(P)
+    assert err.value.invariants == (1, 2)
+    # a diagram built by hand, never validated, fails at that face
+    normals = tuple(tuple(int(c) for c in v) + (1,) for v in P.vertices)
+    D = ToricDiagram(P, 1, normals,
+                     tuple(f.vertex_ids for f in P.facets))
+    assert normals[0] == (-1, -2, 1) and normals[2] == (1, 0, 1)
+    rep = is_good_cone(D)
     assert not rep.good
-    assert rep.failing_face == (0, 1)
+    assert rep.failing_face == (0, 2)
     assert rep.invariants == (1, 2)
     with pytest.raises(ValueError, match="not good"):
-        good_cone(((1, 0, 1), (-1, -2, 1), (0, 1, 1)))
+        good_cone(D)
 
 
-def test_degenerate_cones_rejected():
-    with pytest.raises(NotStrictlyConvex):
-        good_cone(((1, 0), (-1, 0)))
-    with pytest.raises(NotStrictlyConvex):
-        good_cone(((1, 0), (-1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="primitive"):
-        good_cone(((2, 0), (0, 1)))
-    with pytest.raises(ValueError, match="duplicate"):
-        good_cone(((1, 0), (1, 0), (0, 1)))
+def test_sector_direction_must_be_primitive():
+    C = good_cone(L53)
+    assert twisted_sectors(C, (0, 0, 1))
+    with pytest.raises(NotPrimitive):
+        twisted_sectors(C, (0, 0, 2))
 
 
 # ---------------------------------------------------------------- labels
@@ -254,6 +288,8 @@ def test_lens_quotient_in_the_canonical_frame():
 def test_quotient_direction_gates():
     with pytest.raises(NotPrimitive):
         quotient_polytope(L53_ALT, (2, 2, 4))
+    with pytest.raises(ValueError, match="needs 3 entries"):
+        quotient_polytope(L53_ALT, (1, 2))
     with pytest.raises(NotInterior):
         quotient_polytope(L53_ALT, (1, 1, 0))
     with pytest.raises(NotInterior):
@@ -491,10 +527,6 @@ def test_fundamental_group_orders():
     for D, p in [(L53, 3), (L53_ALT, 3), (SIMPLEX, 1), (SQUARE, 1),
                  (QUAD, 1), (TEARDROP, 5), (RHOMBUS, 4), (ORDER3, 3)]:
         assert fundamental_group_order(D) == p
-
-
-LADDER = json.loads((Path(__file__).parent.parent / "perfbench"
-                     / "ladder.json").read_text())
 
 
 @pytest.mark.parametrize(
