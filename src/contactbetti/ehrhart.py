@@ -216,7 +216,8 @@ def is_reflexive(P: RationalPolytope) -> bool:
     facet <a, x> + c >= 0 lies at lattice distance <a, p> + c = 1 from
     it.  This is the integrality of the polar dual of P - p, whose
     vertices are a/(<a, p> + c) with a primitive, read off P's own facets
-    with no further hull.  The two answers must agree; a rational
+    with no further hull (``cone_rays`` runs only in the hull that built
+    P).  The two answers must agree; a rational
     (non-integral) polytope is not reflexive, without further checks.
     """
     if order(P) != 1:

@@ -563,10 +563,14 @@ def test_labelled_polytope_not_simple():
                            (0, 0, -1)], [0, 0, 0, 0, 1])
 
 
+def _box_normals(n):
+    """e_1 .. e_n, then -e_1 .. -e_n."""
+    return [tuple((i == k) - (i == k - n) for i in range(n))
+            for k in range(2 * n)]
+
+
 def _labelled_cube(n, side=1):
-    return labelled_polytope(
-        [tuple((i == k) - (i == k - n) for i in range(n))
-         for k in range(2 * n)], [0] * n + [side] * n)
+    return labelled_polytope(_box_normals(n), [0] * n + [side] * n)
 
 
 def _seeded_simple_polytopes(n, count):
@@ -575,8 +579,7 @@ def _seeded_simple_polytopes(n, count):
     rng = random.Random(900 + n)
     found = []
     while len(found) < count:
-        normals = [tuple((i == k) - (i == k - n) for i in range(n))
-                   for k in range(2 * n)]
+        normals = _box_normals(n)
         offsets = [rng.randint(1, 4) for _ in range(2 * n)]
         for _ in range(rng.randint(1, 3)):
             normals.append(tuple(rng.randint(-3, 3) for _ in range(n)))
