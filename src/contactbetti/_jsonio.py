@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Sequence, Union
 
@@ -11,9 +12,15 @@ Rat = Union[int, Fraction]
 def rat_str(x: Rat) -> str:
     """Lowest-terms ``p/q`` string, plain ``p`` when the denominator is 1."""
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return ratio_str(f.numerator, f.denominator)
+
+
+def ratio_str(p: int, q: int) -> str:
+    """``rat_str`` of p / q for integers p and q > 0, with no Fraction."""
+    g = math.gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
 def parse_rat(s: Union[str, int]) -> Fraction:

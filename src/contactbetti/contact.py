@@ -398,8 +398,7 @@ def contact_betti_direct(D: ToricDiagram,
     exceed any finite window.  The floors are then taken once per iterate
     for all the vectors (``_family_histograms``), and the per-facet
     iterate bound makes the returned window complete.  Degrees are
-    counted by the integer m * degree and become rationals only once per
-    distinct degree.
+    counted by the integer m * degree, the key of the returned tables.
     """
     if reebs is None:
         reebs = (ReebVector.default_for(D),)
@@ -427,9 +426,9 @@ def contact_betti_direct(D: ToricDiagram,
                 tallies, _family_histograms(m, n, eta[n], x, ys, reach)):
             for key, c in histogram.items():
                 tally[2 * key + shift] += c
-    return tuple(GradedDimensions.from_items(
-        [(Fraction(md, m), c) for md, c in tally.items()
-         if c and lo <= md <= hi], (d_min, d_max)) for tally in tallies)
+    return tuple(GradedDimensions(
+        m, {md: c for md, c in tally.items() if c and lo <= md <= hi},
+        (d_min, d_max)) for tally in tallies)
 
 
 def contact_betti_from_delta(D: ToricDiagram,
@@ -437,18 +436,27 @@ def contact_betti_from_delta(D: ToricDiagram,
                              = None) -> GradedDimensions:
     """The same table computed from the delta vector:
 
-        cb_{2j} = sum_{i >= 0} delta_{m(n-j) + m i}.
+        cb_{2j} = sum_{i >= 0} delta_{m(n-j) + m i},
+
+    keyed by m * 2j.  One suffix-sum pass per residue class mod m gives
+    every sum: delta_idx is 0 outside 0 <= idx < m(n+1), so a start
+    below 0 reads the sum from the least index of its class.
     """
     d_min, d_max = checked_window(window, D.order, D.dimension)
     dv = delta_vector(D.polytope)
     m, n = D.order, D.dimension
-    items = []
+    top = m * (n + 1)
+    suffix = list(dv.entries) + [0] * m
+    for idx in range(top - 1, -1, -1):
+        suffix[idx] += suffix[idx + m]
+    counts = {}
     for mj in range(math.ceil(m * d_min / 2), math.floor(m * d_max / 2) + 1):
-        j = Fraction(mj, m)
         start = m * n - mj
-        total = sum(dv[idx] for idx in range(start, m * (n + 1), m))
-        items.append((2 * j, total))
-    return GradedDimensions.from_items(items, (d_min, d_max))
+        if start < top:
+            total = suffix[start if start >= 0 else start % m]
+            if total:
+                counts[2 * mj] = total
+    return GradedDimensions(m, counts, (d_min, d_max))
 
 
 def mean_euler_characteristic(D: ToricDiagram) -> Fraction:
@@ -492,7 +500,8 @@ def minimal_discrepancy(D: ToricDiagram) -> Fraction:
     if r != from_delta:
         raise AssertionError(f"minimal discrepancy {r} from the dilate "
                              f"scan, {from_delta} from the top delta index")
-    lowest = min(contact_betti_from_delta(D).degrees())
+    table = contact_betti_from_delta(D)
+    lowest = Fraction(min(table.counts), table.order)
     if 2 * r != lowest:
         raise AssertionError(f"twice the minimal discrepancy {r} is not "
                              f"the lowest graded degree {lowest}")

@@ -1,21 +1,29 @@
-"""Graded dimension tables keyed by rational degrees.
+"""Graded dimension tables keyed by integer multiples of the degree.
 
 Every pipeline in this package ultimately produces a map
 ``degree -> dimension`` with finitely many nonzero entries inside a
 window of degrees.  This module holds that shared container so the
 pipelines can be compared entry by entry.
+
+A table stores its degrees as integers: the key of degree d is q * d for
+one integer scale q per table (its ``order``).  The pipelines that count
+in integers build the table directly with q = m, the order of the
+diagram, so no table entry is a ``Fraction``.  ``from_items`` takes
+rational degrees, for the sector sums of the quotient route, and picks q
+as the least common denominator.  A ``Fraction`` is made only where a
+degree leaves the table: ``dim``, ``degrees``, a mismatch report, and
+the degree strings of ``to_rows``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
+from ._jsonio import ratio_str
+
 Degree = Union[int, Fraction]
-
-
-def _as_degree(d: Degree) -> Fraction:
-    return Fraction(d)
 
 
 def default_window(order: int, n: int) -> Tuple[Fraction, Fraction]:
@@ -43,57 +51,85 @@ def checked_window(window, order: int,
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedDimensions:
     """Finitely supported map from rational degrees to dimensions.
 
-    Zero entries are never stored.  ``window`` records the degree range the
-    producer actually enumerated, so equality of two tables is only
-    meaningful on overlapping windows.
+    ``counts`` maps q * degree to the dimension there, q = ``order`` > 0;
+    zero entries are never stored.  ``window`` records the degree range
+    the producer actually enumerated, so equality of two tables is only
+    meaningful on overlapping windows.  Tables with different q are equal
+    when their entries are.
     """
 
-    entries: Mapping[Fraction, int] = field(default_factory=dict)
-    window: Tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
+    order: int
+    counts: Mapping[int, int]
+    window: Tuple[Fraction, Fraction]
 
     @staticmethod
     def from_items(items: Iterable[Tuple[Degree, int]],
                    window: Tuple[Degree, Degree]) -> "GradedDimensions":
-        acc: dict = {}
-        lo, hi = _as_degree(window[0]), _as_degree(window[1])
+        """The table of (rational degree, dimension) items inside the
+        window, summed per degree; q is their least common denominator."""
+        lo, hi = Fraction(window[0]), Fraction(window[1])
+        kept = []
         for d, c in items:
-            dd = _as_degree(d)
-            if c and lo <= dd <= hi:
-                acc[dd] = acc.get(dd, 0) + c
-        acc = {d: c for d, c in acc.items() if c}
-        return GradedDimensions(acc, (lo, hi))
+            d = Fraction(d)
+            if c and lo <= d <= hi:
+                kept.append((d, c))
+        q = math.lcm(*[d.denominator for d, _ in kept])
+        acc: dict = {}
+        for d, c in kept:
+            key = d.numerator * (q // d.denominator)
+            acc[key] = acc.get(key, 0) + c
+        return GradedDimensions(q, {k: c for k, c in acc.items() if c},
+                                (lo, hi))
 
     def dim(self, degree: Degree) -> int:
-        return self.entries.get(_as_degree(degree), 0)
+        key = Fraction(degree) * self.order
+        if key.denominator != 1:
+            return 0
+        return self.counts.get(key.numerator, 0)
 
     def degrees(self) -> Iterator[Fraction]:
-        return iter(sorted(self.entries))
+        q = self.order
+        return (Fraction(k, q) for k in sorted(self.counts))
+
+    def _reduced(self) -> Tuple[int, Mapping[int, int]]:
+        """(q, counts) with q the least scale that keeps every key an
+        integer: equal tables have equal reduced forms."""
+        g = math.gcd(self.order, *self.counts)
+        if g == 1:
+            return self.order, self.counts
+        return self.order // g, {k // g: c for k, c in self.counts.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedDimensions):
             return NotImplemented
-        return self.entries == other.entries
+        if self.order == other.order:
+            return self.counts == other.counts
+        return self._reduced() == other._reduced()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.entries.items()))
+        q, counts = self._reduced()
+        return hash((q, frozenset(counts.items())))
 
     def to_rows(self) -> list:
         """Sorted ``{"degree": str, "dim": int}`` rows for JSON output."""
-        from ._jsonio import rat_str
-        return [{"degree": rat_str(d), "dim": self.entries[d]}
-                for d in sorted(self.entries)]
+        q, counts = self.order, self.counts
+        return [{"degree": ratio_str(k, q), "dim": counts[k]}
+                for k in sorted(counts)]
 
 
 def sum_rows(rows: Mapping[Fraction, GradedDimensions]) -> GradedDimensions:
     """Entry-wise sum of keyed rows enumerated over one common window."""
+    q = math.lcm(*[row.order for row in rows.values()])
     total: dict = {}
     window = None
     for row in rows.values():
         window = row.window
-        for d, v in row.entries.items():
-            total[d] = total.get(d, 0) + v
-    return GradedDimensions({d: v for d, v in total.items() if v}, window)
+        scale = q // row.order
+        for k, v in row.counts.items():
+            k *= scale
+            total[k] = total.get(k, 0) + v
+    return GradedDimensions(q, {k: v for k, v in total.items() if v}, window)

@@ -49,5 +49,6 @@ def f_to_h(top, dims):
         for i in range(k + 1):
             h[top - k + i] += f * (-1) ** i * math.comb(k, i)
     h = poly_trim(h)
-    assert all(c >= 0 for c in h), "h-polynomial must be non-negative"
+    if any(c < 0 for c in h):
+        raise AssertionError(f"h-polynomial {h} must be non-negative")
     return h

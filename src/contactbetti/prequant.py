@@ -217,7 +217,9 @@ def _face_h(C: GoodCone, J: Sequence[int]) -> Tuple[int, ...]:
     fdim = C.dimension - 1 - len(J)
     total = f_to_h(fdim, [cf.dim - 1 for cf in C.faces
                           if target <= set(cf.tight)])
-    assert len(total) == fdim + 1
+    if len(total) != fdim + 1:
+        raise AssertionError(f"face {tuple(J)}: h-vector {total} has "
+                             f"{len(total)} entries, not {fdim + 1}")
     return total
 
 
@@ -238,7 +240,9 @@ def twisted_sectors(C: GoodCone, nu) -> Tuple[TwistedSector, ...]:
         if J:
             y = vec_mat(nu, unimodular_frame([C.normals[j] for j in J])[1])
             g = math.gcd(*[abs(x) for x in y[len(J):]])
-            assert g >= 1, "direction lies in a face span"
+            if g < 1:
+                raise AssertionError(f"direction {nu} lies in the span of "
+                                     f"face {J}")
         else:
             y = nu
             g = 1

@@ -43,6 +43,16 @@ arithmetic (``jet_floor_terms``).  ``box_ages_by_products``
 is the box census that ``resolution.box_elements`` steps: every element
 multiplied out of the Smith generators and reduced mod L.
 
+``FractionTable`` is the graded table keyed by ``Fraction`` degrees that
+``grading.GradedDimensions`` replaced by integer keys q * degree, with
+its ``from_items``; ``sum_rows_by_fractions`` is the row sum over such
+tables.  ``contact_betti_from_delta_by_fractions``,
+``base_cohomology_by_fractions`` and ``hc_from_quotient_by_fractions``
+are the delta and quotient routes' tables built on it, one ``Fraction``
+per degree and one generator sum per delta degree.  The package's tables
+and these are compared by ``table_view``: the printed rows and the
+window.
+
 ``basis_completion_by_smith`` is the completion that
 ``exactlat.unimodular_frame`` replaced: a Smith form decides saturation,
 then a Hermite form of the transpose and an inverse of its transform give
@@ -53,22 +63,23 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
 from contactbetti.contact import (GenericityFailure, OrbitFamily,
                                   _check_interior)
-from contactbetti.ehrhart import MismatchAt
+from contactbetti._jsonio import rat_str
+from contactbetti.ehrhart import MismatchAt, delta_vector
 from contactbetti.exactlat import (LinearlyDependent,
                                   NotUnimodularSystem, det_int,
                                   hermite_normal_form, intmat, mat_inverse,
                                   primitive_vector, rat_rank, smith_invariants,
                                   smith_normal_form, transpose, vec_mat)
-from contactbetti.grading import GradedDimensions, checked_window
+from contactbetti.grading import checked_window
 from contactbetti.polytope import (affine_dim, cone_rays, convex_hull,
                                    count_points, dual_polytope,
                                    enumerate_lattice_points,
                                    intersection_closure, order)
-from contactbetti.prequant import ConeFace
+from contactbetti.prequant import ConeFace, _hc_window, _sector_items
 
 
 def rat_echelon(rows):
@@ -433,8 +444,82 @@ def contact_betti_by_passes(D, reeb, window=None):
             md = jet_scaled_degree(family, terms, N)
             if lo <= md <= hi:
                 counts[md] = counts.get(md, 0) + 1
-    return GradedDimensions.from_items(
+    return FractionTable.from_items(
         [(Fraction(md, m), c) for md, c in counts.items()], (d_min, d_max))
+
+
+@dataclass(frozen=True)
+class FractionTable:
+    """Finitely supported map from ``Fraction`` degrees to dimensions;
+    zero entries are never stored."""
+
+    entries: Dict[Fraction, int]
+    window: Tuple[Fraction, Fraction]
+
+    @staticmethod
+    def from_items(items, window):
+        acc = {}
+        lo, hi = Fraction(window[0]), Fraction(window[1])
+        for d, c in items:
+            dd = Fraction(d)
+            if c and lo <= dd <= hi:
+                acc[dd] = acc.get(dd, 0) + c
+        return FractionTable({d: c for d, c in acc.items() if c}, (lo, hi))
+
+    def to_rows(self):
+        return [{"degree": rat_str(d), "dim": self.entries[d]}
+                for d in sorted(self.entries)]
+
+
+def sum_rows_by_fractions(rows):
+    """Entry-wise sum of keyed rows enumerated over one common window."""
+    total = {}
+    window = None
+    for row in rows.values():
+        window = row.window
+        for d, v in row.entries.items():
+            total[d] = total.get(d, 0) + v
+    return FractionTable({d: v for d, v in total.items() if v}, window)
+
+
+def table_view(table):
+    """The rows a table prints and its window: a package table and an
+    oracle's ``FractionTable`` compare on these."""
+    return table.to_rows(), table.window
+
+
+def contact_betti_from_delta_by_fractions(D, window=None):
+    """cb_{2j} = sum_{i >= 0} delta_{m(n-j) + m i}, one sum per degree."""
+    d_min, d_max = checked_window(window, D.order, D.dimension)
+    dv = delta_vector(D.polytope)
+    m, n = D.order, D.dimension
+    items = []
+    for mj in range(math.ceil(m * d_min / 2), math.floor(m * d_max / 2) + 1):
+        j = Fraction(mj, m)
+        start = m * n - mj
+        total = sum(dv[idx] for idx in range(start, m * (n + 1), m))
+        items.append((2 * j, total))
+    return FractionTable.from_items(items, (d_min, d_max))
+
+
+def base_cohomology_by_fractions(Q):
+    """The base's sector cohomology, each component shifted by its doubled
+    coefficient sum."""
+    n = Q.base.dimension
+    items = [(comp.shift + 2 * i, c)
+             for sector in Q.sectors
+             for comp in sector.components
+             for i, c in enumerate(comp.h)]
+    return FractionTable.from_items(items, (Fraction(0), Fraction(2 * n)))
+
+
+def hc_from_quotient_by_fractions(Q, window=None):
+    """The sector sum of the quotient route over per-period rows."""
+    lo, hi = _hc_window(Q, window)
+    return sum_rows_by_fractions({
+        sector.period: FractionTable.from_items(
+            _sector_items(sector, Q.r, hi), (lo, hi))
+        for sector in Q.sectors})
 
 
 def box_ages_by_products(fan, cone):

@@ -312,5 +312,5 @@ def test_rejections_and_exit_codes():
     with pytest.MonkeyPatch.context() as mp:
         # force the two crosscheck pipelines apart
         mp.setattr(cli, "hc_from_quotient",
-                   lambda Q, window: GradedDimensions({}, (F(0), F(10))))
+                   lambda Q, window: GradedDimensions(1, {}, (F(0), F(10))))
         assert run(["crosscheck", "corpus:lens-triangle"]) == 2

@@ -576,7 +576,7 @@ def test_orbits_and_direct_cb_exit_alike(capsys):
 
 def test_crosscheck_mismatch_exits_2(capsys, monkeypatch):
     # force one pipeline to lie; the report must flag it and exit 2
-    wrong = GradedDimensions({}, (0, 10))
+    wrong = GradedDimensions(1, {}, (0, 10))
     monkeypatch.setattr(cli, "hc_from_quotient", lambda Q, window: wrong)
     code, out, _ = run(capsys, ["crosscheck", "corpus:lens-triangle"])
     assert code == 2

@@ -77,16 +77,25 @@ COMMANDS = [
     (["validate", "corpus:product-of-spheres"], 0),
     (["quotient", "corpus:projective-plane"], 0),
     (["delta", "corpus:blowup-quad"], 0),
+    (["cb", "n2m13", "--pipeline", "both", "--window", "5/7:9/7"], 0),
+    (["hc", "corpus:order-three-square", "--pipeline", "resolution",
+      "--window", "1/3:1/3"], 0),
+    (["crosscheck", "corpus:lens-skew", "--window", "5/7:9/7"], 0),
+    (["crosscheck", "corpus:order-three-square", "--window", "5/7:9/7"], 0),
+    (["orbifold", "n2m13"], 0),
 ]
 
 
-def _run(flags, argv):
+def _python(args):
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
                                   if p]
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "contactbetti.cli", *argv],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+def _run(flags, argv):
+    proc = _python([*flags, "-m", "contactbetti.cli", *argv])
     return proc.returncode, proc.stdout
 
 
@@ -101,3 +110,12 @@ def test_optimized_run_matches_plain_run(tmp_path, argv, code):
     plain = _run([], argv)
     assert plain[0] == code
     assert _run(["-O"], argv) == plain
+
+
+def test_negative_h_vector_raises_under_optimize():
+    # one face of dimension 1 below a top of 1: h = (1, -1)
+    proc = _python(["-O", "-c", "from contactbetti.polyarith import f_to_h; "
+                    "f_to_h(1, [1])"])
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "AssertionError: h-polynomial (1, -1) must be non-negative")

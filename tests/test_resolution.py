@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import itertools
 import json
 import math
@@ -17,14 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_diagram, count_calls
-from lattice_oracles import box_ages_by_products
+from lattice_oracles import (FractionTable, base_cohomology_by_fractions,
+                             box_ages_by_products,
+                             contact_betti_by_passes,
+                             contact_betti_from_delta_by_fractions,
+                             hc_from_quotient_by_fractions,
+                             sum_rows_by_fractions, table_view)
 from contactbetti import cli, resolution
-from contactbetti.contact import contact_betti_from_delta, validate_diagram
+from contactbetti.contact import (ReebVector, contact_betti_direct,
+                                  contact_betti_from_delta, validate_diagram)
 from contactbetti.exactlat import smith_invariants, smith_normal_form
-from contactbetti.grading import GradedDimensions, default_window
+from contactbetti.grading import GradedDimensions, default_window, sum_rows
 from contactbetti.polyarith import f_to_h, poly_eval
 from contactbetti.corpus import corpus
 from contactbetti.polytope import convex_hull, count_points, triangulate_ids
+from contactbetti.prequant import (hc_from_quotient,
+                                   orbifold_cohomology_of_base,
+                                   quotient_polytope)
 from contactbetti.resolution import (
     Fan,
     ImproperIntersection,
@@ -390,24 +400,28 @@ def test_face_h_polynomial():
 # ---------------------------------------------------------------- orbifold
 
 
+def degree_dims(table):
+    return {d: table.dim(d) for d in table.degrees()}
+
+
 def test_orbifold_poincare_l53():
     for tri in (L53_TRIVIAL, L53_STAR):
         H = orbifold_poincare(fan_over(tri))
-        assert H.entries == {F(0): 1, F(2): 1, F(4): 1}
+        assert degree_dims(H) == {F(0): 1, F(2): 1, F(4): 1}
 
 
 def test_orbifold_poincare_order3():
     want = {F(0): 1, F(4, 3): 1, F(2): 1, F(8, 3): 1,
             F(10, 3): 1, F(14, 3): 1}
     for tri in (DIAG_A, DIAG_B):
-        assert orbifold_poincare(fan_over(tri)).entries == want
+        assert degree_dims(orbifold_poincare(fan_over(tri))) == want
 
 
 def test_orbifold_poincare_quad_triangulation_independent():
     H_star = orbifold_poincare(fan_over(QUAD_STAR))
     H_flop = orbifold_poincare(fan_over(QUAD_FLOP))
     assert H_star == H_flop
-    assert H_star.entries == {F(0): 1, F(2): 2, F(4): 1}
+    assert degree_dims(H_star) == {F(0): 1, F(2): 2, F(4): 1}
 
 
 def test_orbifold_poincare_needs_crepant():
@@ -531,9 +545,11 @@ def test_window_must_start_above_minus_two():
 
 def _corrupted(rows, shift, degree, by):
     row = rows[shift]
-    entries = dict(row.entries)
-    entries[degree] = entries.get(degree, 0) + by
-    return {**rows, shift: GradedDimensions(entries, row.window)}
+    key = F(degree) * row.order
+    assert key.denominator == 1
+    counts = dict(row.counts)
+    counts[int(key)] = counts.get(int(key), 0) + by
+    return {**rows, shift: GradedDimensions(row.order, counts, row.window)}
 
 
 def test_sector_sum_mismatch_names_the_first_degree():
@@ -702,8 +718,20 @@ def hc_sector_rows_oracle(D, fan, boxes, window=None):
                         val += coeff
                 if val and lo <= 2 * j <= hi:
                     row[2 * j] = row.get(2 * j, 0) + val
-    return {shift: GradedDimensions(entries, (lo, hi))
+    return {shift: FractionTable(entries, (lo, hi))
             for shift, entries in sorted(rows.items())}
+
+
+def orbifold_poincare_oracle(D, fan, boxes):
+    """h_tau(q) of each box element's cone at degrees 2(psi + e), over
+    the support window [0, 2(n + 1) - 2/m]."""
+    m, n = D.order, D.dimension
+    items = []
+    for cone in fan.cones():
+        h = h_polynomial(fan, cone) if boxes[cone] else ()
+        for b in boxes[cone]:
+            items += [(2 * (b.shift + e), coeff) for e, coeff in enumerate(h)]
+    return FractionTable.from_items(items, (0, 2 * (n + 1) - F(2, m)))
 
 
 def _default_triangulation(D):
@@ -745,6 +773,13 @@ NARROW_WINDOWS = [(F(5, 7), F(9, 7)), (F(1, 3), F(1, 3)), (2, 2)]
 WIDE_WINDOWS = [None, (-1, 4), (0, F(31, 2))]
 
 
+def coprime_window(m):
+    """A wide window whose ends have a prime denominator p coprime to m,
+    so neither end lies on the grid (1/m)Z of the degrees."""
+    p = next(p for p in (7, 11) if m % p)
+    return (F(1 - 2 * p, p), F(9 * p - 1, p))
+
+
 @pytest.mark.parametrize("D,T", [case[1:] for case in ORACLE_CASES],
                          ids=[case[0] for case in ORACLE_CASES])
 def test_kernels_match_fraction_oracles(D, T):
@@ -766,8 +801,98 @@ def test_kernels_match_fraction_oracles(D, T):
         want = hc_sector_rows_oracle(D, fan, boxes, window)
         assert list(got) == list(want)
         for shift in want:
-            assert got[shift].entries == want[shift].entries
-            assert got[shift].window == want[shift].window
+            assert table_view(got[shift]) == table_view(want[shift])
+        assert table_view(hc_from_resolution(D, T, window)) == table_view(
+            sum_rows_by_fractions(want))
+    assert table_view(orbifold_poincare(fan)) == table_view(
+        orbifold_poincare_oracle(D, fan, boxes))
+
+
+@pytest.mark.parametrize("D", [D for _, D in CORPUS_DIAGRAMS + LADDER_DIAGRAMS],
+                         ids=[name for name, _ in
+                              CORPUS_DIAGRAMS + LADDER_DIAGRAMS])
+def test_integer_keyed_tables_match_fraction_oracles(D):
+    m = D.order
+    windows = (NARROW_WINDOWS + WIDE_WINDOWS
+               + [(F(2 * (m + 1), m),) * 2, coprime_window(m)])
+    reebs = tuple(ReebVector.default_for(D, eps)
+                  for eps in cli.CROSSCHECK_PERTURBATIONS)
+    Q = quotient_polytope(D, cli._fallback_direction(D)) if m == 1 else None
+    for window in windows:
+        assert table_view(contact_betti_from_delta(D, window)) == table_view(
+            contact_betti_from_delta_by_fractions(D, window))
+        got = contact_betti_direct(D, reebs, window)
+        for table, reeb in zip(got, reebs):
+            assert table_view(table) == table_view(
+                contact_betti_by_passes(D, reeb, window))
+        if Q is not None:
+            assert table_view(hc_from_quotient(Q, window)) == table_view(
+                hc_from_quotient_by_fractions(Q, window))
+    if Q is not None:
+        assert table_view(orbifold_cohomology_of_base(Q)) == table_view(
+            base_cohomology_by_fractions(Q))
+
+
+def _fraction_calls(fn):
+    """The number of calls into the fractions module while fn() runs."""
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename == fractions.__file__):
+            calls[0] += 1
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_tables_make_no_fraction_per_entry():
+    # a window with 3 entries and one with 45 or more make the same
+    # Fractions (window ends, sector keys), once the memoized delta
+    # vector, frames, fan and census are built
+    ladder = dict(LADDER_DIAGRAMS)
+    narrow, wide = (F(5, 7), F(9, 7)), (F(-1), F(30))
+    for name in ("n2m13", "n3m3"):
+        D = ladder[name]
+        T = _default_triangulation(D)
+        for table in (lambda w: contact_betti_from_delta(D, w),
+                      lambda w: contact_betti_direct(D, None, w)[0],
+                      lambda w: hc_from_resolution(D, T, w)):
+            assert len(table(wide).counts) > 40
+            assert (_fraction_calls(lambda: table(narrow))
+                    == _fraction_calls(lambda: table(wide)))
+    # the orbifold series of n2m40 has three times the entries of n2m13's
+    made = []
+    for name in ("n2m13", "n2m40"):
+        T = _default_triangulation(ladder[name])
+        stapledon_check(ladder[name], T)
+        made.append((_fraction_calls(lambda: orbifold_poincare(fan_over(T))),
+                     _fraction_calls(lambda: stapledon_check(ladder[name],
+                                                             T))))
+    assert made[0] == made[1]
+
+
+def test_tables_with_different_scales_are_equal():
+    window = (F(-1), F(4))
+    halves = GradedDimensions(2, {1: 1, 4: 3, -2: 5}, window)
+    sixths = GradedDimensions(6, {3: 1, 12: 3, -6: 5}, window)
+    assert halves == sixths and hash(halves) == hash(sixths)
+    assert sixths == GradedDimensions.from_items(
+        [(F(1, 2), 1), (2, 3), (-1, 5)], window)
+    assert GradedDimensions(3, {}, window) == GradedDimensions(1, {}, window)
+    assert halves.to_rows() == sixths.to_rows() == [
+        {"degree": "-1", "dim": 5}, {"degree": "1/2", "dim": 1},
+        {"degree": "2", "dim": 3}]
+    assert halves != GradedDimensions(6, {3: 1, 12: 3, -6: 5, 1: 1}, window)
+    assert halves != GradedDimensions(4, {2: 1, 8: 3, -4: 4}, window)
+    # rows on different scales add on their common one
+    thirds = GradedDimensions(3, {1: 2, 3: 1, -3: -5}, window)
+    total = sum_rows({F(1, 2): halves, F(1, 3): thirds})
+    assert (total.order, total.counts) == (6, {3: 1, 12: 3, 2: 2, 6: 1})
+    assert total.window == window
 
 
 # ---------------------------------------------------------------- properties
