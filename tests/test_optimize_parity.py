@@ -2,7 +2,8 @@
 
 Assertions are stripped under ``-O``, so every check a command relies on
 for its exit code must be an explicit raise.  Each command runs in two
-subprocesses, plain and with ``-O``.
+subprocesses, plain and with ``-O``; a library check that guards the
+tables is also run directly under ``-O``.
 """
 import json
 import os
