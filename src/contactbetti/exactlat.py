@@ -332,7 +332,9 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     axes swapped, which takes (n, m, a, b) to (top // m, a, m, top % m)
     for top = a*n + b; O(log m) steps.
     """
-    assert n >= 0 and m > 0
+    if n < 0 or m <= 0:
+        raise ValueError("floor_sum needs n >= 0 and m > 0, got n=%r, m=%r"
+                         % (n, m))
     total = 0
     while n:
         qa, a = divmod(a, m)

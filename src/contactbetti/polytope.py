@@ -4,16 +4,19 @@ Vertex and halfspace representations, face lattices, lattice point counting,
 normalized volumes, polar duals, and labelled (weighted normal) polytopes.
 Halfspaces are stored as (normal a, offset c) meaning <a, x> + c >= 0 with a
 a primitive inward integer normal.  The extreme rays of a homogenized cone
-come from the one kernel ``cone_rays``, and only two functions call it:
-``convex_hull`` (vertices to facets) and ``enumerate_halfspace_vertices``
-(halfspaces to vertices).  Everything else reads the facets these two
-produced: a labelled polytope's facets are its own halfspaces,
-``ehrhart.is_reflexive`` reads lattice distances off the facets, and the
-good cones of ``prequant`` read their faces off a diagram's face lattice.
-Faces are the one ``intersection_closure`` of the facets' vertex sets; a
-polytope builds its face lattice only when a pulling triangulation of a
-non-simplex or a good cone needs it.  Lattice point counts read integer
-facet rows and a vertex box cleared once per polytope.
+come from the one kernel ``cone_rays``, and only three functions call it:
+``convex_hull`` (vertices to facets), ``enumerate_halfspace_vertices``
+(halfspaces to vertices) and ``_frame`` (the facets of a polytope's
+projections that bound lattice point counts).  Everything else reads the
+facets these produced: a labelled polytope's facets are its own
+halfspaces, ``ehrhart.is_reflexive`` reads lattice distances off the
+facets, and the good cones of ``prequant`` read their faces off a
+diagram's face lattice.  Faces are the one ``intersection_closure`` of the
+facets' vertex sets; a polytope builds its face lattice only when a
+pulling triangulation of a non-simplex or a good cone needs it.  Lattice
+point counts read integer facet rows, a vertex box and a counting frame
+(narrowest coordinates first, prefixes bounded by projections) cleared
+once per polytope.
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ def cone_rays(rows) -> tuple[tuple[int, ...], ...]:
     """Sorted primitive integer extreme rays of {y in Q^d : <row, y> >= 0}.
 
     The one vertex/facet enumerator of the package, called only by
-    ``convex_hull`` and ``enumerate_halfspace_vertices``: hull facets and
-    halfspace vertices are both extreme rays of a pointed cone, reached by
+    ``convex_hull``, ``enumerate_halfspace_vertices`` and ``_frame``: hull
+    facets, halfspace vertices and the facets of a counting frame's
+    projections are all extreme rays of a pointed cone, reached by
     homogenization (Fukuda and Prodon, Double description method
     revisited, 1996).  Brute force over the (d-1)-subsets of the
     rows, cleared to integers: the signed maximal minors of a subset span
@@ -231,47 +235,62 @@ def _clear(P: RationalPolytope):
     """P's counting data as integers, computed on the first call and kept
     on P.
 
-    Returns (m, lo, hi, rows): m the order of P; lo[i] and hi[i] the least
-    and greatest coordinate i of the vertices times m; and per facet
-    <a, x> + c >= 0 the row (d*a, d*c), d the denominator of c.  tP then
-    has the coordinate box [t*lo/m, t*hi/m] and the facets
-    <d*a, x> + t*d*c >= 0, so every dilate reuses these integers.
+    Returns (m, lo, hi, rows, frame): m the order of P; lo[i] and hi[i]
+    the least and greatest coordinate i of the vertices times m; per
+    facet <a, x> + c >= 0 the row (d*a, d*c), d the denominator of c; and
+    the counting frame of ``_frame``.  tP then has the coordinate box
+    [t*lo/m, t*hi/m] and the facets <d*a, x> + t*d*c >= 0, so every
+    dilate reuses these integers.
     """
     if P._cleared is None:
         m = order(P)
         cleared = [clear_row(v, m) for v in P.vertices]
+        lo = [min(col) for col in zip(*cleared)]
+        hi = [max(col) for col in zip(*cleared)]
         rows = [(tuple(f.offset.denominator * a for a in f.normal),
                  f.offset.numerator) for f in P.facets]
-        P._cleared = (m, [min(col) for col in zip(*cleared)],
-                      [max(col) for col in zip(*cleared)], rows)
+        P._cleared = (m, lo, hi, rows, _frame(m, cleared, lo, hi, rows))
     return P._cleared
+
+
+def _frame(m: int, cleared, lo, hi, rows):
+    """The coordinate order ``count_points`` counts in, with P's rows and
+    prefix bounds in that order, from the cleared vertices alone.
+
+    Returns (perm, rows, levels).  perm sorts the coordinates by the
+    width hi - lo of the vertex box, narrowest first, equal widths by the
+    variance of the column over the vertices and only then by index, so
+    a signed permutation of the coordinates permutes the frame with
+    them unless two columns tie in both.  The first n-2 frame
+    coordinates are the prefix, and the last one is the widest.
+    levels[k-2], for k = 2 .. n-2, bounds frame coordinate k-1 on the
+    projection of tP onto the first k frame coordinates: one row
+    (head, b, c) per facet <head, x> + b*x_(k-1) + t*c >= 0 of that
+    projection with b nonzero.  The facets are the extreme rays of the
+    cone over the distinct projected points (m*p, m), as in
+    ``convex_hull``; those with b = 0 bound the shorter prefix alone and
+    are implied by the level below.
+    """
+    n, count = len(lo), len(cleared)
+
+    def narrowness(i):
+        col = [v[i] for v in cleared]
+        return (hi[i] - lo[i], count * sum(x * x for x in col) - sum(col) ** 2,
+                i)
+    perm = sorted(range(n), key=narrowness)
+    levels = []
+    for k in range(2, n - 1):
+        points = sorted({tuple(v[i] for i in perm[:k]) + (m,)
+                         for v in cleared})
+        levels.append([(ray[:k - 1], ray[k - 1], ray[k])
+                       for ray in cone_rays(points) if ray[k - 1]])
+    return perm, [(tuple(A[i] for i in perm), c) for A, c in rows], levels
 
 
 def _coordinate_box(P: RationalPolytope, t: int):
     """Least and greatest integers of each coordinate over tP."""
-    m, lo, hi, _ = _clear(P)
+    m, lo, hi = _clear(P)[:3]
     return [-(-t * x // m) for x in lo], [t * x // m for x in hi]
-
-
-def _least_line(lines, x: int, last: int):
-    """The least of the lines (a*x + b)/q (q > 0) at the integer x, and
-    the last integer up to ``last`` before another line undercuts it.
-
-    Among lines tied at x the one of least slope is taken; it stays least
-    to the right of x until a line of smaller slope crosses below it.
-    """
-    best = lines[0]
-    ba, bb, bq = best
-    for line in lines[1:]:
-        a, b, q = line
-        lhs, rhs = (a * x + b) * bq, (ba * x + bb) * q
-        if lhs < rhs or (lhs == rhs and a * bq < ba * q):
-            best, ba, bb, bq = line, a, b, q
-    for a, b, q in lines:
-        slope = a * bq - ba * q
-        if slope < 0:  # below best exactly when x' * slope < bb*q - b*bq
-            last = min(last, (bb * q - b * bq) // slope)
-    return best, last
 
 
 def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
@@ -280,42 +299,82 @@ def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     Each facet <a, p> + t*c >= 0 is cleared to the integer inequality
     A.p + t*C >= 0 (A = d*a, C = d*c, d the denominator of c); between
     integers, the strict form A.p + t*C > 0 is A.p + t*C - 1 >= 0.  The
-    rows (A, C) and the vertex box are cleared once per polytope
-    (``_clear``), so a dilate creates no Fraction.
+    rows (A, C), the vertex box and the counting frame are cleared once
+    per polytope (``_clear``), so a dilate creates no Fraction.
 
-    Slice kernel: the first n-2 coordinates run over the integer bounding
-    box, and in each slice the last two coordinates (x, y) satisfy
-    alpha*x + beta*y + gamma >= 0 per facet.  Facets with beta = 0 bound
-    x.  The others bound y from below (beta > 0) or above (beta < 0), so
-    the y-count at x is floor(min_up (alpha*x + gamma)/-beta)
-    + floor(min_low (alpha*x + gamma)/beta) + 1.  The x-range is split
-    wherever either least line changes; on each piece the count is two
-    floor sums plus the piece length, over the part where the real upper
-    bound is not below the real lower one (elsewhere that expression is
-    at most 0 and the count is 0).  For f facets and a box of width t*w
-    this costs O((t*w)^(n-2) * f^2 * log t) per dilate, against
-    O((t*w)^(n-1) * f) for a row scan.  n = 1 is one interval.  Counts are
-    memoized on P by (t, interior).
+    Counting runs in the frame of ``_frame``, a coordinate permutation
+    (unimodular, so the count is unchanged) that puts the n-2 narrowest
+    coordinates first.  Slice kernel: the prefix (the first n-2 frame
+    coordinates) runs over the integer points of the projection of tP
+    onto it, each coordinate bounded by the projection one level up
+    (``_prefixes``), and in each slice the last two frame coordinates
+    (x, y) satisfy alpha*x + beta*y + gamma >= 0 per facet.  Facets with
+    beta = 0 bound x.  The others bound y from below (beta > 0) or above
+    (beta < 0), so the y-count at x is floor(min_up (alpha*x + gamma)/-beta)
+    + floor(min_low (alpha*x + gamma)/beta) + 1.  Each least line is
+    walked once per slice (``_envelope``), and the x-range is split
+    wherever either one changes; on each piece the count is two floor
+    sums plus the piece length, over the part where the real upper bound
+    is not below the real lower one (elsewhere that expression is at
+    most 0 and the count is 0).  With N integer points in the projection,
+    f facets and k envelope pieces per slice, a dilate costs
+    O(N * k * (f + log t)); no prefix outside the projection is visited,
+    and which coordinates form the prefix does not depend on how the
+    coordinates are permuted or signed.  n = 1 is one interval.  Counts
+    are memoized on P by (t, interior).
     """
-    assert t >= 1 and t == int(t)
+    if t < 1 or t != int(t):
+        raise ValueError("dilate must be a positive integer, got %r" % (t,))
     key = (t, interior)
     if key in P._counts:
         return P._counts[key]
     strict = int(interior)
-    rows = [(A, t * c - strict) for A, c in _clear(P)[3]]
+    perm, frame_rows, levels = _clear(P)[4]
+    rows = [(A, t * c - strict) for A, c in frame_rows]
     if P.dimension == 1:
         first = max(-(c // a) for (a,), c in rows if a > 0)
         last = min(c // -a for (a,), c in rows if a < 0)
         total = max(last - first + 1, 0)
     else:
-        total = _count_slices(rows, *_coordinate_box(P, t))
+        lo, hi = _coordinate_box(P, t)
+        # the open dilate lies in the closed one: both use its bounds
+        total = _count_slices(
+            rows, [lo[i] for i in perm], [hi[i] for i in perm],
+            [[(a, b, t * c) for a, b, c in level] for level in levels])
     P._counts[key] = total
     return total
 
 
-def _count_slices(rows, lo, hi) -> int:
+def _prefixes(lo, hi, levels, head=()):
+    """The integer prefixes that extend ``head``, in lexicographic order.
+
+    Frame coordinate 0 runs over the box [lo[0], hi[0]]; coordinate j >= 1
+    over the range the rows (a, b, c) of levels[j-1] leave at the
+    prefix p so far, a.p + b*x_j + c >= 0, inside [lo[j], hi[j]].  A
+    prefix is complete at len(levels) + 1 coordinates.
+    """
+    j = len(head)
+    first, last = lo[j], hi[j]
+    if j:
+        for a, b, c in levels[j - 1]:
+            g = sum(map(operator.mul, a, head)) + c
+            if b > 0:
+                first = max(first, -(g // b))
+            else:
+                last = min(last, g // -b)
+    if j == len(levels):
+        for v in range(first, last + 1):
+            yield head + (v,)
+    else:
+        for v in range(first, last + 1):
+            yield from _prefixes(lo, hi, levels, head + (v,))
+
+
+def _count_slices(rows, lo, hi, levels) -> int:
     """Lattice points of {p in box [lo, hi] : A.p + C >= 0 for (A, C) in
-    rows}, one 2-D slice per integer point of the first n-2 coordinates."""
+    rows}, one 2-D slice per prefix of the first n-2 coordinates that
+    ``_prefixes`` visits.  ``levels`` bounds the prefixes by projections of
+    that set, so no lattice point of it is missed."""
     n = len(lo)
     lower, upper, xbounds = [], [], []
     for (*head, alpha, beta), c in rows:
@@ -325,11 +384,11 @@ def _count_slices(rows, lo, hi) -> int:
             upper.append((head, alpha, c, -beta))
         else:
             xbounds.append((head, alpha, c))
-    assert lower and upper, "bounded polytope needs facets on both sides"
+    if not (lower and upper):
+        raise AssertionError("bounded polytope needs facets on both sides")
 
     total = 0
-    for prefix in itertools.product(*[range(lo[i], hi[i] + 1)
-                                      for i in range(n - 2)]):
+    for prefix in _prefixes(lo, hi, levels) if n > 2 else [()]:
         x, last = lo[n - 2], hi[n - 2]
         for head, alpha, c in xbounds:
             gamma = sum(map(operator.mul, head, prefix)) + c
@@ -341,34 +400,87 @@ def _count_slices(rows, lo, hi) -> int:
                 last = x - 1
         if x > last:
             continue
-        low = [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
-               for head, alpha, c, q in lower]
-        up = [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
-              for head, alpha, c, q in upper]
-        while x <= last:
-            (la, lb, lq), end = _least_line(low, x, last)
-            (ua, ub, uq), end = _least_line(up, x, end)
-            # real y-range nonempty: (ua*s + ub)/uq + (la*s + lb)/lq >= 0
-            k, r = ua * lq + la * uq, ub * lq + lb * uq
-            s, e = x, end
-            if k > 0:
-                s = max(s, -(r // k))
-            elif k < 0:
-                e = min(e, r // -k)
-            elif r < 0:
-                e = s - 1
-            if e >= s:
-                size = e - s + 1
-                total += (floor_sum(size, uq, ua, ua * s + ub)
-                          + floor_sum(size, lq, la, la * s + lb) + size)
-            x = end + 1
+        total += _slice_points(
+            [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
+             for head, alpha, c, q in lower],
+            [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
+             for head, alpha, c, q in upper], x, last)
     return total
+
+
+def _envelope(lines, x: int, last: int):
+    """Pieces (e, a, b, q), left to right over the integers x .. last: the
+    line (a*x' + b)/q (q > 0) is the least of the lines from the end of
+    the piece before through e.
+
+    Among lines tied at x the one of least slope is taken; it stays least
+    to the right of x until a line of smaller slope crosses below it, and
+    no line of larger slope can be least again, so each piece scans only
+    the lines of smaller slope than the one before.
+    """
+    pieces = []
+    while True:
+        ba, bb, bq = lines[0]
+        for a, b, q in lines[1:]:
+            lhs, rhs = (a * x + b) * bq, (ba * x + bb) * q
+            if lhs < rhs or (lhs == rhs and a * bq < ba * q):
+                ba, bb, bq = a, b, q
+        end, steeper = last, []
+        for line in lines:
+            a, b, q = line
+            slope = a * bq - ba * q
+            if slope < 0:  # below best exactly when x' * slope < bb*q - b*bq
+                cross = (bb * q - b * bq) // slope
+                if cross < end:
+                    end = cross
+                steeper.append(line)
+        pieces.append((end, ba, bb, bq))
+        if end == last:
+            return pieces
+        x, lines = end + 1, steeper
+
+
+def _slice_points(low, up, x: int, last: int) -> int:
+    """Lattice points (x', y) with x <= x' <= last and
+    -min_low (a*x' + b)/q <= y <= min_up (a*x' + b)/q: one walk of each
+    envelope, merged piece by piece."""
+    total = 0
+    lows, ups = iter(_envelope(low, x, last)), iter(_envelope(up, x, last))
+    lend, la, lb, lq = next(lows)
+    uend, ua, ub, uq = next(ups)
+    while True:  # comparisons, not min() and max(): this is the hot loop
+        end = lend if lend < uend else uend
+        # real y-range nonempty: (ua*s + ub)/uq + (la*s + lb)/lq >= 0
+        k, r = ua * lq + la * uq, ub * lq + lb * uq
+        s, e = x, end
+        if k > 0:
+            if -(r // k) > s:
+                s = -(r // k)
+        elif k < 0:
+            if r // -k < e:
+                e = r // -k
+        elif r < 0:
+            e = s - 1
+        if e > s:
+            size = e - s + 1
+            total += (floor_sum(size, uq, ua, ua * s + ub)
+                      + floor_sum(size, lq, la, la * s + lb) + size)
+        elif e == s:  # most pieces are one column wide
+            total += (ua * s + ub) // uq + (la * s + lb) // lq + 1
+        x = end + 1
+        if x > last:
+            return total
+        if lend == end:
+            lend, la, lb, lq = next(lows)
+        if uend == end:
+            uend, ua, ub, uq = next(ups)
 
 
 def enumerate_lattice_points(P: RationalPolytope, t: int,
                              interior: bool = False):
     """Sorted list of lattice points of tP (strict facet test if interior)."""
-    assert t >= 1
+    if t < 1:
+        raise ValueError("dilate must be at least 1, got %r" % (t,))
     n = P.dimension
     strict = int(interior)
     rows = [(A, t * c - strict) for A, c in _clear(P)[3]]

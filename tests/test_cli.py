@@ -359,18 +359,41 @@ def test_five_dimensional_reflexive_inputs_take_no_second_hull(
     assert report["gorenstein"] == {"r": 2, "w": [1, 1, 1, 1, 1]}
 
 
-@pytest.mark.parametrize("command,calls", [("delta", 1), ("quotient", 2)])
-def test_each_cone_is_enumerated_once(capsys, monkeypatch, command, calls):
-    # delta: the diagram's hull; quotient: that hull and the base's
-    # halfspace vertices.  Reflexivity, the labelled base and the good
-    # cone read the facets these produced.
+def test_ehrhart_on_the_five_dimensional_cross_polytope_within_seconds(
+        capsys, tmp_path):
+    # 32 facets and 2t+1 slices wide: the slice kernel once walked every
+    # prefix of the box with two envelope scans per piece (12.7 s)
+    cross = write_doc(tmp_path, {"kind": "diagram", "vertices": [
+        [str(s * (i == k)) for i in range(5)]
+        for k in range(5) for s in (1, -1)]}, "cross5.json")
+    with time_limit(6):
+        code, out, _ = run(capsys, ["ehrhart", cross])
+    report = json.loads(out)
+    assert code == 0 and report["m"] == 1
+    # sum_k 2^k C(5, k) C(t, k) points in t*conv(+-e_i)
+    assert report["counts"][:5] == [1, 11, 61, 231, 681]
+
+
+@pytest.mark.parametrize("command,document,calls", [
+    ("delta", "corpus:lens-triangle", 1),
+    ("quotient", "corpus:lens-triangle", 2),
+    ("delta", "n4m3", 2)], ids=["delta-1", "quotient-2", "delta-n4m3-2"])
+def test_each_cone_is_enumerated_once(capsys, monkeypatch, tmp_path,
+                                      command, document, calls):
+    # delta: the diagram's hull, and in 4-D the counting frame's one
+    # projection (onto the two narrowest coordinates); quotient: the hull
+    # and the base's halfspace vertices.  Reflexivity, the labelled base
+    # and the good cone read the facets these produced.
     # every package module that binds cone_rays is counted, so an import
     # of it elsewhere cannot hide a call
+    if document in LADDER:
+        document = write_doc(tmp_path, {"kind": "diagram",
+                                        "vertices": LADDER[document]})
     rays = [count_calls(monkeypatch, module, "cone_rays")
             for name, module in sorted(sys.modules.items())
             if name.startswith("contactbetti.")
             and hasattr(module, "cone_rays")]
-    code, _, _ = run(capsys, [command, "corpus:lens-triangle"])
+    code, _, _ = run(capsys, [command, document])
     assert code == 0
     assert sum(map(len, rays)) == calls
 

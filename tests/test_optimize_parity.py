@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = json.loads((ROOT / "perfbench" / "ladder.json").read_text())
 
 # placeholder argv entries -> the diagram documents written for them
-DOCUMENTS = {"n2m13": LADDER["n2m13"],
+DOCUMENTS = {"n2m13": LADDER["n2m13"], "n4m2": LADDER["n4m2"],
              "exponent-vertex": [["1e5", "0"], ["0", "1"], ["-1", "-1"]],
              "order-19-simplex": [
                  ["7/19", "21/19", "30/19", "34/19"],
@@ -26,7 +26,8 @@ DOCUMENTS = {"n2m13": LADDER["n2m13"],
                  ["9/19", "-23/19", "-10/19", "21/19"],
                  ["-33/19", "-39/19", "-39/19", "-13/19"]]}
 
-# (argv, exit code of the plain run); "n2m13" is the ladder document
+# (argv, exit code of the plain run); "n2m13" and "n4m2" are the ladder
+# documents
 COMMANDS = [
     (["hc", "corpus:order-three-square", "--pipeline", "resolution",
       "--window", "-100:-99"], 65),
@@ -84,6 +85,7 @@ COMMANDS = [
     (["crosscheck", "corpus:lens-skew", "--window", "5/7:9/7"], 0),
     (["crosscheck", "corpus:order-three-square", "--window", "5/7:9/7"], 0),
     (["orbifold", "n2m13"], 0),
+    (["ehrhart", "n4m2"], 0),
 ]
 
 

@@ -20,6 +20,7 @@ from lattice_oracles import (_coordinate_box as fraction_box,
 
 from contactbetti import polytope
 from contactbetti.corpus import corpus
+from contactbetti.ehrhart import delta_vector
 from contactbetti.polytope import (
     DegenerateInput,
     NotSimple,
@@ -312,8 +313,9 @@ def rational_points(n, bound):
                     max_size=n + 3)
 
 
-# the bound keeps the row scan's box of 12P small in 4-D
-@pytest.mark.parametrize("n,bound", [(2, 2), (3, 1), (4, F(1, 2))])
+# the bound keeps the row scan's box of 12P small in 4-D and 5-D
+@pytest.mark.parametrize("n,bound", [(2, 2), (3, 1), (4, F(1, 2)),
+                                     (5, F(1, 3))])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_cleared_counts_match_the_row_scan(n, bound, data):
@@ -347,22 +349,97 @@ def _fraction_calls(fn):
 
 
 def test_counting_clears_each_polytope_once(monkeypatch):
-    P = convex_hull([(F(-2, 3), F(-1, 2), 0), (F(5, 3), 0, F(-1, 4)),
-                     (0, F(7, 6), F(1, 2)), (F(-1, 3), F(1, 2), F(5, 4))])
     cleared = count_calls(monkeypatch, polytope, "clear_row")
-    count_points(P, 1)
-    assert len(cleared) == len(P.vertices)
+    for vertices in (
+            [(F(-2, 3), F(-1, 2), 0), (F(5, 3), 0, F(-1, 4)),
+             (0, F(7, 6), F(1, 2)), (F(-1, 3), F(1, 2), F(5, 4))],
+            [(F(-2, 3), F(-1, 2), 0, F(1, 3)), (F(5, 3), 0, F(-1, 4), 0),
+             (0, F(7, 6), F(1, 2), F(-1, 2)), (F(-1, 3), F(1, 2), F(5, 4), 1),
+             (F(1, 2), F(-1, 3), F(1, 6), F(-3, 4))]):
+        P = convex_hull(vertices)
+        del cleared[:]
+        count_points(P, 1)
+        # each vertex once; in 4-D the frame's projection also clears the
+        # integer points it hulls
+        assert len([args for args in cleared
+                    if len(args[0]) == P.dimension]) == len(P.vertices)
+        first = len(cleared)
 
-    def dilates():
-        return ([count_points(P, t, interior) for t in range(2, 9)
-                 for interior in (False, True)],
-                [polytope._coordinate_box(P, t) for t in range(1, 9)])
-    (counts, boxes), made = _fraction_calls(dilates)
-    assert made == 0  # no Fraction after the first count
-    assert len(cleared) == len(P.vertices)
-    assert counts == [count_points_naive(P, t, interior)
-                      for t in range(2, 9) for interior in (False, True)]
-    assert boxes == [fraction_box(P, t) for t in range(1, 9)]
+        def dilates():
+            return ([count_points(P, t, interior) for t in range(2, 9)
+                     for interior in (False, True)],
+                    [polytope._coordinate_box(P, t) for t in range(1, 9)])
+        (counts, boxes), made = _fraction_calls(dilates)
+        assert made == 0  # no Fraction after the first count
+        assert len(cleared) == first
+        assert counts == [count_points_naive(P, t, interior)
+                          for t in range(2, 9) for interior in (False, True)]
+        assert boxes == [fraction_box(P, t) for t in range(1, 9)]
+
+
+def test_projection_rows_are_the_facets_of_the_projected_hull():
+    # the 5-cube comes from its halfspaces: hulling its 32 vertices
+    # takes about 20 s
+    cube5 = labelled_polytope(
+        [tuple(int(i == k) - int(i == k - 5) for i in range(5))
+         for k in range(10)], [0] * 5 + [1] * 5).polytope
+    polys = ([convex_hull(_cross_polytope(4)),
+              convex_hull(_cross_polytope(5)), cube5]
+             + _seeded_hulls(4, 8) + _seeded_hulls(5, 6))
+    for P in polys:
+        perm, _, levels = polytope._clear(P)[4]
+        assert len(levels) == P.dimension - 3
+        for k, level in enumerate(levels, start=2):
+            Q = convex_hull({tuple(v[i] for i in perm[:k])
+                             for v in P.vertices})
+            cleared = [(tuple(f.offset.denominator * a for a in f.normal),
+                        f.offset.numerator) for f in Q.facets]
+            assert sorted(level) == sorted(
+                (A[:-1], A[-1], c) for A, c in cleared if A[-1]), (P, k)
+
+
+def _signed_permutations(n):
+    return [(perm, signs) for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1, -1), repeat=n)]
+
+
+# the ladder rows n3m13 and n4m3 (perfbench/ladder.json), the past-ladder
+# row n5m2, and the 4-D cross-polytope
+PRESENTATIONS = {
+    "n3m13": [["6/13", "7/13", "-10/13"], ["2/13", "9/13", "-1"],
+              ["5/13", "1", "-10/13"], ["0", "2/13", "-8/13"]],
+    "n4m3": [["1/3", "2/3", "0", "-1/3"], ["2/3", "-1/3", "1/3", "1/3"],
+             ["0", "0", "1/3", "2/3"], ["2/3", "1/3", "-2/3", "1/3"],
+             ["-2/3", "-2/3", "-1/3", "-1"]],
+    "n5m2": [["1/2", "1/2", "1/2", "1", "-1"], ["1", "0", "-1/2", "1", "1"],
+             ["1", "1", "-1", "0", "1/2"], ["1", "-1/2", "0", "0", "-1"],
+             ["-1/2", "1/2", "1/2", "1/2", "-1/2"],
+             ["1", "-1/2", "1/2", "-1/2", "0"]],
+    "cross4": [[str(s * (i == k)) for i in range(4)]
+               for k in range(4) for s in (1, -1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_counting_work_does_not_depend_on_the_presentation(monkeypatch,
+                                                          name):
+    # a signed permutation of the coordinates permutes the counting frame
+    # with them, so every count in the delta window and the number of
+    # slices counted stay the same
+    vertices = [[F(x) for x in v] for v in PRESENTATIONS[name]]
+    n = len(vertices[0])
+    maps = _signed_permutations(n)
+    if n == 5:
+        maps = random.Random(24).sample(maps, 8)
+    slices = count_calls(monkeypatch, polytope, "_slice_points")
+    seen = set()
+    for perm, signs in maps:
+        P = convex_hull([tuple(s * v[i] for i, s in zip(perm, signs))
+                         for v in vertices])
+        del slices[:]
+        delta_vector(P)
+        seen.add((tuple(sorted(P._counts.items())), len(slices)))
+    assert len(seen) == 1, sorted(len(s) for _, s in seen)
 
 
 # ---------------------------------------------------------------- volume
@@ -653,6 +730,38 @@ def test_labelled_argument_check_survives_optimize(flags):
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ValueError need matching normals and offsets\n"
+
+
+COUNT_CHECKS_RUN = """
+from fractions import Fraction
+from contactbetti import exactlat, polytope
+P = polytope.convex_hull([(0, 0), (1, 0), (0, 1)])
+for call in (lambda: polytope.count_points(P, 0),
+             lambda: polytope.count_points(P, Fraction(3, 2)),
+             lambda: polytope.enumerate_lattice_points(P, 0),
+             lambda: exactlat.floor_sum(-1, 2, 0, 0),
+             lambda: exactlat.floor_sum(1, 0, 0, 0),
+             lambda: polytope._count_slices([((1, 0), 0), ((0, 1), 0)],
+                                            [0, 0], [1, 1], [])):
+    try:
+        call()
+    except (ValueError, AssertionError) as exc:
+        print(type(exc).__name__)
+    else:
+        print("no raise")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_count_checks_survive_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", COUNT_CHECKS_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5 + ["AssertionError"]
 
 
 # ---------------------------------------------------------------- properties
