@@ -359,10 +359,14 @@ def test_counting_clears_each_polytope_once(monkeypatch):
         P = convex_hull(vertices)
         del cleared[:]
         count_points(P, 1)
-        # each vertex once; in 4-D the frame's projection also clears the
-        # integer points it hulls
-        assert len([args for args in cleared
-                    if len(args[0]) == P.dimension]) == len(P.vertices)
+        # each vertex once, then in 4-D each distinct point of the frame's
+        # projection onto its first two coordinates, which cone_rays hulls
+        perm = polytope._clear(P)[4][0]
+        projected = {tuple(v[i] for i in perm[:2]) for v in P.vertices}
+        vertices = len(P.vertices)
+        assert [args[0] for args in cleared[:vertices]] == list(P.vertices)
+        assert len(cleared) == vertices + (
+            len(projected) if P.dimension == 4 else 0)
         first = len(cleared)
 
         def dilates():
