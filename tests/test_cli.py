@@ -361,8 +361,8 @@ def test_five_dimensional_reflexive_inputs_take_no_second_hull(
 
 def test_ehrhart_on_the_five_dimensional_cross_polytope_within_seconds(
         capsys, tmp_path):
-    # 32 facets and 2t+1 slices wide: the slice kernel once walked every
-    # prefix of the box with two envelope scans per piece (12.7 s)
+    # 32 facets: scanning every prefix of the box, with both facet lists
+    # rescanned per envelope piece, took 12.7 s on a 2-vCPU guest
     cross = write_doc(tmp_path, {"kind": "diagram", "vertices": [
         [str(s * (i == k)) for i in range(5)]
         for k in range(5) for s in (1, -1)]}, "cross5.json")
