@@ -216,8 +216,10 @@ def is_reflexive(P: RationalPolytope) -> bool:
     facet <a, x> + c >= 0 lies at lattice distance <a, p> + c = 1 from
     it.  This is the integrality of the polar dual of P - p, whose
     vertices are a/(<a, p> + c) with a primitive, read off P's own facets
-    with no further hull (``cone_rays`` runs only in the hull that built
-    P).  The two answers must agree; a rational
+    with no further hull of P (``cone_rays`` runs in the hull that built
+    P and, when P has dimension n >= 4, once per projection level of the
+    counting frame that ``_frame`` builds on the first count).  The two
+    answers must agree; a rational
     (non-integral) polytope is not reflexive, without further checks.
     """
     if order(P) != 1:

@@ -448,25 +448,21 @@ def _slice_points(low, up, x: int, last: int) -> int:
     lows, ups = iter(_envelope(low, x, last)), iter(_envelope(up, x, last))
     lend, la, lb, lq = next(lows)
     uend, ua, ub, uq = next(ups)
-    while True:  # comparisons, not min() and max(): this is the hot loop
-        end = lend if lend < uend else uend
+    while True:
+        end = min(lend, uend)
         # real y-range nonempty: (ua*s + ub)/uq + (la*s + lb)/lq >= 0
         k, r = ua * lq + la * uq, ub * lq + lb * uq
         s, e = x, end
         if k > 0:
-            if -(r // k) > s:
-                s = -(r // k)
+            s = max(s, -(r // k))
         elif k < 0:
-            if r // -k < e:
-                e = r // -k
+            e = min(e, r // -k)
         elif r < 0:
             e = s - 1
-        if e > s:
+        if e >= s:
             size = e - s + 1
             total += (floor_sum(size, uq, ua, ua * s + ub)
                       + floor_sum(size, lq, la, la * s + lb) + size)
-        elif e == s:  # most pieces are one column wide
-            total += (ua * s + ub) // uq + (la * s + lb) // lq + 1
         x = end + 1
         if x > last:
             return total

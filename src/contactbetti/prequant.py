@@ -11,8 +11,10 @@ cohomology and the contact homology of the total space.
 The good cone of a diagram D is {y : <nu_j, y> >= 0} over D's lifted
 normals nu_j = (m v_j, m).  Its rays are D's facets, so no ray is
 enumerated here: its faces are read off D's face lattice, which
-``polytope`` builds from the facets that ``convex_hull`` found (the only
-caller of ``cone_rays`` on a diagram).
+``polytope`` builds from the facets that ``convex_hull`` found.  No
+further hull of the diagram runs: beside that hull, ``cone_rays`` runs
+on a diagram of dimension n >= 4 only once per projection level of the
+counting frame (``polytope._frame``) that bounds its lattice point counts.
 """
 from __future__ import annotations
 
