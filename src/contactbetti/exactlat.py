@@ -330,20 +330,22 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     Euclidean recursion (the AtCoder Library's floor_sum): reduce a and b
     modulo m, then count the same lattice points under the line with the
     axes swapped, which takes (n, m, a, b) to (top // m, a, m, top % m)
-    for top = a*n + b; O(log m) steps.
+    for top = a*n + b; O(log m) steps.  A one-term sum is b // m whatever
+    a is, so the recursion stops once n reaches 1 instead of running
+    Euclid's algorithm on (a, m) to the end.
     """
     if n < 0 or m <= 0:
         raise ValueError("floor_sum needs n >= 0 and m > 0, got n=%r, m=%r"
                          % (n, m))
     total = 0
-    while n:
+    while n > 1:
         qa, a = divmod(a, m)
         qb, b = divmod(b, m)
         total += qa * (n * (n - 1) // 2) + qb * n
         top = a * n + b
         if top < m:
-            break
+            return total
         n, b = divmod(top, m)
         m, a = a, m
-    return total
+    return total + b // m if n else total
 
