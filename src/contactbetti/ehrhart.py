@@ -19,6 +19,12 @@ open dilates have the reversed numerator,
 
 so the lower half of delta comes from closed counts and the upper half
 from interior counts, and no dilate beyond about m(n+1)/2 is counted.
+One walk per dilate: ``count_points`` counts the closed dilate in the
+same slice walk as the open one (the open y-count of a slice is
+ceil(U) + ceil(L) - 1 over the two least lines whose floors give the
+closed count floor(U) + floor(L) + 1), so ``delta_vector`` reads the
+interior series first and the closed series then finds every count it
+needs in the memo.
 """
 from __future__ import annotations
 
@@ -145,10 +151,14 @@ def delta_vector(P: RationalPolytope) -> DeltaVector:
     With top = m(n+1) and h = ceil(top/2), delta_j for j < h is the
     closed-series coefficient, read off L(t) for t < h.  For h <= j < top
     it is the coefficient of z^(top-j) in the interior series, read off
-    L°(t) for t <= floor(top/2) + 1.  The last interior dilate gives
-    delta_(h-1) a second time: MismatchAt (grading (h-1)/m) if the two
-    values differ.  The entries must also add up to m^(n+1) times the
-    normalized volume.  The checked vector is memoized on P.
+    L°(t) for t <= floor(top/2) + 1.  The interior series is read first:
+    each of its dilates is walked once and the walk also memoizes L(t)
+    (``count_points``), and h - 1 <= floor(top/2), so the closed series
+    walks no dilate again; floor(top/2) + 1 walks in all.  The last
+    interior dilate gives delta_(h-1) a second time: MismatchAt (grading
+    (h-1)/m) if the two values differ.  The entries must also add up to
+    m^(n+1) times the normalized volume.  The checked vector is memoized
+    on P.
     """
     if P._delta is not None:
         return P._delta
@@ -156,8 +166,8 @@ def delta_vector(P: RationalPolytope) -> DeltaVector:
     m = order(P)
     top = m * (n + 1)
     h, seam = (top + 1) // 2, top // 2 + 1  # seam = top - (h - 1)
-    lower = series_numerator(P, h)
     upper = series_numerator(P, seam + 1, interior=True)
+    lower = series_numerator(P, h)
     if upper[seam] != lower[h - 1]:
         raise MismatchAt(Fraction(h - 1, m),
                          f"interior series gives delta_{h - 1} = "

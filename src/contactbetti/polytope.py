@@ -15,8 +15,9 @@ diagram's face lattice.  Faces are the one ``intersection_closure`` of the
 facets' vertex sets; a polytope builds its face lattice only when a
 pulling triangulation of a non-simplex or a good cone needs it.  Lattice
 point counts read integer facet rows, a vertex box and a counting frame
-(narrowest coordinates first, prefixes bounded by projections) cleared
-once per polytope.
+(narrowest coordinates first, prefixes bounded by projections, facet rows
+split by side) cleared once per polytope, and one walk of a dilate counts
+both the closed and, when asked, the open dilate.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def _frame(m: int, cleared, lo, hi, rows):
     """The coordinate order ``count_points`` counts in, with P's rows and
     prefix bounds in that order, from the cleared vertices alone.
 
-    Returns (perm, rows, levels).  perm sorts the coordinates by the
+    Returns (perm, sides, levels).  perm sorts the coordinates by the
     width hi - lo of the vertex box, narrowest first, equal widths by the
     variance of the column over the vertices and only then by index, so
     a signed permutation of the coordinates permutes the frame with
@@ -270,6 +271,15 @@ def _frame(m: int, cleared, lo, hi, rows):
     cone over the distinct projected points (m*p, m), as in
     ``convex_hull``; those with b = 0 bound the shorter prefix alone and
     are implied by the level below.
+
+    sides holds P's rows A.x + c >= 0 in frame order, split once by the
+    coefficient beta of the last frame coordinate y into x-bounds
+    (beta = 0), lower (beta > 0) and upper (beta < 0) rows: (consts,
+    heads, xalphas, (lalphas, lqs), (ualphas, uqs)).  consts lists c
+    over the x-bounds, then the lower, then the upper rows; heads[j] the
+    coefficients of prefix coordinate j in that order; the alphas the
+    coefficients of the next-to-last coordinate x, and the q > 0 the
+    values |beta|.  AssertionError when y is not bounded on both sides.
     """
     n, count = len(lo), len(cleared)
 
@@ -284,7 +294,18 @@ def _frame(m: int, cleared, lo, hi, rows):
                          for v in cleared})
         levels.append([(ray[:k - 1], ray[k - 1], ray[k])
                        for ray in cone_rays(points) if ray[k - 1]])
-    return perm, [(tuple(A[i] for i in perm), c) for A, c in rows], levels
+    rows = sorted(((tuple(A[i] for i in perm), c) for A, c in rows),
+                  key=lambda row: (row[0][-1] != 0, row[0][-1] < 0))
+    cols = list(zip(*[A for A, _ in rows]))
+    heads, alphas, betas = cols[:-2], cols[-2] if n > 1 else (), cols[-1]
+    nx = betas.count(0)
+    nl = nx + sum(b > 0 for b in betas)
+    if nx == nl or nl == len(rows):
+        raise AssertionError("bounded polytope needs facets on both sides")
+    sides = ([c for _, c in rows], heads, alphas[:nx],
+             (alphas[nx:nl], betas[nx:nl]),
+             (alphas[nl:], tuple(-b for b in betas[nl:])))
+    return perm, sides, levels
 
 
 def _coordinate_box(P: RationalPolytope, t: int):
@@ -310,48 +331,66 @@ def count_points(P: RationalPolytope, t: int, interior: bool = False) -> int:
     (``_prefixes``), and in each slice the last two frame coordinates
     (x, y) satisfy alpha*x + beta*y + gamma >= 0 per facet.  Facets with
     beta = 0 bound x.  The others bound y from below (beta > 0) or above
-    (beta < 0), so the y-count at x is floor(min_up (alpha*x + gamma)/-beta)
-    + floor(min_low (alpha*x + gamma)/beta) + 1.  Each least line is
-    walked once per slice (``_envelope``), and the x-range is split
-    wherever either one changes; on each piece the count is two floor
-    sums plus the piece length, over the part where the real upper bound
-    is not below the real lower one (elsewhere that expression is at
-    most 0 and the count is 0).  With N integer points in the projection,
-    f facets and k envelope pieces per slice, a dilate costs
-    O(N * k * (f + log t)); no prefix outside the projection is visited,
-    and which coordinates form the prefix does not depend on how the
-    coordinates are permuted or signed.  n = 1 is one interval.  Counts
-    are memoized on P by (t, interior).
+    (beta < 0), so with U = min_up (alpha*x + gamma)/-beta and
+    L = min_low (alpha*x + gamma)/beta the closed y-count at x is
+    floor(U) + floor(L) + 1.  A strict facet gives y <= ceil(bound) - 1
+    instead, and ceil, like floor, commutes with the min, so the open
+    y-count is ceil(U) + ceil(L) - 1 over the same two least lines.  Each
+    least line is walked once per slice (``_envelope``), and the x-range
+    is split wherever either one changes; on each piece a count is two
+    floor sums plus or minus the piece length (``_slice_points``).  With
+    N integer points in the projection, f facets and k envelope pieces per
+    slice, a dilate costs O(N * k * (f + log t)); no prefix outside the
+    projection is visited, and which coordinates form the prefix does not
+    depend on how the coordinates are permuted or signed.  n = 1 is one
+    interval.
+
+    One walk per dilate: an interior call counts the closed dilate in the
+    same walk and memoizes both counts on P by (t, interior), so the
+    closed count of a dilate whose interior was counted is a memo hit.  A
+    memoized count is never overwritten.  A closed call counts the closed
+    dilate alone.
     """
     if t < 1 or t != int(t):
         raise ValueError("dilate must be a positive integer, got %r" % (t,))
-    key = (t, interior)
-    if key in P._counts:
-        return P._counts[key]
-    strict = int(interior)
-    perm, frame_rows, levels = _clear(P)[4]
-    rows = [(A, t * c - strict) for A, c in frame_rows]
+    if (t, interior) in P._counts:
+        return P._counts[t, interior]
+    perm, (consts, *sides), levels = _clear(P)[4]
+    consts = [t * c for c in consts]
     if P.dimension == 1:
-        first = max(-(c // a) for (a,), c in rows if a > 0)
-        last = min(c // -a for (a,), c in rows if a < 0)
-        total = max(last - first + 1, 0)
+        _, _, (_, lqs), (_, uqs) = sides
+
+        def interval(strict):
+            first = max(-((c - strict) // q) for q, c in zip(lqs, consts))
+            last = min((c - strict) // q
+                       for q, c in zip(uqs, consts[len(lqs):]))
+            return max(last - first + 1, 0)
+        closed, inner = interval(0), interval(1) if interior else None
     else:
         lo, hi = _coordinate_box(P, t)
         # the open dilate lies in the closed one: both use its bounds
-        total = _count_slices(
-            rows, [lo[i] for i in perm], [hi[i] for i in perm],
-            [[(a, b, t * c) for a, b, c in level] for level in levels])
-    P._counts[key] = total
-    return total
+        closed, inner = _count_slices(
+            sides, consts, [lo[i] for i in perm], [hi[i] for i in perm],
+            [[(a, b, t * c) for a, b, c in level] for level in levels],
+            interior)
+    P._counts.setdefault((t, False), closed)
+    if not interior:
+        return closed
+    P._counts[t, True] = inner
+    return inner
 
 
-def _prefixes(lo, hi, levels, head=()):
-    """The integer prefixes that extend ``head``, in lexicographic order.
+def _prefixes(lo, hi, levels, cols, consts, head=()):
+    """The per-facet slice constants of the integer prefixes that extend
+    ``head``, in lexicographic order of the prefixes.
 
     Frame coordinate 0 runs over the box [lo[0], hi[0]]; coordinate j >= 1
     over the range the rows (a, b, c) of levels[j-1] leave at the
     prefix p so far, a.p + b*x_j + c >= 0, inside [lo[j], hi[j]].  A
-    prefix is complete at len(levels) + 1 coordinates.
+    prefix is complete at len(levels) + 1 coordinates.  ``consts`` holds
+    each facet's constant at ``head``, and each step of coordinate j adds
+    cols[j] to it: one addition per facet and prefix, not a dot product
+    with the whole prefix.
     """
     j = len(head)
     first, last = lo[j], hi[j]
@@ -362,36 +401,41 @@ def _prefixes(lo, hi, levels, head=()):
                 first = max(first, -(g // b))
             else:
                 last = min(last, g // -b)
-    if j == len(levels):
-        for v in range(first, last + 1):
-            yield head + (v,)
-    else:
-        for v in range(first, last + 1):
-            yield from _prefixes(lo, hi, levels, head + (v,))
-
-
-def _count_slices(rows, lo, hi, levels) -> int:
-    """Lattice points of {p in box [lo, hi] : A.p + C >= 0 for (A, C) in
-    rows}, one 2-D slice per prefix of the first n-2 coordinates that
-    ``_prefixes`` visits.  ``levels`` bounds the prefixes by projections of
-    that set, so no lattice point of it is missed."""
-    n = len(lo)
-    lower, upper, xbounds = [], [], []
-    for (*head, alpha, beta), c in rows:
-        if beta > 0:
-            lower.append((head, alpha, c, beta))
-        elif beta < 0:
-            upper.append((head, alpha, c, -beta))
+    col = cols[j]
+    consts = [c + h * first for c, h in zip(consts, col)]
+    for v in range(first, last + 1):
+        if j < len(levels):
+            yield from _prefixes(lo, hi, levels, cols, consts, head + (v,))
         else:
-            xbounds.append((head, alpha, c))
-    if not (lower and upper):
-        raise AssertionError("bounded polytope needs facets on both sides")
+            yield consts
+        consts = list(map(operator.add, consts, col))
 
-    total = 0
-    for prefix in _prefixes(lo, hi, levels) if n > 2 else [()]:
+
+def _count_slices(sides, consts, lo, hi, levels, interior):
+    """Lattice points of {p in box [lo, hi] : A.p + c >= 0} for the rows
+    of ``sides`` (split as ``_frame`` splits them) with constants
+    ``consts``, one 2-D slice per prefix of the first n-2 coordinates
+    that ``_prefixes`` visits; ``levels`` bounds the prefixes by
+    projections of that set, so no lattice point of it is missed.
+    Returns (closed, open): open counts the points with every
+    A.p + c > 0 when ``interior``, in the same walk, and is None
+    otherwise.
+
+    Each slice reads its per-facet constants gamma, in the order of
+    ``sides``, from ``_prefixes``.  The open x-range takes gamma - 1 on
+    the x-bounds, so a facet of the prefix alone that is tight at a
+    prefix (gamma = 0) empties that open slice.
+    """
+    n = len(lo)
+    heads, xalphas, (lalphas, lqs), (ualphas, uqs) = sides
+    nx = len(xalphas)
+    nl = nx + len(lalphas)
+    closed = inner = 0
+    for g in _prefixes(lo, hi, levels, heads, consts) if n > 2 else [consts]:
+        # the closed x-range inline: a call per slice costs closed-only
+        # series about 5%
         x, last = lo[n - 2], hi[n - 2]
-        for head, alpha, c in xbounds:
-            gamma = sum(map(operator.mul, head, prefix)) + c
+        for alpha, gamma in zip(xalphas, g):
             if alpha > 0:
                 x = max(x, -(gamma // alpha))
             elif alpha < 0:
@@ -400,12 +444,27 @@ def _count_slices(rows, lo, hi, levels) -> int:
                 last = x - 1
         if x > last:
             continue
-        total += _slice_points(
-            [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
-             for head, alpha, c, q in lower],
-            [(alpha, sum(map(operator.mul, head, prefix)) + c, q)
-             for head, alpha, c, q in upper], x, last)
-    return total
+        strict = _open_x_range(xalphas, g, x, last) if interior else None
+        c, o = _slice_points(list(zip(lalphas, g[nx:nl], lqs)),
+                             list(zip(ualphas, g[nl:], uqs)), x, last, strict)
+        closed += c
+        inner += o
+    return closed, inner if interior else None
+
+
+def _open_x_range(alphas, gammas, x: int, last: int):
+    """(x', last') for the integers of [x, last] with
+    alpha*x' + gamma > 0 for every x-bound (alpha, gamma), or None when
+    there are none; a row with alpha = 0 needs gamma > 0."""
+    for alpha, gamma in zip(alphas, gammas):
+        gamma -= 1
+        if alpha > 0:
+            x = max(x, -(gamma // alpha))
+        elif alpha < 0:
+            last = min(last, gamma // -alpha)
+        elif gamma < 0:
+            return None
+    return (x, last) if x <= last else None
 
 
 def _envelope(lines, x: int, last: int):
@@ -440,11 +499,20 @@ def _envelope(lines, x: int, last: int):
         x, lines = end + 1, steeper
 
 
-def _slice_points(low, up, x: int, last: int) -> int:
+def _slice_points(low, up, x: int, last: int, strict):
     """Lattice points (x', y) with x <= x' <= last and
-    -min_low (a*x' + b)/q <= y <= min_up (a*x' + b)/q: one walk of each
-    envelope, merged piece by piece."""
-    total = 0
+    -L <= y <= U, L = min_low (a*x' + b)/q and U = min_up (a*x' + b)/q:
+    one walk of each envelope, merged piece by piece.
+
+    Returns (closed, open).  open is 0 unless ``strict`` is a range
+    (xo, lasto) inside [x, last]; then it counts the points with
+    xo <= x' <= lasto and -L < y < U, ceil(U) + ceil(L) - 1 per column
+    where U + L > 0 and none elsewhere (where U = -L is an integer the
+    expression is -1, not 0).  On a piece ceil((a*x' + b)/q) is
+    floor((a*x' + b + q - 1)/q), so open adds two floor sums less the
+    length of the part where U + L > 0, inside the part of the closed sum.
+    """
+    closed = inner = 0
     lows, ups = iter(_envelope(low, x, last)), iter(_envelope(up, x, last))
     lend, la, lb, lq = next(lows)
     uend, ua, ub, uq = next(ups)
@@ -461,11 +529,25 @@ def _slice_points(low, up, x: int, last: int) -> int:
             e = s - 1
         if e >= s:
             size = e - s + 1
-            total += (floor_sum(size, uq, ua, ua * s + ub)
-                      + floor_sum(size, lq, la, la * s + lb) + size)
+            closed += (floor_sum(size, uq, ua, ua * s + ub)
+                       + floor_sum(size, lq, la, la * s + lb) + size)
+            if strict:
+                # open y-range nonempty: k*s + r >= 1
+                s, e = max(s, strict[0]), min(e, strict[1])
+                if k > 0:
+                    s = max(s, -((r - 1) // k))
+                elif k < 0:
+                    e = min(e, (r - 1) // -k)
+                elif r < 1:
+                    e = s - 1
+                if e >= s:
+                    size = e - s + 1
+                    inner += (floor_sum(size, uq, ua, ua * s + ub + uq - 1)
+                              + floor_sum(size, lq, la, la * s + lb + lq - 1)
+                              - size)
         x = end + 1
         if x > last:
-            return total
+            return closed, inner
         if lend == end:
             lend, la, lb, lq = next(lows)
         if uend == end:

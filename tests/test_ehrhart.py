@@ -16,7 +16,7 @@ from lattice_oracles import (delta_by_closed_counts,
                              interior_count_by_reciprocity,
                              reflexive_by_dual)
 
-from contactbetti import ehrhart
+from contactbetti import ehrhart, polytope
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import (
     DeltaVector,
@@ -171,15 +171,18 @@ def test_delta_matches_closed_count_convolution():
 
 
 @pytest.mark.parametrize("name", ["n2m13", "n3m8", "n4m3"])
-def test_delta_reads_half_the_dilates(name):
+def test_delta_reads_half_the_dilates(monkeypatch, name):
+    # the interior series walks each dilate t <= floor(m(n+1)/2) + 1 once
+    # and counts the closed dilate in the same walk, so the closed series
+    # (t < ceil(m(n+1)/2)) finds every count in the memo
+    walks = count_calls(monkeypatch, polytope, "_count_slices")
     P = convex_hull(LADDER[name])
     delta_vector(P)
-    top = order(P) * (P.dimension + 1)
-    h = (top + 1) // 2
-    closed = {t for t, interior in P._counts if not interior}
-    inner = {t for t, interior in P._counts if interior}
-    assert closed == set(range(1, h))
-    assert inner == set(range(1, top // 2 + 2))
+    seam = order(P) * (P.dimension + 1) // 2 + 1
+    assert len(walks) == seam
+    assert all(args[-1] for args in walks)
+    assert set(P._counts) == {(t, interior) for t in range(1, seam + 1)
+                              for interior in (False, True)}
 
 
 @pytest.mark.parametrize("vertices", [L53.vertices, ORDER3.vertices,

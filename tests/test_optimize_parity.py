@@ -86,6 +86,8 @@ COMMANDS = [
     (["crosscheck", "corpus:order-three-square", "--window", "5/7:9/7"], 0),
     (["orbifold", "n2m13"], 0),
     (["ehrhart", "n4m2"], 0),
+    (["delta", "n4m2"], 0),
+    (["cb", "n4m2", "--pipeline", "delta"], 0),
 ]
 
 

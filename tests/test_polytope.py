@@ -332,6 +332,81 @@ def test_cleared_counts_match_the_row_scan(n, bound, data):
                 == count_points_row_scan(P, t, interior)), (P, t, interior)
 
 
+def _open_count_vertices(n, m, rng):
+    """Vertex lists of fresh hulls of order exactly m in R^n, with
+    coordinates small enough for the box scan."""
+    span = 2 if n <= 3 else 1
+    while True:
+        pts = [tuple(F(rng.randint(-span * m, span * m), m) for _ in range(n))
+               for _ in range(n + rng.randint(1, 3) + 3 * (n > 3))]
+        try:
+            if order(convex_hull(pts)) == m:
+                return pts
+        except DegenerateInput:
+            pass
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_open_counts_match_the_box_scan_in_either_call_order(monkeypatch, n):
+    # an interior count walks its dilate once and memoizes the closed
+    # count too; a closed count first walks the dilate alone, and the
+    # interior count after it walks again
+    walks = count_calls(monkeypatch, polytope, "_count_slices")
+    rng = random.Random(2500 + n)
+    dilates = range(1, {1: 7, 2: 7, 3: 5, 4: 5, 5: 4}[n])
+    for m in range(1, 6):
+        vertices = _open_count_vertices(n, m, rng)
+        expected = [(count_points_naive(convex_hull(vertices), t),
+                     count_points_naive(convex_hull(vertices), t, True))
+                    for t in dilates]
+        for interior_first in (True, False):
+            P = convex_hull(vertices)
+            del walks[:]
+            got = []
+            for t in dilates:
+                if interior_first:
+                    inner = count_points(P, t, interior=True)
+                    got.append((count_points(P, t), inner))
+                else:
+                    closed = count_points(P, t)
+                    got.append((closed, count_points(P, t, interior=True)))
+            assert got == expected, (vertices, interior_first)
+            if n >= 2:
+                assert len(walks) == len(dilates) * (1 if interior_first
+                                                     else 2)
+
+
+def test_open_count_is_zero_where_the_y_range_is_one_point():
+    # -3x/2 <= y <= 3x/2 and x <= 2: at x = 0 the real y-range is the
+    # integer point 0 (U = L = 0), where ceil(U) + ceil(L) - 1 is -1, so
+    # the open count leaves that column out; x = 1 has 3 open points
+    assert polytope._slice_points([(3, 0, 2)], [(3, 0, 2)], 0, 2,
+                                  (0, 1)) == (1 + 3 + 7, 3)
+    assert polytope._slice_points([(3, 0, 2)], [(3, 0, 2)], 0, 0,
+                                  (0, 0)) == (1, 0)
+    P = convex_hull([(0, 0), (2, 3), (2, -3)])
+    for t in range(1, 8):
+        for interior in (True, False):
+            assert (count_points(P, t, interior)
+                    == count_points_naive(P, t, interior))
+
+
+def test_open_slices_of_a_box_read_every_strict_facet():
+    # [0, 2] x [0, 2] x [0, 3]: frame coordinate 0 is the prefix, and its
+    # facets x_0 >= 0 and 2t - x_0 >= 0 are tight (gamma = 0) at the first
+    # and last prefix, whose open slices are empty; x_1 >= 0 and
+    # 2t - x_1 >= 0 are parallel to y
+    P = convex_hull([(a, b, c) for a in (0, 2) for b in (0, 2)
+                     for c in (0, 3)])
+    assert polytope._clear(P)[4][0] == [0, 1, 2]
+    for t in range(1, 6):
+        assert count_points(P, t, interior=True) == (
+            (2 * t - 1) ** 2 * (3 * t - 1))
+        assert count_points(P, t) == (2 * t + 1) ** 2 * (3 * t + 1)
+    assert polytope._open_x_range((0,), (0,), 0, 5) is None
+    assert polytope._open_x_range((1, -1), (0, 4), 0, 4) == (1, 3)
+
+
 def _fraction_calls(fn):
     """fn(), and the number of calls it made into the fractions module."""
     calls = []
@@ -745,8 +820,8 @@ for call in (lambda: polytope.count_points(P, 0),
              lambda: polytope.enumerate_lattice_points(P, 0),
              lambda: exactlat.floor_sum(-1, 2, 0, 0),
              lambda: exactlat.floor_sum(1, 0, 0, 0),
-             lambda: polytope._count_slices([((1, 0), 0), ((0, 1), 0)],
-                                            [0, 0], [1, 1], [])):
+             lambda: polytope._frame(1, [(0, 0), (1, 0), (0, 1)], [0, 0],
+                                     [1, 1], [((1, 0), 0), ((0, 1), 0)])):
     try:
         call()
     except (ValueError, AssertionError) as exc:
