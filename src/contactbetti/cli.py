@@ -294,6 +294,14 @@ def _keyed_rows(rows: Dict[Fraction, GradedDimensions]) -> List[dict]:
 
 
 def _cmd_validate(args):
+    """Report a validated diagram or labelled polytope.
+
+    A diagram's ``"good_cone"`` is always true: ``_diagram_of`` has
+    validated it, so every proper face of D lies in a simplex facet whose
+    lifted normals extend to a basis of Z^(n+1), and part of a basis
+    extends to one.  ``is_good_cone`` runs anyway, as a cheap cross-check
+    of that argument.
+    """
     doc = _document(args)
     if doc["kind"] == "diagram":
         D, nu = _diagram_of(doc)

@@ -13,6 +13,10 @@ for every Reeb vector.  The Conley-Zehnder index of every iterate is
 then an exact integer computation (one floor per coefficient, the jet
 slope deciding exact ties).
 
+``validate_diagram`` tests each facet by the gcd of the maximal minors of
+its lifted normals (``exactlat.minor_gcd``) and takes a Smith form only
+for the first facet that fails, to report its invariants.
+
 Two independent pipelines produce the graded dimension table cb:
 ``contact_betti_direct`` enumerates orbit degrees facet by facet, and
 ``contact_betti_from_delta`` reads the same table off the delta vector
@@ -48,6 +52,7 @@ from .ehrhart import delta_vector
 from .exactlat import (
     Mat,
     clear_row,
+    minor_gcd,
     smith_invariants,
     unimodular_frame,
     vec_mat,
@@ -114,8 +119,11 @@ def validate_diagram(P: RationalPolytope) -> ToricDiagram:
     """Check simpliciality and per-facet unimodularity of the lifted normals.
 
     Each facet must have exactly n vertices, and the n lifted normals of
-    any facet must extend to a basis of Z^(n+1) (all Smith invariants 1);
-    this also forces every individual normal to be primitive.
+    any facet must extend to a basis of Z^(n+1): the gcd of their n x n
+    minors is 1 (``minor_gcd``, the product of their Smith invariants);
+    this also forces every individual normal to be primitive.  The Smith
+    invariants are computed only for the first facet that fails, to
+    report them in ``FacetNotUnimodular``.
     """
     n = P.dimension
     m = order(P)
@@ -127,9 +135,9 @@ def validate_diagram(P: RationalPolytope) -> ToricDiagram:
                 f"facet {fid} has {len(facet.vertex_ids)} vertices")
         facet_ids.append(tuple(facet.vertex_ids))
     for fid, ids in enumerate(facet_ids):
-        inv = smith_invariants([list(normals[i]) for i in ids])
-        if any(d != 1 for d in inv):
-            raise FacetNotUnimodular(fid, inv)
+        rows = [normals[i] for i in ids]
+        if minor_gcd(rows) != 1:
+            raise FacetNotUnimodular(fid, smith_invariants(rows))
     return ToricDiagram(P, m, normals, tuple(facet_ids))
 
 

@@ -10,10 +10,19 @@ over Q run on one fraction-free elimination (``int_echelon``) on integer
 rows.  Basis completion and the
 inverse of the completed basis come from one Hermite form
 (``unimodular_frame``).
+
+Whether rows extend to a lattice basis is a yes/no question answered by
+their maximal minors (``minor_gcd``, Bareiss determinants), with no
+normal form: diagram validation and the good-cone test ask only that.  A
+Smith form is computed only where its entries are read: the invariants a
+failed check reports, the fundamental group order, the box census
+transform of ``resolution`` and the failure report of
+``unimodular_frame``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import mul
 from fractions import Fraction
@@ -194,6 +203,24 @@ def smith_invariants(M) -> tuple[int, ...]:
     S, _, _ = smith_normal_form(M)
     diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     return tuple(d for d in diag if d != 0)
+
+
+def minor_gcd(rows) -> int:
+    """The gcd of the k x k minors of a k x d integer matrix, 0 when its
+    rows are dependent (or k > d, when it has none).
+
+    That gcd is the product d1 * ... * dk of the Smith invariants (the
+    k-th determinantal divisor; Newman, Integral Matrices, 1972), so the
+    rows extend to a basis of Z^d exactly when it is 1.  The minors are
+    Bareiss determinants of column subsets, taken until the gcd reaches 1.
+    """
+    cols = list(zip(*rows))
+    g = 0
+    for sub in itertools.combinations(cols, len(rows)):
+        g = math.gcd(g, det_int(sub))
+        if g == 1:
+            break
+    return g
 
 
 def unimodular_frame(vectors) -> tuple[Mat, Mat]:

@@ -18,6 +18,10 @@ point counts read integer facet rows, a vertex box and a counting frame
 (narrowest coordinates first, prefixes bounded by projections, facet rows
 split by side) cleared once per polytope, and one walk of a dilate counts
 both the closed and, when asked, the open dilate.
+
+The checks here read minors, never a Smith form: hull facets are signed
+maximal minors (``cone_rays``), hull vertices are read off the
+point-facet incidences, and a simplex volume is one determinant.
 """
 
 from __future__ import annotations
@@ -158,6 +162,14 @@ def convex_hull(points) -> RationalPolytope:
     (L*p, L) of the same cone; p is on the facet of the ray (a, c) when
     <a, L*p> + c*L == 0, an integer value taken once per (facet, point)
     and read by both the vertex test and the facets' vertex ids.
+
+    The vertex test reads these incidences alone: a point p is a vertex
+    exactly when no other point is tight on every facet tight at p.  The
+    facets tight at p cut out the least face containing p, which is the
+    hull of the points on it, and that face is {p} exactly when p is a
+    vertex (the points are distinct).  Every facet's vertices must then
+    span a hyperplane, a check that also guards the vertex test and
+    raises AssertionError, as does a hull without facets.
     """
     pts = []
     for p in _as_points(points):
@@ -176,21 +188,25 @@ def convex_hull(points) -> RationalPolytope:
         halfspaces[tuple(x // g for x in a), Fraction(c, g)] = tuple(
             sum(map(operator.mul, ray, q)) for q in lifted)
 
-    assert halfspaces, "full-dimensional input must have supporting facets"
+    if not halfspaces:
+        raise AssertionError(
+            "full-dimensional input must have supporting facets")
 
-    # vertices: points whose tight facet normals span the whole space
-    kept = []
-    for i, p in enumerate(pts):
-        tight = [hs[0] for hs, vals in halfspaces.items() if vals[i] == 0]
-        if tight and rat_rank(tight) == n:
-            kept.append((p, i))
-    kept.sort()
+    # per point, the bit set of the facets tight at it
+    rows = list(halfspaces.values())
+    tight = [sum(1 << k for k, vals in enumerate(rows) if vals[i] == 0)
+             for i in range(len(pts))]
+    kept = sorted((p, i) for i, (p, s) in enumerate(zip(pts, tight))
+                  if not any(t & s == s for j, t in enumerate(tight)
+                             if j != i))
     vertices = tuple(p for p, _ in kept)
 
     facets = []
     for (normal, offset), vals in sorted(halfspaces.items()):
         vertex_ids = tuple(k for k, (_, i) in enumerate(kept) if vals[i] == 0)
-        assert affine_dim([lifted[kept[k][1]] for k in vertex_ids]) == n - 1
+        if affine_dim([lifted[kept[k][1]] for k in vertex_ids]) != n - 1:
+            raise AssertionError("the vertices of hull facet %s do not span "
+                                 "a hyperplane" % ((normal, offset),))
         facets.append(Facet(normal, offset, vertex_ids))
 
     return RationalPolytope(n, vertices, tuple(facets))
@@ -571,12 +587,15 @@ def enumerate_lattice_points(P: RationalPolytope, t: int,
 
 
 def simplex_normalized_volume(points) -> Fraction:
-    """n! times the volume of the simplex on n+1 affinely independent points."""
-    base = points[0]
-    rows = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
-    scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
-    det = det_int([[int(x * d) for x in row] for row, d in zip(rows, scales)])
-    return abs(Fraction(det, math.prod(scales)))
+    """n! times the volume of the simplex on n+1 affinely independent
+    int/Fraction points: |det| of the lifted rows (p, 1), cleared by L,
+    the least common denominator of all coordinates, to (L*p, L), over
+    L^(n+1).  The mass identity of ``ehrhart.delta_vector`` and the mean
+    Euler characteristic read it through ``normalized_volume``."""
+    lifted = [tuple(p) + (1,) for p in points]
+    L = math.lcm(*[x.denominator for p in lifted for x in p])
+    det = det_int([clear_row(p, L) for p in lifted])
+    return Fraction(abs(det), L ** len(lifted))
 
 
 def triangulate_ids(P: RationalPolytope, pull_last: bool = False):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
-from .exactlat import (LinearlyDependent, det_int, rat_solve,
+from .exactlat import (LinearlyDependent, det_int, minor_gcd, rat_solve,
                        smith_invariants, transpose, unimodular_frame,
                        vec_mat)
 from .grading import GradedDimensions, checked_window, sum_rows
@@ -91,6 +91,16 @@ def is_good_cone(D: ToricDiagram) -> GoodConeReport:
     vertices.  A face F of D with vertex ids J is then the cone face
     tight on exactly J, of dimension n - dim F; the empty face of D is
     the whole cone (dimension n + 1), and D itself the apex, never used.
+
+    A face passes when ``minor_gcd`` of its normals is 1; Smith
+    invariants are taken only for the first face that fails, for the
+    report.  On a diagram that ``validate_diagram`` accepted no face
+    fails: every proper face of D is a face of a simplex facet, so its
+    tight normals are some of that facet's n lifted normals, which
+    validation certified to extend to a basis of Z^(n+1), and part of a
+    basis extends to one.  The test stays as a cheap cross-check of that
+    argument; only a ``ToricDiagram`` built without validation can fail
+    it.
     """
     n = D.dimension
     lattice = D.polytope.face_lattice()
@@ -100,9 +110,10 @@ def is_good_cone(D: ToricDiagram) -> GoodConeReport:
     for face in faces[1:]:  # faces[0], the whole cone, has no facet
         if len(face.tight) != n + 1 - face.dim:
             return GoodConeReport(False, None, face.tight, None)
-        inv = smith_invariants([list(D.normals[j]) for j in face.tight])
-        if any(x != 1 for x in inv):
-            return GoodConeReport(False, None, face.tight, inv)
+        rows = [D.normals[j] for j in face.tight]
+        if minor_gcd(rows) != 1:
+            return GoodConeReport(False, None, face.tight,
+                                  smith_invariants(rows))
     return GoodConeReport(True, GoodCone(D.normals, tuple(faces)), None,
                           None)
 

@@ -11,7 +11,14 @@ slice kernel replaced: the first n-1 coordinates run over the box and the
 last coordinate's range is solved from the cleared integer inequalities.
 ``hull_by_hyperplanes`` is the hull search that ``polytope.cone_rays``
 replaced: every n-subset of the points that spans a hyperplane with all
-points on one side gives a facet.  ``interior_count_by_reciprocity``
+points on one side gives a facet.  Its vertices are ``vertices_by_rank``,
+the rank test that ``polytope.convex_hull`` replaced by reading
+incidences: a point is a vertex when its tight facet normals span Q^n.
+``simplex_volume_by_differences`` is the simplex volume that one
+determinant of the cleared lifted vertices replaced in
+``polytope.simplex_normalized_volume``: the determinant of the
+``Fraction`` differences p - p_0, each row cleared by its own
+denominator.  ``interior_count_by_reciprocity``
 reads interior counts off a counting quasi-polynomial.
 ``delta_by_closed_counts`` is the delta vector as the convolution of all
 closed counts L(t), t < m(n+1), which the half-closed, half-interior
@@ -145,10 +152,25 @@ def hull_by_hyperplanes(points):
             facets.add((normal, offset))
         elif all(v <= 0 for v in vals):
             facets.add((tuple(-a for a in normal), -offset))
-    vertices = [p for p in pts if len(rat_echelon(
+    return vertices_by_rank(pts, facets), sorted(facets)
+
+
+def vertices_by_rank(points, facets):
+    """The points whose tight facet normals span Q^n, in their order."""
+    n = len(points[0])
+    return [p for p in points if len(rat_echelon(
         [a for a, c in facets
          if sum(x * y for x, y in zip(a, p)) + c == 0] or [[0] * n])[1]) == n]
-    return vertices, sorted(facets)
+
+
+def simplex_volume_by_differences(points):
+    """n! times the volume of the simplex on n+1 points, from the
+    determinant of the differences to the first point."""
+    base = points[0]
+    rows = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
+    scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
+    det = det_int([[int(x * d) for x in row] for row, d in zip(rows, scales)])
+    return abs(Fraction(det, math.prod(scales)))
 
 
 def _coordinate_box(P, t):

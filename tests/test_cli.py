@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import corpus_diagram, count_calls, time_limit
 
 from contactbetti import cli, polytope
-from contactbetti._jsonio import parse_rat
+from contactbetti._jsonio import dumps, parse_rat
 from contactbetti.cli import main
 from contactbetti.contact import ReebVector, orbit_data, orbit_degree
 from contactbetti.corpus import DOCUMENTS, corpus
@@ -104,6 +104,42 @@ def test_golden_file_regenerates_bit_identically(capsys, name, argv):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN_DIR / name).read_text()
+
+
+def indented_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
+def test_dumps_writes_the_standard_indented_bytes(name):
+    rep = json.loads((GOLDEN_DIR / name).read_text())
+    assert dumps(rep) == indented_json(rep)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+    | st.text(st.characters(max_codepoint=0x2FFFF)),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dumps_matches_json_dumps_on_nested_values(obj):
+    # control characters, non-ASCII text, big negative ints,
+    # empty containers, tuples and non-finite floats included
+    assert dumps(obj) == indented_json(obj)
+
+
+def test_dumps_refuses_non_str_keys_and_other_types():
+    # json.dumps would write the int key as "1"; a report has str keys
+    for obj in ({1: "a"}, {"a": F(1, 2)}, [set()]):
+        with pytest.raises(TypeError):
+            dumps(obj)
 
 
 def test_golden_quotient_schema():

@@ -21,6 +21,7 @@ from contactbetti.exactlat import (
     intmat,
     mat_inverse,
     mat_mul,
+    minor_gcd,
     primitive_vector,
     rat_rank,
     rat_solve,
@@ -549,3 +550,26 @@ def test_floor_sum_edge_cases():
     assert floor_sum(n, m, a, b) == (
         floor_sum(n, m, a % m, b % m)
         + (a // m) * n * (n - 1) // 2 + (b // m) * n)
+
+
+def test_minor_gcd_examples():
+    assert minor_gcd([(2, 0), (0, 1)]) == 2
+    assert minor_gcd([(1, 0, 0), (0, 1, 0)]) == 1
+    assert minor_gcd([(2, 4, 6)]) == 2
+    assert minor_gcd([(1, 2), (2, 4)]) == 0  # dependent rows
+    assert minor_gcd([(1,), (1,)]) == 0  # k > d: no k x k minor
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.integers(min_value=1, max_value=d).flatmap(
+        lambda k: st.lists(st.lists(st.integers(min_value=-4, max_value=4),
+                                    min_size=d, max_size=d),
+                           min_size=k, max_size=k))))
+def test_minor_gcd_is_the_product_of_smith_invariants(rows):
+    # the k-th determinantal divisor: rows extend to a basis exactly when
+    # it is 1, which is when every one of the k invariants is 1
+    inv = smith_invariants(rows)
+    k = len(rows)
+    assert minor_gcd(rows) == (math.prod(inv) if len(inv) == k else 0)
+    assert (minor_gcd(rows) == 1) == (inv == (1,) * k)

@@ -1,4 +1,4 @@
-"""The CLI gives the same exit code and stdout under ``python -O``.
+"""The CLI gives the same exit code, stdout and stderr under ``python -O``.
 
 Assertions are stripped under ``-O``, so every check a command relies on
 for its exit code must be an explicit raise.  Each command runs in two
@@ -19,6 +19,12 @@ LADDER = json.loads((ROOT / "perfbench" / "ladder.json").read_text())
 # placeholder argv entries -> the diagram documents written for them
 DOCUMENTS = {"n2m13": LADDER["n2m13"], "n4m2": LADDER["n4m2"],
              "exponent-vertex": [["1e5", "0"], ["0", "1"], ["-1", "-1"]],
+             # an edge lifts to a sublattice of index 2: FacetNotUnimodular
+             "doubled-triangle": [["0", "0"], ["2", "0"], ["0", "2"]],
+             # the base facet has four vertices: NotSimplicial
+             "square-pyramid": [["1", "0", "0"], ["0", "1", "0"],
+                                ["-1", "0", "0"], ["0", "-1", "0"],
+                                ["0", "0", "1"]],
              "order-19-simplex": [
                  ["7/19", "21/19", "30/19", "34/19"],
                  ["16/19", "-10/19", "32/19", "-23/19"],
@@ -88,6 +94,8 @@ COMMANDS = [
     (["ehrhart", "n4m2"], 0),
     (["delta", "n4m2"], 0),
     (["cb", "n4m2", "--pipeline", "delta"], 0),
+    (["validate", "doubled-triangle"], 65),
+    (["validate", "square-pyramid"], 65),
 ]
 
 
@@ -101,7 +109,7 @@ def _python(args):
 
 def _run(flags, argv):
     proc = _python([*flags, "-m", "contactbetti.cli", *argv])
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("argv,code", COMMANDS,

@@ -2,6 +2,7 @@ import fractions
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ from conftest import corpus_diagram, count_calls
 from lattice_oracles import (_coordinate_box as fraction_box,
                              count_points_naive, count_points_row_scan,
                              face_lattice_by_levels, hull_by_hyperplanes,
-                             translate)
+                             simplex_volume_by_differences, translate)
 
 from contactbetti import polytope
 from contactbetti.corpus import corpus
@@ -35,6 +36,7 @@ from contactbetti.polytope import (
     labelled_polytope,
     normalized_volume,
     order,
+    simplex_normalized_volume,
     triangulate_ids,
 )
 
@@ -843,7 +845,100 @@ def test_count_checks_survive_optimize(flags):
     assert proc.stdout.split() == ["ValueError"] * 5 + ["AssertionError"]
 
 
+HULL_CHECKS_RUN = """
+from contactbetti import polytope
+square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+real = polytope.cone_rays
+# no facet at all, then the square's facets plus x + y >= 0, a
+# supporting line tight at (0, 0) alone
+for rays in (lambda rows: (), lambda rows: real(rows) + ((1, 1, 0),)):
+    polytope.cone_rays = rays
+    try:
+        polytope.convex_hull(square)
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("no raise")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_hull_checks_survive_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", HULL_CHECKS_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "full-dimensional input must have supporting facets",
+        "the vertices of hull facet ((1, 1), Fraction(0, 1)) do not span "
+        "a hyperplane"]
+
+
 # ---------------------------------------------------------------- properties
+
+
+@st.composite
+def hull_inputs(draw):
+    """Rational points in n = 2 .. 4, then duplicates of some, midpoints
+    of two points on a common facet (inside an edge or a facet) and the
+    centroids of facets and of all points (inside a facet, inside P)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=-2 * m, max_value=2 * m).map(
+        lambda a: F(a, m))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                        max_size=n + 4))
+    try:
+        convex_hull(pts)
+    except DegenerateInput:
+        return pts
+    vertices, facets = hull_by_hyperplanes(pts)
+    on = [[v for v in vertices if sum(map(operator.mul, a, v)) + c == 0]
+          for a, c in facets]
+
+    def centroid(points):
+        return tuple(sum(col) / len(points) for col in zip(*points))
+    extra = [centroid(pts)] + draw(st.lists(st.sampled_from(pts),
+                                            max_size=3))
+    for face in draw(st.lists(st.sampled_from(on), max_size=3)):
+        extra.append(centroid(face))
+        pair = draw(st.lists(st.sampled_from(face), min_size=2, max_size=2))
+        extra.append(centroid(pair))
+    return draw(st.permutations(pts + extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_inputs())
+def test_hull_matches_the_rank_oracle_with_points_on_faces(pts):
+    # the incidence vertex test against the rank test, with points
+    # repeated and lying inside edges, facets and P
+    try:
+        P = convex_hull(pts)
+    except DegenerateInput:
+        return
+    vertices, facets = hull_by_hyperplanes(pts)
+    assert list(P.vertices) == vertices, pts
+    assert [(f.normal, f.offset) for f in P.facets] == facets, pts
+    for f in P.facets:
+        assert f.vertex_ids == tuple(
+            i for i, v in enumerate(P.vertices)
+            if sum(a * x for a, x in zip(f.normal, v)) + f.offset == 0)
+
+
+rationals = st.builds(F, st.integers(min_value=-12, max_value=12),
+                      st.integers(min_value=1, max_value=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(*[rationals] * n), min_size=n + 1,
+                       max_size=n + 1)))
+def test_simplex_volume_matches_the_difference_oracle(points):
+    assert (simplex_normalized_volume(points)
+            == simplex_volume_by_differences(points))
 
 
 point_st = st.tuples(st.integers(min_value=-4, max_value=4),
