@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import corpus_diagram, count_calls
 from lattice_oracles import (_coordinate_box as fraction_box,
@@ -910,7 +910,9 @@ def hull_inputs(draw):
     return draw(st.permutations(pts + extra))
 
 
-@settings(max_examples=60, deadline=None)
+# drawing an input runs two hulls, which the too_slow check counts
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(hull_inputs())
 def test_hull_matches_the_rank_oracle_with_points_on_faces(pts):
     # the incidence vertex test against the rank test, with points
