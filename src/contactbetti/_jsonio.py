@@ -51,11 +51,13 @@ _quote = json.encoder.encode_basestring_ascii
 def dumps(obj: Any) -> str:
     """Deterministic serialization: sorted keys, no trailing whitespace.
 
-    The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
-    An indent turns the standard library's C encoder off, so this small
-    emitter writes the same text: strings by the C string encoder, keys
-    sorted and str only, lists and tuples alike, each item on its own
-    line at two spaces of indent per level.
+    The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    on reports, which hold strings, ints, booleans, None, lists, tuples and
+    str-keyed dicts (every rational is a string, so no float).  An indent
+    turns the standard library's C encoder off, so this small emitter
+    writes the same text: strings by the C string encoder, keys sorted,
+    lists and tuples alike, each item on its own line at two spaces of
+    indent per level.  Any other type, a float included, is a TypeError.
     """
     out: list[str] = []
     _emit(obj, "\n", out.append)
@@ -75,8 +77,6 @@ def _emit(obj: Any, newline: str, put) -> None:
         put("false")
     elif isinstance(obj, int):
         put(int.__repr__(obj))
-    elif isinstance(obj, float):
-        put(_float(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             put("[]")
@@ -106,12 +106,3 @@ def _emit(obj: Any, newline: str, put) -> None:
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
-
-
-def _float(x: float) -> str:
-    """A float as ``json.dumps`` writes it, non-finite values included."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)

@@ -680,19 +680,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """The full parser, or with ``command`` only that subcommand's.
-
-    Errors print no usage line (see _Parser.error), so a known command's
-    help and usage errors read the same from either parser.
-    """
+def _build_parser() -> _Parser:
+    """The parser of every command.  Errors print no usage line (see
+    _Parser.error)."""
     parser = _Parser(prog="contactbetti",
                      description="Contact invariants of toric diagrams "
                                  "via exact cross-validating pipelines.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, options = _COMMANDS[name]
+    for name, (help_text, options) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("input", help=_INPUT_HELP)
         groups = {}
@@ -785,11 +781,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        # only a known command gets its own parser; --help, a missing or an
-        # unknown command need the full one
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
         try:
-            args = _build_parser(command).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else PARSE_ERROR
     try:

@@ -1,23 +1,25 @@
 """Exact lattice linear algebra: normal forms, basis completion,
-elimination, floor sums.
+rank, solves, inverses, floor sums.
 
 Integer matrices are tuples of row tuples of Python ints; vectors are plain
 tuples.  Everything in this package is exact, there is no floating point
-anywhere.  Integer normal forms run on one Hermite elimination
-(``_hermite``): the Hermite form is one pass of it and the Smith form
-alternates passes on the rows and the columns.  Rank, solves and inverses
-over Q run on one fraction-free elimination (``int_echelon``) on integer
-rows.  Basis completion and the
-inverse of the completed basis come from one Hermite form
-(``unimodular_frame``).
+anywhere.  Two kernels do all the elimination.  ``_hermite``, one Hermite
+elimination in place on integer rows, serves every normal form and
+reduction: the Hermite form is one pass of it, the Smith form alternates
+passes on the rows and the columns, ``rat_rank`` counts the nonzero rows
+it leaves, and ``mat_inverse`` and the basis completion of
+``unimodular_frame`` read the transform it leaves on [M | I].
+``det_int``, a Bareiss determinant, serves every determinant and minor:
+the certificates of the normal forms, ``minor_gcd`` and the Cramer's
+rule of ``rat_solve``.  Rational rows are cleared to integers
+(``clear_row``) before either kernel sees them.
 
 Whether rows extend to a lattice basis is a yes/no question answered by
-their maximal minors (``minor_gcd``, Bareiss determinants), with no
-normal form: diagram validation and the good-cone test ask only that.  A
-Smith form is computed only where its entries are read: the invariants a
-failed check reports, the fundamental group order, the box census
-transform of ``resolution`` and the failure report of
-``unimodular_frame``.
+their maximal minors (``minor_gcd``), with no normal form: diagram
+validation and the good-cone test ask only that.  A Smith form is
+computed only where its entries are read: the invariants a failed check
+reports, the fundamental group order, the box census transform of
+``resolution`` and the failure report of ``unimodular_frame``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def det_int(M) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     A = [list(r) for r in M]
     k = len(A)
-    assert all(len(r) == k for r in A), "determinant needs a square matrix"
+    if any(len(r) != k for r in A):
+        raise AssertionError("determinant needs a square matrix")
     if k == 0:
         return 1
     sign, prev = 1, 1
@@ -255,7 +258,7 @@ def unimodular_frame(vectors) -> tuple[Mat, Mat]:
 
 
 # ----------------------------------------------------------------------
-# elimination over Q on integer rows
+# rank, solve and inverse over Q on integer rows
 
 
 def clear_row(row, scale: int = 0) -> Vec:
@@ -269,86 +272,54 @@ def clear_row(row, scale: int = 0) -> Vec:
     return tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def _content_free(row) -> list[int]:
-    """The integer row divided by the gcd of its entries (a zero row stays)."""
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else list(row)
-
-
-def int_echelon(rows) -> tuple[Mat, Vec]:
-    """Reduced row echelon form over Q, kept on primitive integer rows.
-
-    Returns (R, pivots): R keeps the nonzero rows, row i has a positive
-    pivot in column pivots[i] and every other row a 0 there, so
-    R[i] / R[i][pivots[i]] is the unique reduced echelon form and neither
-    depends on the row order.  Rows are cleared to integers once; a pivot
-    p clears column c from a row r by r <- p*r - r[c]*(pivot row), divided
-    by its content (the gcd of its entries): fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968) that creates no Fraction.
-    """
-    A = [_content_free(clear_row(row)) for row in rows]
-    nr, nc = len(A), len(A[0]) if A else 0
-    pivots = []
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        prow = A[r]
-        p = prow[c]
-        for i in range(nr):
-            f = A[i][c]
-            if f and i != r:
-                A[i] = _content_free([p * v - f * w
-                                      for v, w in zip(A[i], prow)])
-        pivots.append(c)
-    R = tuple(tuple(row) if row[pc] > 0 else tuple(-v for v in row)
-              for row, pc in zip(A, pivots))
-    return R, tuple(pivots)
-
-
 def rat_rank(rows) -> int:
-    """Rank of a matrix with Fraction/int entries."""
-    return len(int_echelon(rows)[1])
+    """Rank of a matrix with Fraction/int entries: the nonzero rows of the
+    Hermite form of its rows, each cleared to integers."""
+    A = [list(clear_row(row)) for row in rows]
+    _hermite(A, len(A[0]) if A else 0)
+    return sum(map(any, A))
 
 
 def rat_solve(A, b):
-    """Solve the square system A*x = b over Q; raises if singular."""
-    n = len(A)
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
-    assert all(len(row) == n + 1 for row in M)
-    R, pivots = int_echelon(M)
-    if pivots != tuple(range(n)):
+    """Solve the square system A*x = b over Q; raises if singular.
+
+    Each row of [A | b] is cleared to integers, which keeps the solution,
+    and Cramer's rule gives x_j = det(A_j) / det(A), where A_j is A with
+    column j replaced by b: Bareiss determinants, no Fraction until the
+    quotients.
+    """
+    rows = [clear_row(tuple(row) + (bv,)) for row, bv in zip(A, b)]
+    d = det_int([row[:-1] for row in rows])
+    if d == 0:
         raise LinearlyDependent("singular system")
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(R))
+    return tuple(Fraction(det_int([row[:j] + row[-1:] + row[j + 1:-1]
+                                   for row in rows]), d)
+                 for j in range(len(rows)))
 
 
 def mat_inverse(M) -> Mat:
-    """Inverse of a unimodular integer matrix (integral again)."""
-    n = len(M)
-    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    assert all(len(row) == 2 * n for row in A)
-    R, pivots = int_echelon(A)
-    if pivots != tuple(range(n)):
+    """Inverse of a unimodular integer matrix (integral again).
+
+    ``_hermite`` on the rows [M | I] leaves [H | W] with W*M = H, and the
+    form H is I exactly when M is unimodular; then W is the inverse.  A
+    zero last row of H means M is singular.
+    """
+    ident = identity(len(M))
+    H, W = _hermite_pass(M, ident)
+    if not any(H[-1]):
         raise LinearlyDependent("matrix is singular")
-    inverse = []
-    for i, row in enumerate(R):
-        p = row[i]
-        if any(v % p for v in row[n:]):
-            raise ValueError("matrix is not unimodular")
-        inverse.append(tuple(v // p for v in row[n:]))
-    return tuple(inverse)
+    if H != [list(row) for row in ident]:
+        raise ValueError("matrix is not unimodular")
+    return tuple(map(tuple, W))
 
 
 def primitive_vector(v) -> Vec:
     """Scale a nonzero rational vector to its primitive integer multiple."""
     ints = clear_row(v)
-    if not any(ints):
+    g = math.gcd(*ints)
+    if not g:
         raise ValueError("zero vector has no primitive multiple")
-    return tuple(_content_free(ints))
+    return tuple(x // g for x in ints)
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

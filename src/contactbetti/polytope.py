@@ -238,8 +238,10 @@ def _build_face_lattice(P: RationalPolytope) -> dict[int, tuple[Face, ...]]:
         levels[affine_dim([P.vertices[i] for i in vids])].append(vids)
     lattice = {d: tuple(Face(d, vids) for vids in sorted(faces))
                for d, faces in levels.items()}
-    assert [f.vertex_ids for f in lattice[0]] == [
-        (i,) for i in range(len(P.vertices))]
+    if [f.vertex_ids for f in lattice[0]] != [
+            (i,) for i in range(len(P.vertices))]:
+        raise AssertionError("the 0-faces of the face lattice are not the "
+                             "vertices")
     return lattice
 
 
@@ -624,7 +626,8 @@ def triangulate_ids(P: RationalPolytope, pull_last: bool = False):
         return out
 
     simplices = tri(Face(P.dimension, tuple(range(len(P.vertices)))))
-    assert all(len(s) == P.dimension + 1 for s in simplices)
+    if any(len(s) != P.dimension + 1 for s in simplices):
+        raise AssertionError("a pulling cell is not a simplex")
     return simplices
 
 

@@ -177,7 +177,8 @@ def prequantization(delta: LabelledPolytope
             zip(delta.weighted_normals, delta.offsets)]
     images = [tuple(_dot(a, row) for a in A) for row in rows]
     P = convex_hull(images)
-    assert len(P.vertices) == len(images), "a facet row failed to survive"
+    if len(P.vertices) != len(images):
+        raise AssertionError("a facet row failed to survive")
     return validate_diagram(P), tuple(row[-1] for row in A) + (r,)
 
 
@@ -367,5 +368,7 @@ def fundamental_group_order(D: ToricDiagram) -> int:
     """Product of the invariant factors of the lifted vertex matrix, which
     is the gcd of its maximal minors."""
     p = math.prod(smith_invariants(D.normals))
-    assert p >= 1
+    if p < 1:
+        raise AssertionError("the lifted vertex matrix has no nonzero "
+                             "maximal minor")
     return p

@@ -1,9 +1,13 @@
 """Slow elimination, lattice-point counters and a slow hull, kept as test
 oracles.
 
-``rat_echelon`` is the ``Fraction`` Gauss-Jordan elimination that
-``exactlat.int_echelon`` replaced; ``rat_kernel`` and the hull oracle
-read it.
+``rat_echelon`` is a ``Fraction`` Gauss-Jordan elimination, kept apart
+from both kernels of ``exactlat``: the Hermite elimination ``_hermite``,
+which ``rat_rank`` and ``mat_inverse`` read, and the Bareiss determinant
+``det_int``, which ``rat_solve`` reads by Cramer's rule.  ``rat_kernel``,
+the hull oracle and ``inverse_by_fractions`` (the right half of the
+reduced form of [M | I]) read it, so the oracles that invert a basis do
+not run the kernel that ``exactlat.unimodular_frame`` runs.
 
 ``count_points_naive`` tests every point of the integer bounding box of
 tP against every facet.  ``count_points_row_scan`` is the row scan the
@@ -62,8 +66,8 @@ window.
 
 ``basis_completion_by_smith`` is the completion that
 ``exactlat.unimodular_frame`` replaced: a Smith form decides saturation,
-then a Hermite form of the transpose and an inverse of its transform give
-the completion.
+then a Hermite form of the transpose and a ``Fraction`` inverse of its
+transform give the completion.
 """
 import itertools
 import math
@@ -78,7 +82,7 @@ from contactbetti._jsonio import rat_str
 from contactbetti.ehrhart import MismatchAt, delta_vector
 from contactbetti.exactlat import (LinearlyDependent,
                                   NotUnimodularSystem, det_int,
-                                  hermite_normal_form, intmat, mat_inverse,
+                                  hermite_normal_form, intmat,
                                   primitive_vector, rat_rank, smith_invariants,
                                   smith_normal_form, transpose, vec_mat)
 from contactbetti.grading import checked_window
@@ -131,6 +135,17 @@ def rat_kernel(A):
             vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+def inverse_by_fractions(M):
+    """Inverse over Q of a square matrix, read off the reduced echelon form
+    of [M | I]: LinearlyDependent when M is singular."""
+    n = len(M)
+    R, pivots = rat_echelon([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(M)])
+    if pivots != tuple(range(n)):
+        raise LinearlyDependent("matrix is singular")
+    return tuple(row[n:] for row in R)
 
 
 def hull_by_hyperplanes(points):
@@ -327,8 +342,8 @@ def basis_completion_by_smith(vectors):
     if any(x != 1 for x in inv):
         raise NotUnimodularSystem(inv)
     _, W = hermite_normal_form(transpose(M))
-    Winv = mat_inverse(W)
-    completion = tuple(tuple(Winv[i][j] for i in range(d))
+    Winv = inverse_by_fractions(W)
+    completion = tuple(tuple(int(Winv[i][j]) for i in range(d))
                        for j in range(k, d))
     assert abs(det_int(M + completion)) == 1
     return completion
@@ -389,7 +404,8 @@ def orbit_family_by_fractions(D, facet_id, reeb, eta=None):
     if eta is None:
         (eta,), Binv = D.facet_frame(facet_id)
     else:
-        Binv = mat_inverse(D.facet_normals(facet_id) + (tuple(eta),))
+        Binv = inverse_by_fractions(D.facet_normals(facet_id)
+                                    + (tuple(eta),))
     value = vec_mat([m * x for x in reeb.base] + [m], Binv)
     slope = vec_mat([m * x for x in reeb.direction] + [0], Binv)
     b = Jet(value[n], slope[n])

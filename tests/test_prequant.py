@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import BaseNotSmooth, corpus_diagram, hc_smooth_base
 from lattice_oracles import (basis_completion_by_smith,
                              cone_skeleton_by_rays,
-                             fundamental_group_order_by_minors, lattice_index)
+                             fundamental_group_order_by_minors,
+                             inverse_by_fractions, lattice_index)
 from contactbetti.contact import (
     FacetNotUnimodular,
     NotInterior,
@@ -20,8 +21,8 @@ from contactbetti.contact import (
 )
 from contactbetti.corpus import corpus
 from contactbetti.ehrhart import delta_vector
-from contactbetti.exactlat import (det_int, mat_inverse, primitive_vector,
-                                  rat_rank, vec_mat)
+from contactbetti.exactlat import (det_int, primitive_vector, rat_rank,
+                                  vec_mat)
 from contactbetti.polytope import (convex_hull, cone_rays, labelled_polytope,
                                    normalized_volume)
 from contactbetti.prequant import (
@@ -381,7 +382,7 @@ def membership_coefficients(D, nu, T, face):
         return ()
     normals = tuple(D.normals[j] for j in face)
     basis = normals + basis_completion_by_smith(normals)
-    y = vec_mat(nu, mat_inverse(basis))
+    y = vec_mat(nu, inverse_by_fractions(basis))
     return tuple((-T * y[i]) % 1 for i in range(len(face)))
 
 
