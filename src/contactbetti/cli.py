@@ -12,7 +12,7 @@ reads a known command's plain argv straight from the table: one input,
 then exact long options as ``--opt value``, ``--opt=value`` or a bare
 flag.  Any other argv goes to argparse, which ``_build_parser`` builds
 from the same table; argparse is the only writer of help and usage
-errors.
+errors, and it is imported only for them: a plain argv never loads it.
 
 Exit codes: 0 success, 2 cross-check mismatch, 64 parse error (usage,
 malformed document or option value), 65 validation error, 66 genericity
@@ -20,10 +20,9 @@ failure.
 """
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
+import types
 from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -217,16 +216,22 @@ def _triangulation_for(D: ToricDiagram, args) -> Triangulation:
 # option parsing helpers (argparse ``type=`` callables)
 
 
+def _argument_type_error() -> type:
+    """argparse's ArgumentTypeError, whose message is the usage error.
+    argparse is loaded here, only once a value is refused."""
+    import argparse
+    return argparse.ArgumentTypeError
+
+
 def _rat_arg(s: str) -> Fraction:
     # argparse turns only ValueError and TypeError into a usage error; an
     # exponent would make the value's digits grow with its size
     if "e" in s or "E" in s:
-        raise argparse.ArgumentTypeError("exponent not accepted in %r" % s)
+        raise _argument_type_error()("exponent not accepted in %r" % s)
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(
-            "zero denominator in %r" % s) from None
+        raise _argument_type_error()("zero denominator in %r" % s) from None
 
 
 def _rat_point_arg(s: str) -> Tuple[Fraction, ...]:
@@ -240,17 +245,17 @@ def _int_point_arg(s: str) -> Tuple[int, ...]:
 def _window_arg(s: str) -> Tuple[Fraction, Fraction]:
     lo, sep, hi = s.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError("window must be given as lo:hi")
+        raise _argument_type_error()("window must be given as lo:hi")
     lo, hi = _rat_arg(lo), _rat_arg(hi)
     if lo > hi:
-        raise argparse.ArgumentTypeError("window lo must not exceed hi")
+        raise _argument_type_error()("window lo must not exceed hi")
     return lo, hi
 
 
 def _positive_int_arg(s: str) -> int:
     v = int(s)
     if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise _argument_type_error()("must be a positive integer")
     return v
 
 
@@ -668,21 +673,23 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # no option starts with "-<digit>", so such arguments are values:
-        # negative rationals and windows such as -2/3 and -1:4 (the test
-        # _is_value makes with string methods)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+def _build_parser():
+    """The argparse parser of every command.  Errors print no usage line
+    (see _Parser.error)."""
+    import argparse
+    import re
 
-    def error(self, message):
-        self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # no option starts with "-<digit>", so such arguments are
+            # values: negative rationals and windows such as -2/3 and -1:4
+            # (the test _is_value makes with string methods)
+            self._negative_number_matcher = re.compile(r"-\.?\d")
 
+        def error(self, message):
+            self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
 
-def _build_parser() -> _Parser:
-    """The parser of every command.  Errors print no usage line (see
-    _Parser.error)."""
     parser = _Parser(prog="contactbetti",
                      description="Contact invariants of toric diagrams "
                                  "via exact cross-validating pipelines.")
@@ -717,8 +724,9 @@ def _is_value(token: str) -> bool:
                                       and token[2:3].isdecimal())
 
 
-def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace argparse makes of a known command's plain argv.
+def _read_argv(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
+    """A namespace with the attributes argparse gives a known command's
+    plain argv.
 
     Plain means: one input that does not start with "-", and otherwise
     exact long options of the command's table, as ``--opt value``,
@@ -757,7 +765,8 @@ def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             if opt.type is not None:
                 try:
                     value = opt.type(value)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                # the tuple is evaluated only when the call raises
+                except (_argument_type_error(), TypeError, ValueError):
                     return None
             if opt.choices is not None and value not in opt.choices:
                 return None
@@ -769,7 +778,7 @@ def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
                 return None
     if len(inputs) != 1:
         return None
-    return argparse.Namespace(command=argv[0], input=inputs[0], **values)
+    return types.SimpleNamespace(command=argv[0], input=inputs[0], **values)
 
 
 def _fail(code: int, message: str) -> int:

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .ehrhart import delta_vector
 from .exactlat import (
     Mat,
@@ -88,15 +88,17 @@ class NotInterior(ValueError):
     """Reeb base point is not (jet-)interior to the diagram."""
 
 
-@dataclass(frozen=True)
-class ToricDiagram:
-    polytope: RationalPolytope
-    order: int
-    normals: Tuple[Tuple[int, ...], ...]        # (m*v, m) per vertex
-    facet_vertex_ids: Tuple[Tuple[int, ...], ...]
-    # facet id -> unimodular_frame of its normals, built on first use
-    _frames: Dict[int, Tuple[Mat, Mat]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+class ToricDiagram(Frozen):
+    # normals: (m*v, m) per vertex; _frames: facet id -> unimodular_frame
+    # of its normals, built on first use
+    __slots__ = ("polytope", "order", "normals", "facet_vertex_ids",
+                 "_frames")
+
+    def __init__(self, polytope: RationalPolytope, order: int,
+                 normals: Tuple[Tuple[int, ...], ...],
+                 facet_vertex_ids: Tuple[Tuple[int, ...], ...]) -> None:
+        super().__init__(polytope, order, normals, facet_vertex_ids)
+        object.__setattr__(self, "_frames", {})
 
     @property
     def dimension(self) -> int:
@@ -141,8 +143,7 @@ def validate_diagram(P: RationalPolytope) -> ToricDiagram:
     return ToricDiagram(P, m, normals, tuple(facet_ids))
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(NamedTuple):
     """Interior base point plus perturbation direction.
 
     Represents the lifted vector (m(v + eps*d), m) with eps an
@@ -179,8 +180,7 @@ def _check_interior(D: ToricDiagram, reeb: ReebVector) -> None:
                     f"perturbation does not move inward")
 
 
-@dataclass(frozen=True)
-class OrbitFamily:
+class OrbitFamily(NamedTuple):
     """One closed-orbit family.
 
     The decomposition reads  nu = sum_j b_j * nu_j  +  b * eta  over the

@@ -29,10 +29,10 @@ needs in the memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from ._frozen import Frozen
 from .polyarith import poly_eval, poly_mul, poly_scale
 from .polytope import (
     RationalPolytope,
@@ -54,19 +54,18 @@ class MismatchAt(AssertionError):
         super().__init__(f"{what} at grading {j}")
 
 
-@dataclass(frozen=True)
-class DeltaVector:
+class DeltaVector(Frozen):
     """Numerator coefficients of the lattice point generating series.
 
     ``entries[j]`` is the coefficient of z^j; indices outside
     [0, m(n+1)-1] are implicitly zero (see ``__getitem__``).
     """
 
-    entries: Tuple[int, ...]
-    order: int
-    dimension: int
+    __slots__ = ("entries", "order", "dimension")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Tuple[int, ...], order: int,
+                 dimension: int) -> None:
+        super().__init__(entries, order, dimension)
         m, n = self.order, self.dimension
         if len(self.entries) != m * (n + 1):
             raise ValueError("delta vector has wrong length")
@@ -94,8 +93,7 @@ class DeltaVector:
         return all(self[j] == self[n - j] for j in range(len(self.entries)))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Frozen):
     """Counting quasi-polynomial: one degree-n branch per residue class.
 
     ``branches[r]`` holds monomial coefficients (c_0 .. c_n) of the
@@ -103,11 +101,11 @@ class QuasiPolynomial:
     the leading coefficient vol(P).
     """
 
-    period: int
-    dimension: int
-    branches: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("period", "dimension", "branches")
 
-    def __post_init__(self) -> None:
+    def __init__(self, period: int, dimension: int,
+                 branches: Tuple[Tuple[Fraction, ...], ...]) -> None:
+        super().__init__(period, dimension, branches)
         if len(self.branches) != self.period:
             raise ValueError("need one branch per residue class")
         lead = {b[self.dimension] for b in self.branches}

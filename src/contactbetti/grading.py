@@ -17,10 +17,10 @@ the degree strings of ``to_rows``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
+from ._frozen import Frozen
 from ._jsonio import ratio_str
 
 Degree = Union[int, Fraction]
@@ -51,8 +51,7 @@ def checked_window(window, order: int,
     return lo, hi
 
 
-@dataclass(frozen=True, eq=False)
-class GradedDimensions:
+class GradedDimensions(Frozen):
     """Finitely supported map from rational degrees to dimensions.
 
     ``counts`` maps q * degree to the dimension there, q = ``order`` > 0;
@@ -62,9 +61,11 @@ class GradedDimensions:
     when their entries are.
     """
 
-    order: int
-    counts: Mapping[int, int]
-    window: Tuple[Fraction, Fraction]
+    __slots__ = ("order", "counts", "window")
+
+    def __init__(self, order: int, counts: Mapping[int, int],
+                 window: Tuple[Fraction, Fraction]) -> None:
+        super().__init__(order, counts, window)
 
     @staticmethod
     def from_items(items: Iterable[Tuple[Degree, int]],

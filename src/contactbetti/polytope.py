@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlat import clear_row, det_int, floor_sum, rat_rank
 
@@ -53,15 +53,13 @@ class UnboundedInput(ValueError):
     """Halfspace data describes an unbounded polyhedron."""
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: tuple[int, ...]
     offset: Fraction
     vertex_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     dim: int
     vertex_ids: tuple[int, ...]
 
@@ -667,8 +665,7 @@ def enumerate_halfspace_vertices(normals, offsets):
     return sorted(vertices)
 
 
-@dataclass(frozen=True)
-class LabelledPolytope:
+class LabelledPolytope(NamedTuple):
     """Simple polytope with weighted inward normals <x, v_i> + b_i >= 0."""
 
     weighted_normals: tuple[tuple[int, ...], ...]

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .contact import NotInterior, ToricDiagram, validate_diagram
 from .exactlat import (LinearlyDependent, det_int, minor_gcd, rat_solve,
@@ -45,16 +44,14 @@ class NotPrimitive(ValueError):
 # good cones
 
 
-@dataclass(frozen=True)
-class ConeFace:
+class ConeFace(NamedTuple):
     """Face of a pointed cone, keyed by the full tight set of facet ids."""
 
     tight: Tuple[int, ...]
     dim: int
 
 
-@dataclass(frozen=True)
-class GoodCone:
+class GoodCone(NamedTuple):
     normals: Tuple[Tuple[int, ...], ...]
     faces: Tuple[ConeFace, ...]     # dims 1 .. n+1; the apex is never used
 
@@ -63,8 +60,7 @@ class GoodCone:
         return len(self.normals[0])
 
 
-@dataclass(frozen=True)
-class GoodConeReport:
+class GoodConeReport(NamedTuple):
     """Outcome of the per-face lattice-basis test.
 
     ``failing_face`` is the tight set of the first bad face; ``invariants``
@@ -191,8 +187,7 @@ def diagram_from_labelled(delta: LabelledPolytope) -> ToricDiagram:
 # quotients and twisted sectors
 
 
-@dataclass(frozen=True)
-class SectorComponent:
+class SectorComponent(NamedTuple):
     """One fixed-point component: a face of the cone with the doubled sum
     of its fractional membership coefficients as degree shift."""
 
@@ -205,14 +200,12 @@ class SectorComponent:
         return 2 * (len(self.h) - 1)
 
 
-@dataclass(frozen=True)
-class TwistedSector:
+class TwistedSector(NamedTuple):
     period: Fraction
     components: Tuple[SectorComponent, ...]
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     r: int
     base: LabelledPolytope
     sectors: Tuple[TwistedSector, ...]

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
+from ._frozen import Frozen
 from .contact import ToricDiagram, contact_betti_from_delta
 from .ehrhart import MismatchAt, delta_vector, series_numerator
 from .exactlat import det_int, primitive_vector, smith_normal_form
@@ -56,14 +56,14 @@ class NotRational(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    points: Tuple[Tuple[Fraction, ...], ...]
-    cells: Tuple[Tuple[int, ...], ...]
-    order: int
-    # fan_over(self), built on first use
-    _fan: Optional["Fan"] = field(
-        default=None, init=False, repr=False, compare=False)
+class Triangulation(Frozen):
+    # _fan: fan_over(self), built on first use
+    __slots__ = ("points", "cells", "order", "_fan")
+
+    def __init__(self, points: Tuple[Tuple[Fraction, ...], ...],
+                 cells: Tuple[Tuple[int, ...], ...], order: int) -> None:
+        super().__init__(points, cells, order)
+        object.__setattr__(self, "_fan", None)
 
     @property
     def dimension(self) -> int:
@@ -97,8 +97,7 @@ def triangulation_from_cells(D: ToricDiagram, points,
                          D.order)
 
 
-@dataclass(frozen=True)
-class TriangulationReport:
+class TriangulationReport(NamedTuple):
     unimodular: bool
     cell_volumes: Tuple[Fraction, ...]
 
@@ -167,16 +166,17 @@ def _lift(p, m: int) -> List[int]:
     return out + [m]
 
 
-@dataclass(frozen=True)
-class Fan:
-    rays: Tuple[Tuple[int, ...], ...]
-    max_cones: Tuple[Tuple[int, ...], ...]
-    crepant: bool
-    order: int
-    dimension: int  # n: the fan lives in R^(n+1)
-    # _age_h(self), built on first use
-    _census: Optional[Dict[int, Tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False)
+class Fan(Frozen):
+    # dimension: n, the fan lives in R^(n+1); _census: _age_h(self), built
+    # on first use
+    __slots__ = ("rays", "max_cones", "crepant", "order", "dimension",
+                 "_census")
+
+    def __init__(self, rays: Tuple[Tuple[int, ...], ...],
+                 max_cones: Tuple[Tuple[int, ...], ...], crepant: bool,
+                 order: int, dimension: int) -> None:
+        super().__init__(rays, max_cones, crepant, order, dimension)
+        object.__setattr__(self, "_census", None)
 
     def cones(self) -> List[Tuple[int, ...]]:
         """All cones (as sorted ray index tuples), zero cone included."""
@@ -337,8 +337,7 @@ def normalized_volume_of_fan_base(F: Fan) -> Fraction:
     return Fraction(total, F.order ** (F.dimension + 1))
 
 
-@dataclass(frozen=True)
-class StapledonReport:
+class StapledonReport(NamedTuple):
     delta: Tuple[int, ...]
     series_checked_to: int
 

@@ -10,9 +10,9 @@ in the package ``__all__``.  ``cli.main`` is the console script.
 A method of a package class counts as used when some module loads an
 attribute of that name outside the method's own body.  Dunder methods and
 overrides of a base class's method are called by the machinery that
-defines them, so they are exempt.  An annotated class field (a dataclass
-field) counts as read by the same rule: some module loads an attribute
-of its name.
+defines them, so they are exempt.  A class field, annotated (a
+NamedTuple field) or an entry of the class's ``__slots__``, counts as
+read by the same rule: some module loads an attribute of its name.
 """
 import ast
 import importlib
@@ -90,14 +90,25 @@ def _attribute_loads(trees):
     return loads
 
 
+def _field_names(node):
+    """The field names a class-body statement declares: an annotated name,
+    or the entries of ``__slots__``."""
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    if (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets)):
+        return list(ast.literal_eval(node.value))
+    return []
+
+
 def class_fields(trees):
-    """module.Class.field for every annotated field of a package class."""
-    return ["%s.%s.%s" % (module, cls.name, node.target.id)
+    """module.Class.field for every field of a package class."""
+    return ["%s.%s.%s" % (module, cls.name, name)
             for module, tree in trees.items()
             for cls in tree.body if isinstance(cls, ast.ClassDef)
             for node in cls.body
-            if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)]
+            for name in _field_names(node)]
 
 
 def unused_fields():

@@ -96,6 +96,9 @@ COMMANDS = [
     (["cb", "n4m2", "--pipeline", "delta"], 0),
     (["validate", "doubled-triangle"], 65),
     (["validate", "square-pyramid"], 65),
+    # help and usage errors: argparse is imported only for these
+    (["--help"], 0),
+    (["bogus", "x"], 64),
 ]
 
 
